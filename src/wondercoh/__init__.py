@@ -28,7 +28,7 @@ from .oracles import (
     weyl_group_bruteforce,
 )
 from .regions import region_plot
-from .roots import RootSystem, Weight, build_root_system, parse_type
+from .roots import InvariantError, RootSystem, Weight, build_root_system, parse_type
 from .varieties import (
     CATALOG_NAMES,
     CatalogError,
@@ -48,6 +48,7 @@ __all__ = [
     "CohomologyTable",
     "Contribution",
     "DivisibilityRule",
+    "InvariantError",
     "RootSystem",
     "Weight",
     "WonderfulVariety",

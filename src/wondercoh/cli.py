@@ -17,6 +17,7 @@ from . import degrees as degrees_mod
 from . import oracles
 from .cohomology import cohomology_table
 from .regions import region_plot
+from .roots import InvariantError
 from .serialize import table_to_csv, table_to_json, table_to_text
 from .varieties import (
     CATALOG_NAMES,
@@ -268,6 +269,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code
     except CatalogError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return VALIDATION_ERROR
+    except InvariantError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,10 +6,20 @@ with J a subset of the spherical roots, mu in the translated sign cone
 (strictly positive multiples of J, nonpositive off J), mu + rho regular,
 the negative-pairing set of mu + rho equal to J, and l(mu) + |J| = d.
 
-Enumeration is exact: candidate weights mu = lam + sum c_i gamma_i are the
-integer points of the ball |mu + rho|^2 <= |lam + rho|^2, which contains
-every contributing mu because each c_i (mu + rho, gamma_i) <= 0 by the two
-sign conditions.
+Enumeration is exact.  Write mu = lam + sum c_i gamma_i.  For a
+contributing pair the two sign conditions give c_i (mu + rho, gamma_i) <= 0
+for every i: on J, c_i >= 1 and the pairing is negative; off J, c_i <= 0
+and the pairing is nonnegative.  Summed over i this is
+
+    (mu + rho, mu - lam) <= 0,
+
+the witness ball: mu + rho lies in the ball whose diameter is the segment
+from 0 to lam + rho.  In the coefficients it reads c^T G c + c^T b <= 0,
+with G the spherical Gram matrix and b_i = (lam + rho, gamma_i);
+`contributions` enumerates its integer points.
+Adding |mu - lam|^2 >= 0 gives the weaker |mu + rho| <= |lam + rho|, i.e.
+c^T G c + 2 c^T b <= 0, a ball of twice the radius and about 2^r times the
+points; `enumerate_candidates` keeps returning that superset.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactalg import mat_vec
-from .roots import Weight
+from .roots import InvariantError, Weight
 from .varieties import WonderfulVariety
 
 
@@ -116,13 +126,26 @@ def _sign_pattern_ok(coeffs: tuple[int, ...], jset: set[int]) -> bool:
     )
 
 
-def _ball_coefficients(X: WonderfulVariety, lam: Weight) -> list[tuple[int, ...]]:
-    """All integer c with |lam + rho + sum c_i gamma_i|^2 <= |lam + rho|^2.
+def _ball_coefficients(
+    X: WonderfulVariety, lam: Weight, k: int
+) -> list[tuple[int, ...]]:
+    """All integer c with c^T G c + k c^T b <= 0, where G is the spherical
+    Gram matrix and b_i = (lam + rho, gamma_i), in lexicographic order.
 
-    Branch and bound over the LDL^T factorisation of the spherical Gram
-    matrix; every bound is a Fraction comparison, so boundary points are
-    never lost.  c = 0 always qualifies (with equality), hence the result
-    is nonempty.
+    k = 1 is the witness ball (mu + rho, mu - lam) <= 0 that holds every
+    contributing pair; k = 2 is the ball |mu + rho| <= |lam + rho| that
+    `enumerate_candidates` returns (see the module docstring).  c = 0 is on
+    the boundary of both, so the result is never empty.
+
+    Completing the square with z = (k/2) G^-1 b and G = L D L^T turns the
+    quadric into sum_i d_i (c_i + o_i)^2 <= z^T G z with
+    o_i = u_i + sum_{j>i} L_ji c_j and u = L^T z.  Scaling level i by the
+    common denominator q_i of u_i and L_ji, and the whole sum by the common
+    denominator S of the d_i / q_i^2, makes every quantity an integer:
+    t_i = q_i (c_i + o_i) and sum_i e_i t_i^2 <= floor(S z^T G z) with
+    e_i = S d_i / q_i^2.  The branch and bound then peels c_{r-1}, ..., c_0
+    off with int arithmetic and math.isqrt only; every bound is exact, so
+    points on the boundary are always kept.
     """
     r = X.rank
     if r == 0:
@@ -131,42 +154,44 @@ def _ball_coefficients(X: WonderfulVariety, lam: Weight) -> list[tuple[int, ...]
     shifted = [x + 1 for x in lam]
     b = [g.inner_product(shifted, gam) for gam in X.spherical_roots]
     L, d = X._sigma_ldl
-    # complete the square: f(c) = (c+z)^T G (c+z) - z^T G z with z = G^-1 b,
-    # and peel coordinates off the LDL^T factorisation from the last one down.
-    z = mat_vec(X.sigma_gram_inv, b)
-    budget = sum(zi * bi for zi, bi in zip(z, b))  # z^T G z
+    half_k = Fraction(k, 2)
+    z = [half_k * x for x in mat_vec(X.sigma_gram_inv, b)]
+    budget = half_k * sum(zi * bi for zi, bi in zip(z, b))  # z^T G z
+    u = [z[i] + sum(L[j][i] * z[j] for j in range(i + 1, r)) for i in range(r)]
+    # q_i clears the denominators of u_i and of column i of L, so that
+    # t_i = q_i c_i + base_i + sum_{j>i} A[i][j] c_j with A[i][j] = q_i L_ji
+    q = [math.lcm(u[i].denominator, *(row[i].denominator for row in L)) for i in range(r)]
+    base = [int(qi * ui) for qi, ui in zip(q, u)]
+    A = [[int(q[i] * row[i]) for row in L] for i in range(r)]
+    scaled = [d[i] / (q[i] * q[i]) for i in range(r)]
+    S = math.lcm(*(x.denominator for x in scaled))
+    e = [int(S * x) for x in scaled]
     results: list[tuple[int, ...]] = []
-    w = [Fraction(0)] * r  # w_i = c_i + z_i along the current branch
+    c = [0] * r
 
-    def descend(i: int, remaining: Fraction) -> None:
-        if i < 0:
-            results.append(tuple(int(w_k - z_k) for w_k, z_k in zip(w, z)))
-            return
-        offset = z[i] + sum(L[j][i] * w[j] for j in range(i + 1, r))
-        up = math.ceil(-offset)
-        # d_i * (c_i + offset)^2 is convex with vertex at -offset: the term
-        # is monotone along c_i = up, up+1, ... and along up-1, up-2, ...,
-        # so each side may stop at the first budget overrun
-        for step, first in ((1, up), (-1, up - 1)):
-            c_i = first
-            while True:
-                term = d[i] * (Fraction(c_i) + offset) ** 2
-                if term > remaining:
-                    break
-                w[i] = Fraction(c_i) + z[i]
-                descend(i - 1, remaining - term)
-                c_i += step
-        w[i] = Fraction(0)
+    def descend(i: int, remaining: int) -> None:
+        # e_i t^2 <= remaining  <=>  |t| <= isqrt(remaining // e_i) for int t
+        qi, ei, row = q[i], e[i], A[i]
+        p = base[i] + sum(row[j] * c[j] for j in range(i + 1, r))
+        s = math.isqrt(remaining // ei)
+        for ci in range(-((s + p) // qi), (s - p) // qi + 1):
+            c[i] = ci
+            if i == 0:
+                results.append(tuple(c))
+            else:
+                t = qi * ci + p
+                descend(i - 1, remaining - ei * t * t)
 
-    descend(r - 1, budget)
+    descend(r - 1, math.floor(S * budget))
     return sorted(results)
 
 
 def enumerate_candidates(X: WonderfulVariety, lam: Sequence[int]) -> list[Weight]:
-    """Finite superset of all contributing weights for lam (see module docstring)."""
+    """All mu = lam + sum c_i gamma_i (c integral) with |mu + rho| <= |lam + rho|:
+    a finite superset of the contributing weights (see the module docstring)."""
     lam = _require_pic(X, lam)
     out = []
-    for c in _ball_coefficients(X, lam):
+    for c in _ball_coefficients(X, lam, 2):
         mu = list(lam)
         for ci, gam in zip(c, X.spherical_roots):
             for k, x in enumerate(gam):
@@ -185,7 +210,7 @@ def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]
         sum(r * x for r, x in zip(row, shifted)) for row in X._gamma_sign_rows
     ]
     out = []
-    for c in _ball_coefficients(X, lam):
+    for c in _ball_coefficients(X, lam, 1):
         # J from the omega signature of mu
         jset = set()
         for i in range(X.rank):
@@ -211,13 +236,14 @@ def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]
                 mu[k] += cj * x
         mu = tuple(mu)
         made = g.make_dominant_shifted(mu)
-        assert made is not None
+        if made is None:
+            raise InvariantError("chamber walk calls a regular mu + rho singular")
         mu_plus, length, _ = made
         if length != sum(1 for p in pair if p < 0):
-            raise AssertionError("length mismatch between pairing rows and walk")
+            raise InvariantError("length mismatch between pairing rows and walk")
         degree = length + len(jset)
         if not 0 <= degree <= X.dimension_N:
-            raise AssertionError("degree outside [0, N]")
+            raise InvariantError("degree outside [0, N]")
         out.append(Contribution(tuple(sorted(jset)), mu, length, mu_plus, degree))
     out.sort(key=lambda t: (t.degree, t.mu))
     return out

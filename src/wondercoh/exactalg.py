@@ -3,7 +3,11 @@
 Everything in this package works with integer weight vectors and
 Fraction-valued bilinear forms; the matrices involved are tiny (at most
 the rank of the ambient group), so plain Gauss-Jordan elimination with
-`fractions.Fraction` entries is both exact and fast enough.
+`fractions.Fraction` entries is exact and cheap for set-up work done a
+few times per call.  `Fraction` is far too slow for inner loops that run
+once per lattice point: those, such as the candidate enumeration in
+`cohomology`, scale their rational data to integers once and then run on
+`int` alone.
 """
 
 from __future__ import annotations
@@ -43,34 +47,6 @@ def mat_vec(m: Matrix, v: Sequence) -> tuple[Fraction, ...]:
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def is_positive_definite(m: Matrix) -> bool:
-    """Sylvester's criterion via exact leading principal minors."""
-    n = len(m)
-    for k in range(1, n + 1):
-        if _det([row[:k] for row in m[:k]]) <= 0:
-            return False
-    return True
-
-
-def _det(rows) -> Fraction:
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / rows[col][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det
 
 
 def ldl(m: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:

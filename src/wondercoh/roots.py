@@ -16,6 +16,14 @@ from .exactalg import Matrix, dot, frac_matrix, mat_inverse, mat_vec
 
 Weight = tuple[int, ...]
 
+
+class InvariantError(RuntimeError):
+    """An internal invariant of the engine failed: a bug, never bad input.
+
+    Raised explicitly, so it still fires under ``python -O``.
+    """
+
+
 #: classical positive root counts per simple family
 _POSITIVE_ROOT_COUNT = {
     "A": lambda n: n * (n + 1) // 2,
@@ -134,7 +142,7 @@ class RootSystem:
         self.positive_roots = self._generate_positive_roots()
         expected = sum(_POSITIVE_ROOT_COUNT[f](n) for f, n in components)
         if len(self.positive_roots) != expected:
-            raise AssertionError("positive root closure has the wrong size")
+            raise InvariantError("positive root closure has the wrong size")
 
         # (omega_i, omega_j) = d_i * (A^-1)_ij; short roots have length^2 = 2
         self._cartan_inv = mat_inverse(frac_matrix(self.cartan))
@@ -175,7 +183,7 @@ class RootSystem:
         for j in range(self.rank):
             entry = Fraction(2 * alpha[j] * self.symmetrizer[j]) / norm
             if entry.denominator != 1:
-                raise AssertionError("coroot pairing row is not integral")
+                raise InvariantError("coroot pairing row is not integral")
             row.append(int(entry))
         return tuple(row)
 
@@ -233,10 +241,6 @@ class RootSystem:
         self.check_weight(lam)
         return all(p != 0 for p in self.shifted_pairings(lam))
 
-    def shifted_length(self, lam: Sequence[int]) -> int:
-        """Inversion count of lam + rho (lam + rho must be regular)."""
-        return sum(1 for p in self.shifted_pairings(lam) if p < 0)
-
     def make_dominant_shifted(
         self, lam: Sequence[int]
     ) -> Optional[tuple[Weight, int, tuple[int, ...]]]:
@@ -263,7 +267,7 @@ class RootSystem:
         if any(x == 0 for x in v):
             return None  # lam + rho is singular
         if len(word) != inversions:
-            raise AssertionError("reflection count disagrees with inversion count")
+            raise InvariantError("reflection count disagrees with inversion count")
         lam_plus = tuple(x - 1 for x in v)
         return lam_plus, len(word), tuple(word)
 
@@ -277,7 +281,7 @@ class RootSystem:
             c = v[neg]
             for i in range(self.rank):
                 v[i] -= c * self.cartan[i][neg]
-        raise AssertionError("orbit walk did not terminate")
+        raise InvariantError("orbit walk did not terminate")
 
     def dual_weight(self, mu: Sequence[int]) -> Weight:
         """-w_0 mu for dominant mu (highest weight of the dual module)."""
@@ -296,7 +300,7 @@ class RootSystem:
         den = prod(sum(row) for row in self._coroot_rows)
         q, rem = divmod(num, den)
         if rem:
-            raise AssertionError("Weyl dimension is not integral")
+            raise InvariantError("Weyl dimension is not integral")
         return q
 
     def weyl_order(self) -> int:

@@ -25,7 +25,6 @@ from .exactalg import (
     Matrix,
     dot,
     frac_matrix,
-    is_positive_definite,
     ldl,
     mat_inverse,
     mat_vec,
@@ -64,6 +63,13 @@ class ValidationReport:
             suffix = f" ({c.detail})" if c.detail and not c.passed else ""
             lines.append(f"  [{status}] {c.name}{suffix}")
         return "\n".join(lines)
+
+
+def _ldl_or_none(m: Matrix):
+    try:
+        return ldl(m)
+    except ValueError:
+        return None
 
 
 def _support(alpha: Sequence[int]) -> frozenset[int]:
@@ -127,14 +133,12 @@ class WonderfulVariety:
         self.pic_gram: Matrix = frac_matrix(
             [[g.inner_product(a, b) for b in pic] for a in pic]
         )
-        self._sigma_pos_def = len(sigma) == 0 or is_positive_definite(self.sigma_gram)
-        self._pic_independent = len(pic) == 0 or is_positive_definite(self.pic_gram)
-        self.sigma_gram_inv = mat_inverse(self.sigma_gram) if self._sigma_pos_def and sigma else ()
-        self.pic_gram_inv = mat_inverse(self.pic_gram) if self._pic_independent and pic else ()
-        if sigma and self._sigma_pos_def:
-            self._sigma_ldl = ldl(self.sigma_gram)
-        else:
-            self._sigma_ldl = ((), ())
+        # a Gram matrix is positive definite exactly when ldl succeeds
+        self._sigma_ldl = _ldl_or_none(self.sigma_gram)
+        self._sigma_pos_def = self._sigma_ldl is not None
+        self._pic_independent = _ldl_or_none(self.pic_gram) is not None
+        self.sigma_gram_inv = mat_inverse(self.sigma_gram) if self._sigma_pos_def else ()
+        self.pic_gram_inv = mat_inverse(self.pic_gram) if self._pic_independent else ()
 
         # sign-exact integer pairing rows: W_i . v has the sign of (v, gamma_i)
         rows = []

@@ -1,8 +1,13 @@
 """CLI contract: commands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
+import wondercoh
 from wondercoh.cli import main
+from wondercoh.roots import RootSystem
 
 
 def run(capsys, *argv):
@@ -180,3 +185,47 @@ def test_variety_file(tmp_path, capsys):
     path.write_text(json.dumps(bad))
     code, _, err = run(capsys, "describe", "--variety-file", str(path))
     assert code == 3
+
+
+def _off_by_one_walk(walk):
+    """A chamber walk whose length disagrees with the inversion count."""
+
+    def patched(self, lam):
+        made = walk(self, lam)
+        return made and (made[0], made[1] + 1, made[2])
+
+    return patched
+
+
+def test_invariant_failure_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(
+        RootSystem, "make_dominant_shifted",
+        _off_by_one_walk(RootSystem.make_dominant_shifted),
+    )
+    code, out, err = run(capsys, "cohomology", "PSO/PSO(2)", "--lambda", "-6")
+    assert code == 3
+    assert out == "" and "length mismatch" in err
+
+
+def test_invariant_fires_under_optimize():
+    # `assert` statements vanish under -O; the engine invariants must not
+    script = "\n".join([
+        "import sys",
+        "from wondercoh.cli import main",
+        "from wondercoh.roots import RootSystem",
+        "from tests.test_cli import _off_by_one_walk",
+        "print(sys.flags.optimize)",
+        "RootSystem.make_dominant_shifted = "
+        "_off_by_one_walk(RootSystem.make_dominant_shifted)",
+        "sys.exit(main(['cohomology', 'PSO/PSO(2)', '--lambda', '-6']))",
+    ])
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wondercoh.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, root]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, cwd=root, timeout=60,
+    )
+    assert proc.stdout == "1\n"
+    assert proc.returncode == 3, proc.stderr
+    assert "length mismatch" in proc.stderr

@@ -6,6 +6,7 @@ import pytest
 
 from wondercoh import build_case
 from wondercoh.cohomology import (
+    _ball_coefficients,
     cohomology_table,
     contributions,
     enumerate_candidates,
@@ -190,6 +191,24 @@ def test_ball_enumeration_complete_vs_box_scan():
                 radius = max(radius, max((abs(int(c)) for c in cs), default=0))
             box = 2 * radius + 1
             assert contributions(X, lam) == naive_contribution_scan(X, lam, box)
+
+
+@pytest.mark.parametrize(
+    "name, coords, ball, witness_ball, witnesses",
+    [
+        ("group:A3", (-8, -8, -8), 8128, 1020, 158),
+        ("PGL/PSp(4)", (-8, -8, -8), 5089, 682, 49),
+        ("E6/F4", (-30, -30), 2455, 613, 242),
+    ],
+)
+def test_anchor_counts(name, coords, ball, witness_ball, witnesses):
+    # machine-independent work counts: the |mu + rho| <= |lam + rho| ball,
+    # the witness ball that contributions walks, and the witnesses found
+    X = build_case(name)
+    lam = pic(X, *coords)
+    assert len(enumerate_candidates(X, lam)) == ball
+    assert len(_ball_coefficients(X, lam, 1)) == witness_ball
+    assert len(contributions(X, lam)) == witnesses
 
 
 def test_serialization_deterministic():
