@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 usage error (unknown variety, malformed
-coordinates), 3 internal validation failure (a descriptor or a
+coordinates, a scan box whose weights exceed the vanishing check's
+candidate cap), 3 internal validation failure (a descriptor or a
 paper-derived invariant did not hold).
 """
 
@@ -25,6 +26,7 @@ from .varieties import (
     WonderfulVariety,
     build_case,
     load_variety,
+    pic_box,
     validate,
 )
 
@@ -107,14 +109,6 @@ def cmd_cohomology(args) -> int:
     return 0
 
 
-def _scan_box(X: WonderfulVariety, box: int):
-    import itertools
-
-    axes = [range(-box, box + 1)] * len(X.pic_basis)
-    for coords in itertools.product(*axes):
-        yield coords, X.weight_from_pic_coords(coords)
-
-
 def _check_vanishing(X, box) -> tuple[bool, str]:
     rule = degrees_mod.rule_for(X)
     if rule is None:
@@ -126,7 +120,7 @@ def _check_vanishing(X, box) -> tuple[bool, str]:
 
 
 def _check_serre(X, box) -> tuple[bool, str]:
-    for coords, lam in _scan_box(X, box):
+    for coords, lam in pic_box(X, box):
         res = oracles.serre_involution_check(X, lam)
         if not res:
             return False, f"lambda={list(coords)}: {res.detail}"
@@ -134,7 +128,7 @@ def _check_serre(X, box) -> tuple[bool, str]:
 
 
 def _check_h0(X, box) -> tuple[bool, str]:
-    for coords, lam in _scan_box(X, box):
+    for coords, lam in pic_box(X, box):
         table = cohomology_table(X, lam)
         got = sorted(c.highest_weight for c in table.constituents(0))
         expected = oracles.brion_h0(X, lam)
@@ -151,7 +145,7 @@ def _check_divisibility(X, box) -> tuple[bool, str]:
     rule = degrees_mod.rule_for(X)
     if rule is None:
         raise CliError(f"{X.name} carries no divisibility rule")
-    for coords, lam in _scan_box(X, box):
+    for coords, lam in pic_box(X, box):
         ok, detail = degrees_mod.check_lengths(X, lam, rule)
         if not ok:
             return False, detail
@@ -273,7 +267,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvariantError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
-    except ValueError as exc:
+    except (ValueError, oracles.OracleBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import mat_vec
+from .exactalg import mat_vec, translate
 from .roots import InvariantError, Weight
-from .varieties import WonderfulVariety
+from .varieties import CatalogError, WonderfulVariety
 
 
 @dataclass(frozen=True)
@@ -190,14 +190,7 @@ def enumerate_candidates(X: WonderfulVariety, lam: Sequence[int]) -> list[Weight
     """All mu = lam + sum c_i gamma_i (c integral) with |mu + rho| <= |lam + rho|:
     a finite superset of the contributing weights (see the module docstring)."""
     lam = _require_pic(X, lam)
-    out = []
-    for c in _ball_coefficients(X, lam, 2):
-        mu = list(lam)
-        for ci, gam in zip(c, X.spherical_roots):
-            for k, x in enumerate(gam):
-                mu[k] += ci * x
-        out.append(tuple(mu))
-    return out
+    return [translate(lam, c, X.spherical_roots) for c in _ball_coefficients(X, lam, 2)]
 
 
 def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]:
@@ -229,12 +222,7 @@ def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]
                     pair[k] += cj * row[k]
         if any(p == 0 for p in pair):
             continue  # mu + rho singular
-        mu = list(lam)
-        for j, cj in enumerate(c):
-            gam = X.spherical_roots[j]
-            for k, x in enumerate(gam):
-                mu[k] += cj * x
-        mu = tuple(mu)
+        mu = translate(lam, c, X.spherical_roots)
         made = g.make_dominant_shifted(mu)
         if made is None:
             raise InvariantError("chamber walk calls a regular mu + rho singular")
@@ -249,10 +237,11 @@ def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]
     return out
 
 
-def cohomology_table(X: WonderfulVariety, lam: Sequence[int]) -> CohomologyTable:
-    """Aggregate contributions into per-degree constituents with dimensions."""
-    lam = _require_pic(X, lam)
-    conts = contributions(X, lam)
+def tabulate(
+    X: WonderfulVariety, lam: Sequence[int], conts: Sequence[Contribution]
+) -> CohomologyTable:
+    """Aggregate the contributions of lam into per-degree constituents
+    with dimensions."""
     by_key: dict[tuple[int, Weight], list[Contribution]] = {}
     for t in conts:
         by_key.setdefault((t.degree, t.mu_plus), []).append(t)
@@ -269,7 +258,12 @@ def cohomology_table(X: WonderfulVariety, lam: Sequence[int]) -> CohomologyTable
             constituents.append(Constituent(hw, len(wits), dim, wits))
             total += len(wits) * dim
         groups.append(DegreeGroup(deg, tuple(constituents), total))
-    return CohomologyTable(tuple(lam), tuple(groups))
+    return CohomologyTable(X.group.check_weight(lam), tuple(groups))
+
+
+def cohomology_table(X: WonderfulVariety, lam: Sequence[int]) -> CohomologyTable:
+    """The cohomology decomposition of L_lam: its contributions, tabulated."""
+    return tabulate(X, lam, contributions(X, lam))
 
 
 def serre_dual_weight(X: WonderfulVariety, lam: Sequence[int]) -> Weight:
@@ -278,7 +272,7 @@ def serre_dual_weight(X: WonderfulVariety, lam: Sequence[int]) -> Weight:
     twist = X.serre_twist()
     dual = tuple(t - x for x, t in zip(lam, twist))
     if X.pic_contains(dual) is None:
-        raise ValueError(f"{X.name}: Serre dual of {list(lam)} left pic; bad catalog data")
+        raise CatalogError(f"{X.name}: Serre dual of {list(lam)} left pic; bad catalog data")
     return dual
 
 

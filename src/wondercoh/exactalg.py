@@ -67,6 +67,16 @@ def ldl(m: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
     return tuple(tuple(row) for row in L), tuple(d)
 
 
+def translate(base: Sequence, coeffs: Sequence, vectors: Sequence[Sequence]) -> tuple:
+    """base + sum_i coeffs[i] * vectors[i], entry by entry."""
+    out = list(base)
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            for k, x in enumerate(vec):
+                out[k] += c * x
+    return tuple(out)
+
+
 def frac_isqrt_floor(x: Fraction) -> int:
     """Largest integer s with s*s <= x (x >= 0)."""
     if x < 0:
@@ -90,10 +100,7 @@ def solve_in_span(
     exactly, so vectors outside the span are rejected.
     """
     coords = mat_vec(gram_inv, gram_pair(target))
-    recon = [Fraction(0)] * len(target)
-    for c, vec in zip(coords, basis):
-        for k, entry in enumerate(vec):
-            recon[k] += c * entry
+    recon = translate((0,) * len(target), coords, basis)
     if any(r != t for r, t in zip(recon, target)):
         return None
     return coords

@@ -25,10 +25,11 @@ from .cohomology import (
     enumerate_candidates,
     serre_dual_weight,
     serre_partner,
+    tabulate,
 )
 from .exactalg import frac_isqrt_floor
 from .roots import RootSystem, Weight
-from .varieties import WonderfulVariety
+from .varieties import WonderfulVariety, pic_box
 
 
 class OracleBudgetError(RuntimeError):
@@ -115,9 +116,7 @@ def vanishing_profile(
     """Union of nonzero cohomology degrees over all pic weights with
     coordinates in [-box, box]."""
     degrees: set[int] = set()
-    axes = [range(-box, box + 1)] * len(X.pic_basis)
-    for coords in itertools.product(*axes):
-        lam = X.weight_from_pic_coords(coords)
+    for coords, lam in pic_box(X, box):
         n_candidates = len(enumerate_candidates(X, lam))
         if n_candidates > candidate_cap:
             raise OracleBudgetError(
@@ -162,8 +161,8 @@ def serre_involution_check(X: WonderfulVariety, lam: Sequence[int]) -> SerreChec
                 False,
                 f"degree {t.degree} pairs with {partner.degree}, expected {n - t.degree}",
             )
-    dims = cohomology_table(X, lam).dimensions_by_degree()
-    dual_dims = cohomology_table(X, dual).dimensions_by_degree()
+    dims = tabulate(X, lam, left).dimensions_by_degree()
+    dual_dims = tabulate(X, dual, right).dimensions_by_degree()
     for d, value in dims.items():
         if dual_dims.get(n - d, 0) != value:
             return SerreCheck(False, f"dim H^{d} = {value} but dual H^{n - d} differs")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cohomology import omega_signature
+from .exactalg import translate
 from .roots import Weight
 from .varieties import WonderfulVariety
 
@@ -45,11 +46,8 @@ def classify_point(
     X: WonderfulVariety, kind: str, base: Weight, coords: Sequence[int]
 ) -> int:
     if kind == "Omega":
-        mu = list(base)
-        for n, w in zip(coords, X.pic_basis):
-            for k, x in enumerate(w):
-                mu[k] += n * x
-        return sum(1 << i for i in omega_signature(X, tuple(mu)))
+        mu = translate(base, coords, X.pic_basis)
+        return sum(1 << i for i in omega_signature(X, mu))
     if kind == "R":
         # J is read off the coefficient sign pattern: strictly positive on J
         return sum(1 << i for i, n in enumerate(coords) if n >= 1)

@@ -15,6 +15,8 @@ of the Weyl chamber walk is the usual dominant cone.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +31,7 @@ from .exactalg import (
     mat_inverse,
     mat_vec,
     solve_in_span,
+    translate,
 )
 from .roots import RootSystem, Weight, build_root_system, parse_type
 
@@ -182,11 +185,8 @@ class WonderfulVariety:
             raise ValueError(
                 f"{self.name}: expected {len(self.pic_basis)} pic coordinates"
             )
-        out = [0] * self.group.rank
-        for c, w in zip(coords, self.pic_basis):
-            for k, x in enumerate(w):
-                out[k] += int(c) * x
-        return tuple(out)
+        coeffs = [int(c) for c in coords]
+        return translate((0,) * self.group.rank, coeffs, self.pic_basis)
 
     def sigma_coords(self, v: Sequence[int]) -> Optional[tuple[Fraction, ...]]:
         """Rational coordinates of v in the spherical root basis, or None."""
@@ -235,11 +235,9 @@ class WonderfulVariety:
 
     def serre_twist(self) -> Weight:
         """-2 rho_X - sum of spherical roots (the dualising shift on pic)."""
-        out = [-x for x in self.two_rho_X]
-        for gam in self.spherical_roots:
-            for k, x in enumerate(gam):
-                out[k] -= x
-        return tuple(out)
+        return translate(
+            [-x for x in self.two_rho_X], (-1,) * self.rank, self.spherical_roots
+        )
 
     def sgamma_shifted(self, index: int, lam: Sequence[int]) -> Weight:
         """rho-shifted action of the spherical reflection s_gamma on lam."""
@@ -668,8 +666,9 @@ def _e6_f4() -> WonderfulVariety:
     )
 
 
+@functools.cache
 def build_case(name: str) -> WonderfulVariety:
-    """Build a named catalog case.
+    """Build a named catalog case, once per name (descriptors are immutable).
 
     Accepted names: ``PSO/PSO(n)``, ``Q(n)`` (the quadric of dimension
     2n-1, n >= 2), ``SO7/G2``, ``Q7``, ``PGL/PSp(n)`` (n >= 2, meaning
@@ -732,6 +731,13 @@ CATALOG_NAMES = (
 
 def catalog() -> list[WonderfulVariety]:
     return [build_case(n) for n in CATALOG_NAMES]
+
+
+def pic_box(X: WonderfulVariety, box: int):
+    """(coords, weight) for every pic coordinate vector in [-box, box]^r,
+    in itertools.product order."""
+    for coords in itertools.product(range(-box, box + 1), repeat=len(X.pic_basis)):
+        yield coords, X.weight_from_pic_coords(coords)
 
 
 # ---------------------------------------------------------------------------

@@ -229,3 +229,33 @@ def test_invariant_fires_under_optimize():
     assert proc.stdout == "1\n"
     assert proc.returncode == 3, proc.stderr
     assert "length mismatch" in proc.stderr
+
+
+def test_scan_over_budget_exits_2(capsys, monkeypatch):
+    from wondercoh import oracles
+
+    def over_budget(X, box):
+        raise oracles.OracleBudgetError(
+            f"{X.name}: 571352 candidates exceed the cap 200000"
+        )
+
+    monkeypatch.setattr(oracles, "vanishing_profile", over_budget)
+    code, out, err = run(
+        capsys, "scan", "group:A3", "--box", "30", "--checks", "vanishing"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: group:A3: 571352 candidates exceed the cap 200000\n"
+
+
+def test_bad_serre_twist_exits_3(capsys, monkeypatch):
+    from wondercoh import build_case
+
+    X = build_case("PSO/PSO(2)")
+    # (1, 0) is not a multiple of the pic generator (1, 1)
+    monkeypatch.setattr(X, "serre_twist", lambda: (1, 0))
+    code, out, err = run(
+        capsys, "scan", "PSO/PSO(2)", "--box", "0", "--checks", "serre"
+    )
+    assert code == 3
+    assert out == "" and "left pic; bad catalog data" in err

@@ -1,5 +1,7 @@
 """Region classification and figure emission."""
 
+import os
+
 import pytest
 
 from wondercoh import build_case
@@ -78,3 +80,24 @@ def test_rank_one_omega_rule():
     plot = region_plot(X, "Omega", -5, 5)
     for (n,), mask in plot.points:
         assert mask == (1 if n <= 0 else 0)
+
+
+FIGURES = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "figures")
+FIGURE_STEMS = {
+    "PSO/PSO(3)": "pso_pso_3",
+    "SO7/G2": "so7_g2",
+    "group:A2": "pgl3_pgl3",
+    "PGL/PSp(3)": "pgl6_psp6",
+    "E6/F4": "e6_f4",
+}
+
+
+@pytest.mark.parametrize("name", FIGURE_CASES)
+@pytest.mark.parametrize("kind", ["Omega", "R"])
+def test_demo_figures_are_golden(name, kind):
+    # demos/04_region_figures.py writes these; regenerate them in memory
+    plot = region_plot(build_case(name), kind, -4, 4)
+    stem = os.path.join(FIGURES, f"{FIGURE_STEMS[name]}_{kind.lower()}")
+    for text, suffix in ((plot.svg(), ".svg"), (plot.sidecar(), ".cls")):
+        with open(stem + suffix, "rb") as fh:
+            assert fh.read() == text.encode(), stem + suffix
