@@ -63,6 +63,8 @@ def _resolve_lambda(X: WonderfulVariety, args) -> tuple[int, ...]:
             f"{X.name} needs {len(X.pic_basis)} pic coordinates, got {len(coords)}"
         )
     if getattr(args, "relative_lambda0", False):
+        if X.rank not in (1, 2):
+            raise CliError("--relative-lambda0 needs a variety of rank 1 or 2")
         base = X.lambda_zero_coords()
         coords = tuple(b + c for b, c in zip(base, coords))
     return coords

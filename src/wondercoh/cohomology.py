@@ -94,15 +94,16 @@ def _require_pic(X: WonderfulVariety, lam: Sequence[int]) -> Weight:
     return lam
 
 
+def _gamma_pairings(X: WonderfulVariety, mu: Weight) -> list[int]:
+    """D (mu + rho, gamma_i) for each i, D = X._gamma_den: exact, sign-true ints."""
+    shifted = [x + 1 for x in mu]
+    return [sum(w * x for w, x in zip(row, shifted)) for row in X._gamma_sign_rows]
+
+
 def omega_signature(X: WonderfulVariety, mu: Sequence[int]) -> tuple[int, ...]:
     """Indices i with (mu + rho, gamma_i) < 0; zero pairings stay out."""
     mu = _require_pic(X, mu)
-    shifted = [x + 1 for x in mu]
-    out = []
-    for i, row in enumerate(X._gamma_sign_rows):
-        if sum(r * x for r, x in zip(row, shifted)) < 0:
-            out.append(i)
-    return tuple(out)
+    return tuple(i for i, s in enumerate(_gamma_pairings(X, mu)) if s < 0)
 
 
 def in_translated_R(
@@ -150,9 +151,7 @@ def _ball_coefficients(
     r = X.rank
     if r == 0:
         return [()]
-    g = X.group
-    shifted = [x + 1 for x in lam]
-    b = [g.inner_product(shifted, gam) for gam in X.spherical_roots]
+    b = [Fraction(s, X._gamma_den) for s in _gamma_pairings(X, lam)]
     L, d = X._sigma_ldl
     half_k = Fraction(k, 2)
     z = [half_k * x for x in mat_vec(X.sigma_gram_inv, b)]
@@ -198,10 +197,7 @@ def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]
     lam = _require_pic(X, lam)
     g = X.group
     base_pair = g.shifted_pairings(lam)
-    shifted = [x + 1 for x in lam]
-    sig_base = [
-        sum(r * x for r, x in zip(row, shifted)) for row in X._gamma_sign_rows
-    ]
+    sig_base = _gamma_pairings(X, lam)
     out = []
     for c in _ball_coefficients(X, lam, 1):
         # J from the omega signature of mu

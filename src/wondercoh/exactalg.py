@@ -4,10 +4,10 @@ Everything in this package works with integer weight vectors and
 Fraction-valued bilinear forms; the matrices involved are tiny (at most
 the rank of the ambient group), so plain Gauss-Jordan elimination with
 `fractions.Fraction` entries is exact and cheap for set-up work done a
-few times per call.  `Fraction` is far too slow for inner loops that run
-once per lattice point: those, such as the candidate enumeration in
-`cohomology`, scale their rational data to integers once and then run on
-`int` alone.
+few times per call.  `Fraction` is far too slow for per-call work: the
+candidate enumeration, the omega signature and lattice membership (the
+integer left inverses of the Picard and spherical bases) run on `int`
+alone, on data that `int_scaled` turns into integers once.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+ScaledMatrix = tuple[tuple[tuple[int, ...], ...], int]
 
 
 def frac_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -39,6 +40,13 @@ def mat_inverse(m: Matrix) -> Matrix:
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def int_scaled(m: Sequence[Sequence[Fraction]]) -> ScaledMatrix:
+    """m as (rows, den) with integer rows, den the least common denominator
+    of all entries (1 for an empty matrix)."""
+    den = math.lcm(*(x.denominator for row in m for x in row))
+    return tuple(tuple(int(x * den) for x in row) for row in m), den
 
 
 def mat_vec(m: Matrix, v: Sequence) -> tuple[Fraction, ...]:
@@ -86,21 +94,17 @@ def frac_isqrt_floor(x: Fraction) -> int:
     return math.isqrt(p * q) // q
 
 
-def solve_in_span(
-    basis: Sequence[Sequence[int]],
-    gram_inv: Matrix,
-    gram_pair,
-    target: Sequence[int],
-) -> tuple[Fraction, ...] | None:
-    """Coordinates of `target` in the span of `basis`, or None.
+def span_numerators(
+    basis: Sequence[Sequence[int]], left_inverse: ScaledMatrix, v: Sequence[int]
+) -> tuple[int, ...] | None:
+    """n with v = sum_i (n_i / den) basis[i], or None outside the span.
 
-    `gram_inv` is the inverse Gram matrix of the basis and `gram_pair(v)`
-    must return the vector of pairings (v, basis[i]).  The candidate
-    coordinates from the normal equations are verified against the target
-    exactly, so vectors outside the span are rejected.
+    `left_inverse` = (rows, den) is a left inverse of the basis scaled to
+    integers, rows . basis[j] = den e_j.  Off the span rows . v is only a
+    projection, so rebuilding den * v exactly is the membership check.
     """
-    coords = mat_vec(gram_inv, gram_pair(target))
-    recon = translate((0,) * len(target), coords, basis)
-    if any(r != t for r, t in zip(recon, target)):
+    rows, den = left_inverse
+    n = tuple(sum(r * x for r, x in zip(row, v)) for row in rows)
+    if translate((0,) * len(v), n, basis) != tuple(den * x for x in v):
         return None
-    return coords
+    return n

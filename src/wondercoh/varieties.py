@@ -20,17 +20,18 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
 from .exactalg import (
     Matrix,
+    ScaledMatrix,
     dot,
     frac_matrix,
+    int_scaled,
     ldl,
     mat_inverse,
     mat_vec,
-    solve_in_span,
+    span_numerators,
     translate,
 )
 from .roots import RootSystem, Weight, build_root_system, parse_type
@@ -75,6 +76,11 @@ def _ldl_or_none(m: Matrix):
         return None
 
 
+def _left_inverse(gram_inv: Matrix, pairings: Sequence[Sequence[Fraction]]) -> ScaledMatrix:
+    """gram_inv . pairings as integer (rows, den), pairings[j] = (., b_j): a left inverse of b."""
+    return int_scaled([[dot(row, col) for col in zip(*pairings)] for row in gram_inv])
+
+
 def _support(alpha: Sequence[int]) -> frozenset[int]:
     return frozenset(i for i, c in enumerate(alpha) if c)
 
@@ -99,6 +105,8 @@ class WonderfulVariety:
     ):
         self.name = name
         self.group = group
+        if any(len(v) != group.rank for v in (*spherical_roots, *pic_basis)):
+            raise CatalogError(f"{name}: weight vectors need length {group.rank}")
         self.spherical_roots = tuple(group.check_weight(g) for g in spherical_roots)
         self.pic_basis = tuple(group.check_weight(w) for w in pic_basis)
         self.q_simple_roots = frozenset(int(i) for i in q_simple_roots)
@@ -107,6 +115,8 @@ class WonderfulVariety:
         self.sgamma_data = (
             tuple((tuple(a), tuple(b)) for a, b in sgamma_data) if sgamma_data else None
         )
+        if self.sgamma_data and len(self.sgamma_data) != len(self.spherical_roots):
+            raise CatalogError(f"{name}: sgamma needs one pair per spherical root")
         self.expected = dict(expected or {})
         self.divisibility = divisibility  # (modulus c, |restricted positive roots|)
 
@@ -141,17 +151,16 @@ class WonderfulVariety:
         self._sigma_pos_def = self._sigma_ldl is not None
         self._pic_independent = _ldl_or_none(self.pic_gram) is not None
         self.sigma_gram_inv = mat_inverse(self.sigma_gram) if self._sigma_pos_def else ()
-        self.pic_gram_inv = mat_inverse(self.pic_gram) if self._pic_independent else ()
-
-        # sign-exact integer pairing rows: W_i . v has the sign of (v, gamma_i)
-        rows = []
-        for gam in sigma:
-            u = mat_vec(g._fw_gram, gam)
-            scale = 1
-            for x in u:
-                scale = scale * x.denominator // gcd(scale, x.denominator)
-            rows.append(tuple(int(x * scale) for x in u))
-        self._gamma_sign_rows = tuple(rows)
+        # spherical pairing rows: (v, gamma_i) = W_i . v / D with one common
+        # integer D > 0, so W_i . v is exact and has the sign of (v, gamma_i)
+        sigma_pairing = [mat_vec(g._fw_gram, gam) for gam in sigma]
+        self._gamma_sign_rows, self._gamma_den = int_scaled(sigma_pairing)
+        # integer left inverses of both bases, for lattice membership
+        self._sigma_left_inv = _left_inverse(self.sigma_gram_inv, sigma_pairing)
+        self._pic_left_inv = _left_inverse(
+            mat_inverse(self.pic_gram) if self._pic_independent else (),
+            [mat_vec(g._fw_gram, w) for w in pic],
+        )
         # <gamma_i, alpha_k^vee> over the frozen positive root order
         self._gamma_coroot_rows = tuple(
             tuple(sum(r * x for r, x in zip(row, gam)) for row in g._coroot_rows)
@@ -168,17 +177,9 @@ class WonderfulVariety:
     def pic_contains(self, lam: Sequence[int]) -> Optional[tuple[int, ...]]:
         """Integer coordinates of lam in the pic basis, or None."""
         lam = self.group.check_weight(lam)
-        if not self.pic_basis:
-            return () if not any(lam) else None
-        coords = solve_in_span(
-            self.pic_basis,
-            self.pic_gram_inv,
-            lambda v: [self.group.inner_product(v, w) for w in self.pic_basis],
-            lam,
-        )
-        if coords is None or any(c.denominator != 1 for c in coords):
-            return None
-        return tuple(int(c) for c in coords)
+        n = span_numerators(self.pic_basis, self._pic_left_inv, lam)
+        den = self._pic_left_inv[1]
+        return None if n is None or any(x % den for x in n) else tuple(x // den for x in n)
 
     def weight_from_pic_coords(self, coords: Sequence[int]) -> Weight:
         if len(coords) != len(self.pic_basis):
@@ -190,14 +191,9 @@ class WonderfulVariety:
 
     def sigma_coords(self, v: Sequence[int]) -> Optional[tuple[Fraction, ...]]:
         """Rational coordinates of v in the spherical root basis, or None."""
-        if not self.spherical_roots:
-            return () if not any(v) else None
-        return solve_in_span(
-            self.spherical_roots,
-            self.sigma_gram_inv,
-            lambda u: [self.group.inner_product(u, gam) for gam in self.spherical_roots],
-            v,
-        )
+        n = span_numerators(self.spherical_roots, self._sigma_left_inv, v)
+        den = self._sigma_left_inv[1]
+        return None if n is None else tuple(Fraction(x, den) for x in n)
 
     # -- distinguished weights --------------------------------------------
 

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import wondercoh
 from wondercoh.cli import main
 from wondercoh.roots import RootSystem
@@ -79,6 +81,15 @@ def test_cohomology_relative_lambda0(capsys):
     )
     assert code == 0
     assert json.loads(out)["lambda"] == [-2]
+
+
+@pytest.mark.parametrize("name, pic_rank", [("flag:A2", 2), ("group:A3", 3), ("PGL/PSp(4)", 3)])
+def test_relative_lambda0_needs_rank_1_or_2(capsys, name, pic_rank):
+    code, out, err = run(
+        capsys, "cohomology", name, "--lambda", *["0"] * pic_rank, "--relative-lambda0"
+    )
+    assert code == 2
+    assert out == "" and "rank 1 or 2" in err
 
 
 def test_cohomology_no_witness_and_csv(capsys):
@@ -185,6 +196,22 @@ def test_variety_file(tmp_path, capsys):
     path.write_text(json.dumps(bad))
     code, _, err = run(capsys, "describe", "--variety-file", str(path))
     assert code == 3
+
+
+def test_variety_file_extra_sgamma_exits_3(tmp_path, capsys):
+    pair = [[1, 0], [0, 1]]
+    doc = {
+        "group": [["D", 2]],
+        "spherical_roots": [[2, 2]],
+        "pic_basis": [[1, 1]],
+        "sgamma": [pair, pair],  # two pairs for one spherical root
+    }
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "describe", "--variety-file", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "sgamma" in err and "Traceback" not in err
 
 
 def _off_by_one_walk(walk):

@@ -1,6 +1,7 @@
-"""Shared helpers (weight translation, Picard boxes, the build_case memo)
-and the number of evaluations each entry point makes."""
+"""Shared helpers (weight translation, Picard boxes, the build_case memo,
+lattice membership) and the number of evaluations each entry point makes."""
 
+import functools
 import itertools
 
 import pytest
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 
 from wondercoh import CATALOG_NAMES, CatalogError, WonderfulVariety, build_case
 from wondercoh import cohomology, oracles
-from wondercoh.exactalg import translate
+from wondercoh.exactalg import mat_inverse, mat_vec, translate
+from wondercoh.roots import RootSystem
 from wondercoh.varieties import pic_box
+
+NAMES = CATALOG_NAMES + ("group:A3", "group:B2", "group:G2", "PSO/PSO(5)", "PGL/PSp(4)")
 
 
 def inline_translate(base, coeffs, vectors):
@@ -82,3 +86,71 @@ def test_cohomology_table_checks_membership_once(monkeypatch):
     calls = count_calls(monkeypatch, [WonderfulVariety], "pic_contains")
     assert cohomology.cohomology_table(X, lam).dimensions_by_degree() == {26: 651}
     assert len(calls) == 1
+
+
+def solve_in_span(basis, gram_inv, gram_pair, target):
+    """Coordinates of `target` in the span of `basis`, or None: the Fraction
+    normal-equation solve that the integer left inverses replace.
+
+    `gram_inv` is the inverse Gram matrix of the basis and `gram_pair(v)`
+    returns the pairings (v, basis[i]); the coordinates are checked against
+    the target exactly, so vectors outside the span are rejected.
+    """
+    coords = mat_vec(gram_inv, gram_pair(target))
+    recon = inline_translate((0,) * len(target), coords, basis)
+    if any(r != t for r, t in zip(recon, target)):
+        return None
+    return coords
+
+
+def reference_coords(X, basis, gram, v):
+    if not basis:
+        return () if not any(v) else None
+    return solve_in_span(
+        basis, mat_inverse(gram), lambda u: [X.group.inner_product(u, b) for b in basis], v
+    )
+
+
+@functools.cache
+def doubled(name):
+    """`name` with both bases doubled, unvalidated: its lattice points have
+    half-integer coordinates in the doubled bases."""
+    X = build_case(name)
+    sigma, pic = ([[2 * x for x in v] for v in vs] for vs in (X.spherical_roots, X.pic_basis))
+    return WonderfulVariety(f"2*{name}", X.group, sigma, pic, X.q_simple_roots)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_membership_equals_fraction_solve(name, data):
+    X = build_case(name)
+    small = st.integers(-6, 6)
+    on_pic = X.weight_from_pic_coords(data.draw(st.tuples(*(small for _ in X.pic_basis))))
+    coeffs = data.draw(st.tuples(*(small for _ in X.spherical_roots)))
+    on_sigma = translate((0,) * X.group.rank, coeffs, X.spherical_roots)
+    off = data.draw(st.tuples(*(small for _ in range(X.group.rank))))
+    weights = [on_pic, on_sigma, off]
+    # halves of even weights: half-integer combinations that stay integral
+    weights += [tuple(x // 2 for x in v) for v in weights if not any(x % 2 for x in v)]
+    for Y in (X, doubled(name)):
+        for v in weights:
+            pic = reference_coords(Y, Y.pic_basis, Y.pic_gram, v)
+            if pic is not None and any(c.denominator != 1 for c in pic):
+                pic = None
+            assert Y.pic_contains(v) == (None if pic is None else tuple(map(int, pic)))
+            sigma = reference_coords(Y, Y.spherical_roots, Y.sigma_gram, v)
+            assert Y.sigma_coords(v) == sigma
+
+
+@pytest.mark.parametrize(
+    "name, coords", [("E6/F4", (-10, -10)), ("group:A3", (-4, -4, -4)), ("PGL/PSp(3)", (-6, -6))]
+)
+def test_no_fraction_pairings_after_build(monkeypatch, name, coords):
+    X = build_case(name)
+    lam = X.weight_from_pic_coords(coords)
+    calls = count_calls(monkeypatch, [RootSystem], "inner_product")
+    assert X.pic_contains(lam) == coords
+    cohomology.omega_signature(X, lam)
+    assert cohomology.contributions(X, lam)
+    assert calls == []

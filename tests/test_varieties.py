@@ -1,8 +1,11 @@
 """Catalog descriptors, validation, and the descriptor file format."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wondercoh import (
     CATALOG_NAMES,
@@ -13,6 +16,7 @@ from wondercoh import (
     flag_variety,
     group_compactification,
     validate,
+    variety_from_dict,
 )
 
 
@@ -186,3 +190,67 @@ def test_two_rho_x_values():
 def test_group_compactification_rejects_products():
     with pytest.raises(CatalogError):
         build_case("group:A1xA1")
+
+
+def catalog_doc(X):
+    """The descriptor document of a built variety, in the file format."""
+    return {
+        "name": X.name,
+        "group": [[f, n] for f, n in X.group.components],
+        "spherical_roots": [list(v) for v in X.spherical_roots],
+        "pic_basis": [list(v) for v in X.pic_basis],
+        "q_simple_roots": [i + 1 for i in sorted(X.q_simple_roots)],
+        "sgamma": [[list(a), list(b)] for a, b in X.sgamma_data or ()],
+    }
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_doc_roundtrip(name):
+    X = build_case(name)
+    Y = variety_from_dict(catalog_doc(X))
+    assert (Y.spherical_roots, Y.pic_basis) == (X.spherical_roots, X.pic_basis)
+    assert (Y.dimension_N, Y.two_rho_X) == (X.dimension_N, X.two_rho_X)
+
+
+JUNK = st.sampled_from([None, "x", 7, 1.5, [], {}, [[]], [["A"]], [[1, 2, 3]]])
+
+
+def slots(obj):
+    """(list, index) for every entry of every list nested in obj."""
+    if isinstance(obj, list):
+        for i, x in enumerate(obj):
+            yield obj, i
+            yield from slots(x)
+
+
+def mutate(data, doc):
+    key = data.draw(st.sampled_from(sorted(doc)))
+    kind = data.draw(st.sampled_from(["drop", "junk", "extra", "fewer", "nudge"]))
+    lists = [x[i] for x, i in slots([doc[key]]) if isinstance(x[i], list) and x[i]]
+    if kind == "drop":
+        del doc[key]
+    elif kind == "junk" or not lists:
+        doc[key] = data.draw(JUNK)
+    elif kind == "extra":  # a repeated vector, pair, component or coordinate
+        target = data.draw(st.sampled_from(lists))
+        target.append(copy.deepcopy(data.draw(st.sampled_from(target))))
+    elif kind == "fewer":
+        target = data.draw(st.sampled_from(lists))
+        target.pop(data.draw(st.integers(0, len(target) - 1)))
+    else:  # shift one integer: a coordinate, a 1-based index or a Dynkin rank
+        ints = [(x, i) for x, i in slots(doc[key]) if type(x[i]) is int]
+        if ints:
+            x, i = data.draw(st.sampled_from(ints))
+            x[i] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_malformed_descriptor_raises_only_catalog_error(data):
+    doc = catalog_doc(build_case(data.draw(st.sampled_from(CATALOG_NAMES))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutate(data, doc)
+    try:
+        variety_from_dict(doc)
+    except CatalogError:
+        pass
