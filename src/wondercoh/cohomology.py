@@ -24,12 +24,12 @@ points; `enumerate_candidates` keeps returning that superset.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import mat_vec, translate
+from .exactalg import translate
 from .roots import InvariantError, Weight
 from .varieties import CatalogError, WonderfulVariety
 
@@ -138,33 +138,26 @@ def _ball_coefficients(
     `enumerate_candidates` returns (see the module docstring).  c = 0 is on
     the boundary of both, so the result is never empty.
 
-    Completing the square with z = (k/2) G^-1 b and G = L D L^T turns the
-    quadric into sum_i d_i (c_i + o_i)^2 <= z^T G z with
-    o_i = u_i + sum_{j>i} L_ji c_j and u = L^T z.  Scaling level i by the
-    common denominator q_i of u_i and L_ji, and the whole sum by the common
-    denominator S of the d_i / q_i^2, makes every quantity an integer:
-    t_i = q_i (c_i + o_i) and sum_i e_i t_i^2 <= floor(S z^T G z) with
-    e_i = S d_i / q_i^2.  The branch and bound then peels c_{r-1}, ..., c_0
-    off with int arithmetic and math.isqrt only; every bound is exact, so
-    points on the boundary are always kept.
+    Completing the square with z = (k/2) G^-1 b and G = L diag(d) L^T
+    turns the quadric into sum_i d_i (c_i + o_i)^2 <= z^T G z with
+    o_i = u_i + sum_{j>i} L_ji c_j and u = L^T z = k M s, where
+    M = L^T G^-1 / (2 D) and s = D b = `_gamma_pairings`.  Once per variety
+    `X._witness_form` fixes q_i, the least integer clearing row i of M and
+    column i of L, with rows_i = q_i M_i, A_ij = q_i L_ji and
+    e_i = S d_i / q_i^2 (S clears all d_i / q_i^2).  Per weight,
+    base_i = q_i u_i = k rows_i . s and t_i = q_i (c_i + o_i) =
+    q_i c_i + base_i + sum_{j>i} A_ij c_j are integers, and as
+    z^T G z = sum_i d_i u_i^2 the quadric reads
+    sum_i e_i t_i^2 <= sum_i e_i base_i^2.  The branch and bound peels
+    c_{r-1}, ..., c_0 off with int arithmetic and math.isqrt only; every
+    bound is exact, so points on the boundary are always kept.
     """
     r = X.rank
     if r == 0:
         return [()]
-    b = [Fraction(s, X._gamma_den) for s in _gamma_pairings(X, lam)]
-    L, d = X._sigma_ldl
-    half_k = Fraction(k, 2)
-    z = [half_k * x for x in mat_vec(X.sigma_gram_inv, b)]
-    budget = half_k * sum(zi * bi for zi, bi in zip(z, b))  # z^T G z
-    u = [z[i] + sum(L[j][i] * z[j] for j in range(i + 1, r)) for i in range(r)]
-    # q_i clears the denominators of u_i and of column i of L, so that
-    # t_i = q_i c_i + base_i + sum_{j>i} A[i][j] c_j with A[i][j] = q_i L_ji
-    q = [math.lcm(u[i].denominator, *(row[i].denominator for row in L)) for i in range(r)]
-    base = [int(qi * ui) for qi, ui in zip(q, u)]
-    A = [[int(q[i] * row[i]) for row in L] for i in range(r)]
-    scaled = [d[i] / (q[i] * q[i]) for i in range(r)]
-    S = math.lcm(*(x.denominator for x in scaled))
-    e = [int(S * x) for x in scaled]
+    rows, q, A, e = X._witness_form
+    sig = _gamma_pairings(X, lam)
+    base = [k * sum(w * x for w, x in zip(row, sig)) for row in rows]
     results: list[tuple[int, ...]] = []
     c = [0] * r
 
@@ -181,7 +174,7 @@ def _ball_coefficients(
                 t = qi * ci + p
                 descend(i - 1, remaining - ei * t * t)
 
-    descend(r - 1, math.floor(S * budget))
+    descend(r - 1, sum(ei * bi * bi for ei, bi in zip(e, base)))
     return sorted(results)
 
 
@@ -241,18 +234,14 @@ def tabulate(
     by_key: dict[tuple[int, Weight], list[Contribution]] = {}
     for t in conts:
         by_key.setdefault((t.degree, t.mu_plus), []).append(t)
-    degrees = sorted({deg for deg, _ in by_key})
     groups = []
-    for deg in degrees:
+    for deg, items in itertools.groupby(sorted(by_key.items()), key=lambda kv: kv[0][0]):
         constituents = []
-        total = 0
-        for (d, hw), wits in sorted(by_key.items()):
-            if d != deg:
-                continue
+        for (_, hw), wits in items:
             wits = tuple(sorted(wits, key=lambda t: (t.j_bitmask(), t.mu)))
             dim = X.group.weyl_dimension(hw)
             constituents.append(Constituent(hw, len(wits), dim, wits))
-            total += len(wits) * dim
+        total = sum(c.multiplicity * c.dimension for c in constituents)
         groups.append(DegreeGroup(deg, tuple(constituents), total))
     return CohomologyTable(X.group.check_weight(lam), tuple(groups))
 

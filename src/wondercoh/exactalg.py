@@ -1,13 +1,13 @@
 """Small exact linear algebra helpers over the rationals.
 
-Everything in this package works with integer weight vectors and
-Fraction-valued bilinear forms; the matrices involved are tiny (at most
-the rank of the ambient group), so plain Gauss-Jordan elimination with
-`fractions.Fraction` entries is exact and cheap for set-up work done a
-few times per call.  `Fraction` is far too slow for per-call work: the
-candidate enumeration, the omega signature and lattice membership (the
-integer left inverses of the Picard and spherical bases) run on `int`
-alone, on data that `int_scaled` turns into integers once.
+The matrices of this package are tiny (at most the rank of the ambient
+group), so Gauss-Jordan elimination and LDL^T with `fractions.Fraction`
+entries are exact and cheap for set-up work, done once per root system or
+variety.  `Fraction` is far too slow for per-call work, so each form is
+scaled to integers once (mostly by `int_scaled`): `RootSystem.inner_product`,
+the witness-ball quadric of the enumeration, the omega signature and lattice
+membership (integer left inverses of the Picard and spherical bases) run on
+`int` alone, and the inner product builds one Fraction, its value.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable, Optional, Sequence
 
-from .exactalg import Matrix, dot, frac_matrix, mat_inverse, mat_vec
+from .exactalg import Matrix, frac_matrix, int_scaled, mat_inverse, mat_vec
 
 Weight = tuple[int, ...]
 
@@ -150,10 +150,12 @@ class RootSystem:
             tuple(self.symmetrizer[i] * self._cartan_inv[i][j] for j in range(self.rank))
             for i in range(self.rank)
         )
+        self._fw_gram_scaled = int_scaled(self._fw_gram)
         # row k: integer vector p with <lam, alpha_k^vee> = p . lam
         self._coroot_rows = tuple(
             self._coroot_pairing_row(alpha) for alpha in self.positive_roots
         )
+        self._weyl_den = prod(sum(row) for row in self._coroot_rows)  # prod <rho, alpha^vee>
         self._root_weights = tuple(self.root_as_weight(a) for a in self.positive_roots)
 
     # -- construction helpers -------------------------------------------
@@ -178,21 +180,13 @@ class RootSystem:
         return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
     def _coroot_pairing_row(self, alpha: Sequence[int]) -> tuple[int, ...]:
-        norm = self._root_norm(alpha)
-        row = []
-        for j in range(self.rank):
-            entry = Fraction(2 * alpha[j] * self.symmetrizer[j]) / norm
-            if entry.denominator != 1:
-                raise InvariantError("coroot pairing row is not integral")
-            row.append(int(entry))
-        return tuple(row)
-
-    def _root_norm(self, alpha: Sequence[int]) -> Fraction:
-        return sum(
-            (Fraction(alpha[i] * alpha[j] * self.symmetrizer[i] * self.cartan[i][j])
-             for i in range(self.rank) for j in range(self.rank) if alpha[i] and alpha[j]),
-            Fraction(0),
-        )
+        n = range(self.rank)
+        d, a = self.symmetrizer, self.cartan
+        norm = sum(alpha[i] * alpha[j] * d[i] * a[i][j] for i in n for j in n)
+        row = [2 * x * di for x, di in zip(alpha, d)]
+        if any(x % norm for x in row):
+            raise InvariantError("coroot pairing row is not integral")
+        return tuple(x // norm for x in row)
 
     # -- basic operations ------------------------------------------------
 
@@ -212,7 +206,8 @@ class RootSystem:
 
     def inner_product(self, lam: Sequence[int], mu: Sequence[int]) -> Fraction:
         """W-invariant scalar product (short roots of each component have norm 2)."""
-        return dot(lam, mat_vec(self._fw_gram, mu))
+        rows, den = self._fw_gram_scaled
+        return Fraction(sum(x * g * y for x, row in zip(lam, rows) for g, y in zip(row, mu)), den)
 
     def root_as_weight(self, alpha: Sequence[int]) -> Weight:
         """Convert simple-root coordinates to fundamental-weight coordinates."""
@@ -297,8 +292,7 @@ class RootSystem:
             raise ValueError("weyl_dimension expects a dominant weight")
         shifted = [x + 1 for x in mu]
         num = prod(sum(r * x for r, x in zip(row, shifted)) for row in self._coroot_rows)
-        den = prod(sum(row) for row in self._coroot_rows)
-        q, rem = divmod(num, den)
+        q, rem = divmod(num, self._weyl_den)
         if rem:
             raise InvariantError("Weyl dimension is not integral")
         return q

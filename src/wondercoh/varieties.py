@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -147,14 +148,30 @@ class WonderfulVariety:
             [[g.inner_product(a, b) for b in pic] for a in pic]
         )
         # a Gram matrix is positive definite exactly when ldl succeeds
-        self._sigma_ldl = _ldl_or_none(self.sigma_gram)
-        self._sigma_pos_def = self._sigma_ldl is not None
+        sigma_ldl = _ldl_or_none(self.sigma_gram)
+        self._sigma_pos_def = sigma_ldl is not None
         self._pic_independent = _ldl_or_none(self.pic_gram) is not None
         self.sigma_gram_inv = mat_inverse(self.sigma_gram) if self._sigma_pos_def else ()
         # spherical pairing rows: (v, gamma_i) = W_i . v / D with one common
         # integer D > 0, so W_i . v is exact and has the sign of (v, gamma_i)
         sigma_pairing = [mat_vec(g._fw_gram, gam) for gam in sigma]
         self._gamma_sign_rows, self._gamma_den = int_scaled(sigma_pairing)
+        # (rows, q, A, e) of cohomology._ball_coefficients, scaled to integers once
+        self._witness_form = None
+        if sigma_ldl is not None:
+            L, d = sigma_ldl
+            cols = list(zip(*L))
+            # M = L^T G^-1 / (2 D): row i is G^-1 . (column i of L), G^-1 being symmetric
+            M = [[x / 2 / self._gamma_den for x in mat_vec(self.sigma_gram_inv, c)] for c in cols]
+            q = tuple(math.lcm(*(x.denominator for x in (*m, *c))) for m, c in zip(M, cols))
+            e = [di / (qi * qi) for di, qi in zip(d, q)]
+            S = math.lcm(*(x.denominator for x in e))
+            self._witness_form = (
+                tuple(tuple(int(qi * x) for x in m) for qi, m in zip(q, M)),
+                q,
+                tuple(tuple(int(qi * x) for x in c) for qi, c in zip(q, cols)),
+                tuple(int(S * x) for x in e),
+            )
         # integer left inverses of both bases, for lattice membership
         self._sigma_left_inv = _left_inverse(self.sigma_gram_inv, sigma_pairing)
         self._pic_left_inv = _left_inverse(
@@ -191,6 +208,7 @@ class WonderfulVariety:
 
     def sigma_coords(self, v: Sequence[int]) -> Optional[tuple[Fraction, ...]]:
         """Rational coordinates of v in the spherical root basis, or None."""
+        v = self.group.check_weight(v)
         n = span_numerators(self.spherical_roots, self._sigma_left_inv, v)
         den = self._sigma_left_inv[1]
         return None if n is None else tuple(Fraction(x, den) for x in n)
@@ -740,17 +758,25 @@ def pic_box(X: WonderfulVariety, box: int):
 # descriptor files
 
 
+def _integer(x) -> int:
+    """x as an int; a number that int() would truncate, or a string, is refused."""
+    n = int(x)
+    if n != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return n
+
+
 def variety_from_dict(doc: dict, name: str = "") -> WonderfulVariety:
     """Build a descriptor from parsed file data; N and 2 rho_X are re-derived."""
     try:
-        group = build_root_system([(f, int(r)) for f, r in doc["group"]])
-        sigma = [tuple(int(x) for x in v) for v in doc.get("spherical_roots", [])]
-        pic = [tuple(int(x) for x in v) for v in doc["pic_basis"]]
-        q = tuple(int(i) - 1 for i in doc.get("q_simple_roots", []))
+        group = build_root_system([(f, _integer(r)) for f, r in doc["group"]])
+        sigma = [tuple(_integer(x) for x in v) for v in doc.get("spherical_roots", [])]
+        pic = [tuple(_integer(x) for x in v) for v in doc["pic_basis"]]
+        q = tuple(_integer(i) - 1 for i in doc.get("q_simple_roots", []))
         sgamma = None
         if doc.get("sgamma"):
             sgamma = [
-                (tuple(int(x) for x in a), tuple(int(x) for x in b))
+                (tuple(_integer(x) for x in a), tuple(_integer(x) for x in b))
                 for a, b in doc["sgamma"]
             ]
     except (KeyError, TypeError, ValueError) as exc:

@@ -254,3 +254,33 @@ def test_malformed_descriptor_raises_only_catalog_error(data):
         variety_from_dict(doc)
     except CatalogError:
         pass
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"group": [["D", 2]], "spherical_roots": [[2, 2]], "pic_basis": [[1.9, 1.2]]},
+        {"group": [["D", 2]], "spherical_roots": [[2, 2.5]], "pic_basis": [[1, 1]]},
+        {"group": [["D", 2.5]], "spherical_roots": [[2, 2]], "pic_basis": [[1, 1]]},
+        {"group": [["A", 3]], "spherical_roots": [], "pic_basis": [[0, 1, 0]],
+         "q_simple_roots": [1.5, 3]},
+        {"group": [["D", 2]], "spherical_roots": [[2, 2]], "pic_basis": [[1, 1]],
+         "sgamma": [[[1.5, 0], [0, 1]]]},
+        {"group": [["D", 2]], "spherical_roots": [[2, 2]], "pic_basis": [["1", 1]]},
+    ],
+)
+def test_descriptor_refuses_non_integers(doc):
+    with pytest.raises(CatalogError):
+        variety_from_dict(doc)
+
+
+def test_descriptor_accepts_integral_floats():
+    doc = {"group": [["D", 2.0]], "spherical_roots": [[2.0, 2]], "pic_basis": [[1.0, 1]]}
+    X = variety_from_dict(doc)
+    assert (X.spherical_roots, X.pic_basis) == (((2, 2),), ((1, 1),))
+
+
+@pytest.mark.parametrize("v", [(2,), (2, 2, 0), (2, 2, 1)])
+def test_sigma_coords_checks_length(v):
+    with pytest.raises(ValueError):
+        build_case("PSO/PSO(2)").sigma_coords(v)
