@@ -20,6 +20,18 @@ with G the spherical Gram matrix and b_i = (lam + rho, gamma_i);
 Adding |mu - lam|^2 >= 0 gives the weaker |mu + rho| <= |lam + rho|, i.e.
 c^T G c + 2 c^T b <= 0, a ball of twice the radius and about 2^r times the
 points; `enumerate_candidates` keeps returning that superset.
+
+Per witness, `contributions` already holds the coroot pairings
+pair_k = <mu + rho, alpha_k^vee>.  Their sign vector is the inversion set
+of mu + rho, and it fixes the Weyl element w with w(mu + rho) dominant.
+So the chamber walk runs once per distinct sign vector in a call, and
+its word, applied to the identity, gives the integer matrix of w; every
+witness with that key gets mu^+ = w(mu + rho) - rho and l(mu) = the number
+of negative pairings.  As w permutes the positive coroots up to sign,
+|prod_k pair_k| is the Weyl dimension numerator of mu^+, so
+dim L(mu^+) = |prod_k pair_k| / prod_k <rho, alpha_k^vee> needs no second
+pass over the roots.  Dominance of mu^+ and the divisibility are checked
+for every witness.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .exactalg import translate
-from .roots import InvariantError, Weight
+from .roots import InvariantError, RootSystem, Weight
 from .varieties import CatalogError, WonderfulVariety
 
 
@@ -43,6 +55,7 @@ class Contribution:
     length: int
     mu_plus: Weight
     degree: int
+    dimension: int  # dim L(mu_plus)
 
     def j_bitmask(self) -> int:
         return sum(1 << i for i in self.J)
@@ -100,10 +113,13 @@ def _gamma_pairings(X: WonderfulVariety, mu: Weight) -> list[int]:
     return [sum(w * x for w, x in zip(row, shifted)) for row in X._gamma_sign_rows]
 
 
+def _omega_signature(X: WonderfulVariety, mu: Weight) -> tuple[int, ...]:
+    return tuple(i for i, s in enumerate(_gamma_pairings(X, mu)) if s < 0)
+
+
 def omega_signature(X: WonderfulVariety, mu: Sequence[int]) -> tuple[int, ...]:
     """Indices i with (mu + rho, gamma_i) < 0; zero pairings stay out."""
-    mu = _require_pic(X, mu)
-    return tuple(i for i, s in enumerate(_gamma_pairings(X, mu)) if s < 0)
+    return _omega_signature(X, _require_pic(X, mu))
 
 
 def in_translated_R(
@@ -185,12 +201,29 @@ def enumerate_candidates(X: WonderfulVariety, lam: Sequence[int]) -> list[Weight
     return [translate(lam, c, X.spherical_roots) for c in _ball_coefficients(X, lam, 2)]
 
 
+def _chamber(g: RootSystem, mu: Weight, inversions: int) -> tuple[int, tuple[Weight, ...]]:
+    """(length, matrix rows) of the Weyl element w taking the regular mu + rho
+    into the dominant chamber: one chamber walk, its word applied to the
+    identity.  The walk's length must equal the inversion count of mu + rho."""
+    made = g.make_dominant_shifted(mu)
+    if made is None:
+        raise InvariantError("chamber walk calls a regular mu + rho singular")
+    _, length, word = made
+    if length != inversions:
+        raise InvariantError("length mismatch between pairing rows and walk")
+    cols = [tuple(int(i == j) for i in range(g.rank)) for j in range(g.rank)]
+    for i in word:
+        cols = [g.reflect_simple(i, v) for v in cols]
+    return length, tuple(zip(*cols))
+
+
 def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]:
     """All certified pairs (J, mu) for lam, in canonical order."""
     lam = _require_pic(X, lam)
     g = X.group
     base_pair = g.shifted_pairings(lam)
     sig_base = _gamma_pairings(X, lam)
+    walks: dict[tuple[bool, ...], tuple[int, tuple[Weight, ...]]] = {}
     out = []
     for c in _ball_coefficients(X, lam, 1):
         # J from the omega signature of mu
@@ -212,16 +245,24 @@ def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]
         if any(p == 0 for p in pair):
             continue  # mu + rho singular
         mu = translate(lam, c, X.spherical_roots)
-        made = g.make_dominant_shifted(mu)
-        if made is None:
-            raise InvariantError("chamber walk calls a regular mu + rho singular")
-        mu_plus, length, _ = made
-        if length != sum(1 for p in pair if p < 0):
-            raise InvariantError("length mismatch between pairing rows and walk")
+        key = tuple([p < 0 for p in pair])
+        walk = walks.get(key)
+        if walk is None:
+            walk = walks[key] = _chamber(g, mu, sum(key))
+        length, w = walk
+        shifted = [x + 1 for x in mu]
+        mu_plus = tuple(sum(a * x for a, x in zip(row, shifted)) - 1 for row in w)
+        if min(mu_plus) < 0:
+            raise InvariantError("w(mu + rho) is not dominant")
+        dimension, rem = divmod(abs(math.prod(pair)), g._weyl_den)
+        if rem:
+            raise InvariantError("pairing product is not a Weyl dimension numerator")
         degree = length + len(jset)
         if not 0 <= degree <= X.dimension_N:
             raise InvariantError("degree outside [0, N]")
-        out.append(Contribution(tuple(sorted(jset)), mu, length, mu_plus, degree))
+        out.append(
+            Contribution(tuple(sorted(jset)), mu, length, mu_plus, degree, dimension)
+        )
     out.sort(key=lambda t: (t.degree, t.mu))
     return out
 
@@ -229,8 +270,8 @@ def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]
 def tabulate(
     X: WonderfulVariety, lam: Sequence[int], conts: Sequence[Contribution]
 ) -> CohomologyTable:
-    """Aggregate the contributions of lam into per-degree constituents
-    with dimensions."""
+    """Aggregate the contributions of lam into per-degree constituents;
+    each constituent's dimension is that of its witnesses."""
     by_key: dict[tuple[int, Weight], list[Contribution]] = {}
     for t in conts:
         by_key.setdefault((t.degree, t.mu_plus), []).append(t)
@@ -239,8 +280,7 @@ def tabulate(
         constituents = []
         for (_, hw), wits in items:
             wits = tuple(sorted(wits, key=lambda t: (t.j_bitmask(), t.mu)))
-            dim = X.group.weyl_dimension(hw)
-            constituents.append(Constituent(hw, len(wits), dim, wits))
+            constituents.append(Constituent(hw, len(wits), wits[0].dimension, wits))
         total = sum(c.multiplicity * c.dimension for c in constituents)
         groups.append(DegreeGroup(deg, tuple(constituents), total))
     return CohomologyTable(X.group.check_weight(lam), tuple(groups))

@@ -45,8 +45,8 @@ def bwb_direct(X: WonderfulVariety, lam: Sequence[int]) -> CohomologyTable:
     if made is None:
         return CohomologyTable(lam, ())
     lam_plus, length, _ = made
-    witness = Contribution((), lam, length, lam_plus, length)
     dim = X.group.weyl_dimension(lam_plus)
+    witness = Contribution((), lam, length, lam_plus, length, dim)
     group = DegreeGroup(length, (Constituent(lam_plus, 1, dim, (witness,)),), dim)
     return CohomologyTable(lam, (group,))
 
@@ -268,7 +268,10 @@ def naive_contribution_scan(
         made = g.make_dominant_shifted(mu)
         mu_plus, length, _ = made
         out.append(
-            Contribution(tuple(sorted(jset)), mu, length, mu_plus, length + len(jset))
+            Contribution(
+                tuple(sorted(jset)), mu, length, mu_plus, length + len(jset),
+                g.weyl_dimension(mu_plus),
+            )
         )
     out.sort(key=lambda t: (t.degree, t.mu))
     return out

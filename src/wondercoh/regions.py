@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cohomology import omega_signature
+from .cohomology import _omega_signature, _require_pic, omega_signature
 from .exactalg import translate
 from .roots import Weight
 from .varieties import WonderfulVariety
@@ -74,14 +74,21 @@ def region_plot(
     if base is None:
         base = X.lambda_zero() if kind == "Omega" else (0,) * X.group.rank
     axis = range(n_min, n_max + 1)
-    points = []
     if X.rank == 1:
         grid = [(n,) for n in axis]
     else:
         grid = [(a, b) for a in axis for b in axis]
-    for coords in grid:
-        points.append((coords, classify_point(X, kind, base, coords)))
-    return RegionPlot(X.name, kind, tuple(base), (n_min, n_max), tuple(points))
+    if kind == "Omega":
+        # every grid point base + sum n_i pic_i is in pic(X) once base is
+        base = _require_pic(X, base)
+        masks = [
+            sum(1 << i for i in _omega_signature(X, translate(base, coords, X.pic_basis)))
+            for coords in grid
+        ]
+    else:
+        masks = [classify_point(X, kind, base, coords) for coords in grid]
+    points = tuple(zip(grid, masks))
+    return RegionPlot(X.name, kind, tuple(base), (n_min, n_max), points)
 
 
 def _render_svg(plot: RegionPlot) -> str:

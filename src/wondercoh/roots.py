@@ -24,6 +24,14 @@ class InvariantError(RuntimeError):
     """
 
 
+def _integer(x) -> int:
+    """x as an int; a number that int() would truncate, or a string, is refused."""
+    n = int(x)
+    if n != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return n
+
+
 #: classical positive root counts per simple family
 _POSITIVE_ROOT_COUNT = {
     "A": lambda n: n * (n + 1) // 2,
@@ -191,7 +199,7 @@ class RootSystem:
     # -- basic operations ------------------------------------------------
 
     def check_weight(self, lam: Sequence[int]) -> Weight:
-        lam = tuple(int(x) for x in lam)
+        lam = tuple(map(_integer, lam))
         if len(lam) != self.rank:
             raise ValueError(f"weight has length {len(lam)}, expected rank {self.rank}")
         return lam

@@ -35,7 +35,7 @@ from .exactalg import (
     span_numerators,
     translate,
 )
-from .roots import RootSystem, Weight, build_root_system, parse_type
+from .roots import RootSystem, Weight, _integer, build_root_system, parse_type
 
 
 class CatalogError(ValueError):
@@ -203,7 +203,7 @@ class WonderfulVariety:
             raise ValueError(
                 f"{self.name}: expected {len(self.pic_basis)} pic coordinates"
             )
-        coeffs = [int(c) for c in coords]
+        coeffs = [_integer(c) for c in coords]
         return translate((0,) * self.group.rank, coeffs, self.pic_basis)
 
     def sigma_coords(self, v: Sequence[int]) -> Optional[tuple[Fraction, ...]]:
@@ -756,14 +756,6 @@ def pic_box(X: WonderfulVariety, box: int):
 
 # ---------------------------------------------------------------------------
 # descriptor files
-
-
-def _integer(x) -> int:
-    """x as an int; a number that int() would truncate, or a string, is refused."""
-    n = int(x)
-    if n != x:
-        raise ValueError(f"{x!r} is not an integer")
-    return n
 
 
 def variety_from_dict(doc: dict, name: str = "") -> WonderfulVariety:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from wondercoh import CATALOG_NAMES, CatalogError, WonderfulVariety, build_case
 from wondercoh import cohomology, oracles
+from wondercoh.regions import region_plot
 from wondercoh.exactalg import mat_inverse, mat_vec, translate
 from wondercoh.roots import RootSystem
 from wondercoh.varieties import pic_box
@@ -85,6 +86,15 @@ def test_cohomology_table_checks_membership_once(monkeypatch):
     lam = X.weight_from_pic_coords((-10, -10))
     calls = count_calls(monkeypatch, [WonderfulVariety], "pic_contains")
     assert cohomology.cohomology_table(X, lam).dimensions_by_degree() == {26: 651}
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["PSO/PSO(3)", "E6/F4"])
+def test_region_plot_checks_membership_once(monkeypatch, name):
+    X = build_case(name)
+    calls = count_calls(monkeypatch, [WonderfulVariety], "pic_contains")
+    plot = region_plot(X, "Omega", -8, 8)
+    assert len(plot.points) == 17**X.rank
     assert len(calls) == 1
 
 

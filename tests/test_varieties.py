@@ -284,3 +284,20 @@ def test_descriptor_accepts_integral_floats():
 def test_sigma_coords_checks_length(v):
     with pytest.raises(ValueError):
         build_case("PSO/PSO(2)").sigma_coords(v)
+
+
+@pytest.mark.parametrize(
+    "v, coords", [((1.9, 1.2), (1.9,)), ((2, 2.5), (2.5,)), (("2", 2), ("2",))]
+)
+def test_weights_refuse_non_integers(v, coords):
+    X = build_case("PSO/PSO(2)")
+    for call, arg in [(X.group.check_weight, v), (X.pic_contains, v), (X.weight_from_pic_coords, coords)]:
+        with pytest.raises(ValueError):
+            call(arg)
+
+
+def test_weights_accept_integral_floats():
+    X = build_case("PSO/PSO(2)")
+    assert X.group.check_weight((2.0, 2)) == (2, 2)
+    assert X.pic_contains((2.0, 2.0)) == X.pic_contains((2, 2))
+    assert X.weight_from_pic_coords((3.0,)) == X.weight_from_pic_coords((3,))
