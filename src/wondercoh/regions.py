@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cohomology import _omega_signature, _require_pic, omega_signature
+from .cohomology import _omega_signature, _require_pic
 from .exactalg import translate
 from .roots import Weight
 from .varieties import WonderfulVariety
@@ -42,12 +42,13 @@ class RegionPlot:
         return _render_svg(self)
 
 
-def classify_point(
+def _classify_point(
     X: WonderfulVariety, kind: str, base: Weight, coords: Sequence[int]
 ) -> int:
+    """J bitmask of one grid point; an Omega base must already be in pic(X)."""
     if kind == "Omega":
         mu = translate(base, coords, X.pic_basis)
-        return sum(1 << i for i in omega_signature(X, mu))
+        return sum(1 << i for i in _omega_signature(X, mu))
     if kind == "R":
         # J is read off the coefficient sign pattern: strictly positive on J
         return sum(1 << i for i, n in enumerate(coords) if n >= 1)
@@ -73,22 +74,18 @@ def region_plot(
         raise ValueError("empty range")
     if base is None:
         base = X.lambda_zero() if kind == "Omega" else (0,) * X.group.rank
+    if kind == "Omega":
+        # every grid point base + sum n_i pic_i is in pic(X) once base is
+        base = _require_pic(X, base)
     axis = range(n_min, n_max + 1)
+    points = []
     if X.rank == 1:
         grid = [(n,) for n in axis]
     else:
         grid = [(a, b) for a in axis for b in axis]
-    if kind == "Omega":
-        # every grid point base + sum n_i pic_i is in pic(X) once base is
-        base = _require_pic(X, base)
-        masks = [
-            sum(1 << i for i in _omega_signature(X, translate(base, coords, X.pic_basis)))
-            for coords in grid
-        ]
-    else:
-        masks = [classify_point(X, kind, base, coords) for coords in grid]
-    points = tuple(zip(grid, masks))
-    return RegionPlot(X.name, kind, tuple(base), (n_min, n_max), points)
+    for coords in grid:
+        points.append((coords, _classify_point(X, kind, base, coords)))
+    return RegionPlot(X.name, kind, tuple(base), (n_min, n_max), tuple(points))
 
 
 def _render_svg(plot: RegionPlot) -> str:

@@ -18,6 +18,12 @@ from wondercoh.varieties import pic_box
 NAMES = CATALOG_NAMES + ("group:A3", "group:B2", "group:G2", "PSO/PSO(5)", "PGL/PSp(4)")
 
 
+def draw_weight(data, X, lo, hi):
+    """Pic coordinates drawn from [lo, hi] and the weight they give."""
+    coords = data.draw(st.tuples(*(st.integers(lo, hi) for _ in X.pic_basis)))
+    return coords, X.weight_from_pic_coords(coords)
+
+
 def inline_translate(base, coeffs, vectors):
     """The loop that translate replaces."""
     out = list(base)

@@ -3,33 +3,27 @@ the catalog and the larger groups it lacks: the Serre witness bijection,
 the H^0 law against `brion_h0`, and Borel-Weil-Bott against `bwb_direct`
 on the flag varieties."""
 
-import functools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wondercoh import CATALOG_NAMES, build_case
+from wondercoh import build_case
 from wondercoh.cohomology import cohomology_table
 from wondercoh.oracles import brion_h0, bwb_direct, serre_involution_check
 
-NAMES = CATALOG_NAMES + ("group:A3", "group:B2", "group:G2", "PSO/PSO(5)", "PGL/PSp(4)")
+from test_helpers import NAMES, draw_weight
+
 FLAGS = tuple(n for n in NAMES if build_case(n).rank == 0)
 PROPERTY = settings(max_examples=8, deadline=None, derandomize=True)
-variety = functools.cache(build_case)
-
-
-def draw_weight(data, X, radius):
-    coords = data.draw(st.tuples(*(st.integers(-radius, radius) for _ in X.pic_basis)))
-    return X.weight_from_pic_coords(coords)
 
 
 @pytest.mark.parametrize("name", NAMES)
 @PROPERTY
 @given(data=st.data())
 def test_serre_witness_bijection(name, data):
-    X = variety(name)
-    lam = draw_weight(data, X, 8 if X.rank < 3 else 4)
+    X = build_case(name)
+    r = 8 if X.rank < 3 else 4
+    _, lam = draw_weight(data, X, -r, r)
     res = serre_involution_check(X, lam)
     assert res, res.detail
 
@@ -38,9 +32,10 @@ def test_serre_witness_bijection(name, data):
 @PROPERTY
 @given(data=st.data())
 def test_h0_law(name, data):
-    X = variety(name)
+    X = build_case(name)
     # brion_h0 scans a box whose side grows with |lam|
-    lam = draw_weight(data, X, 6 if X.rank < 3 else 3)
+    r = 6 if X.rank < 3 else 3
+    _, lam = draw_weight(data, X, -r, r)
     table = cohomology_table(X, lam)
     h0 = table.constituents(0)
     assert sorted(c.highest_weight for c in h0) == brion_h0(X, lam)
@@ -53,6 +48,6 @@ def test_h0_law(name, data):
 @PROPERTY
 @given(data=st.data())
 def test_borel_weil_bott(name, data):
-    X = variety(name)
-    lam = draw_weight(data, X, 20)
+    X = build_case(name)
+    _, lam = draw_weight(data, X, -20, 20)
     assert cohomology_table(X, lam) == bwb_direct(X, lam)

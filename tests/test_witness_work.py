@@ -6,7 +6,6 @@ writes the bytes of `json.dumps(table_to_dict(...), indent=2)` from
 templates.  Each is checked against the reference it replaces.
 """
 
-import functools
 import json
 
 import pytest
@@ -19,15 +18,12 @@ from wondercoh.cohomology import cohomology_table, contributions, serre_dual_wei
 from wondercoh.roots import InvariantError, RootSystem
 from wondercoh.serialize import table_to_dict, table_to_json
 
-NAMES = CATALOG_NAMES + ("group:A3", "group:B2", "group:G2", "PSO/PSO(5)", "PGL/PSp(4)")
-variety = functools.cache(build_case)
+from test_helpers import NAMES, draw_weight
 
 
-def draw_weight(data, X):
+def deep_weight(data, X):
     # deep enough for witnesses with J nonempty, small enough for rank 3
-    lo = {0: -12, 1: -14, 2: -10}.get(X.rank, -6)
-    coords = data.draw(st.tuples(*(st.integers(lo, 4) for _ in X.pic_basis)))
-    return coords, X.weight_from_pic_coords(coords)
+    return draw_weight(data, X, {0: -12, 1: -14, 2: -10}.get(X.rank, -6), 4)
 
 
 def inversion_set(X, mu):
@@ -71,9 +67,9 @@ def test_one_walk_per_inversion_set(monkeypatch, name, coords, witnesses, walks)
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_pair_product_dimension_is_weyl_dimension(name, data):
-    X = variety(name)
+    X = build_case(name)
     g = X.group
-    _, lam = draw_weight(data, X)
+    _, lam = deep_weight(data, X)
     # the Serre dual of a shallow weight is deep, with J nonempty
     conts = contributions(X, lam) + contributions(X, serre_dual_weight(X, lam))
     for t in conts:
@@ -90,8 +86,8 @@ def reference_json(X, table, coords, with_witnesses):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_json_writer_equals_json_dumps(data):
-    X = variety(data.draw(st.sampled_from(CATALOG_NAMES)))
-    coords, lam = draw_weight(data, X)
+    X = build_case(data.draw(st.sampled_from(CATALOG_NAMES)))
+    coords, lam = deep_weight(data, X)
     table = cohomology_table(X, lam)
     degree = data.draw(st.none() | st.integers(0, X.dimension_N))
     if degree is not None:  # what `cohomology --degree` prints
