@@ -6,7 +6,10 @@ with J a subset of the spherical roots, mu in the translated sign cone
 (strictly positive multiples of J, nonpositive off J), mu + rho regular,
 the negative-pairing set of mu + rho equal to J, and l(mu) + |J| = d.
 
-Enumeration is exact.  Write mu = lam + sum c_i gamma_i.  For a
+Enumeration is exact.  Write mu = lam + sum c_i gamma_i.  The sign cone
+makes J the positive support {i : c_i > 0} of c, and the omega condition
+asks for that same set, so a point c contributes exactly when
+(mu + rho, gamma_i) < 0 iff c_i > 0, for every i.  For a
 contributing pair the two sign conditions give c_i (mu + rho, gamma_i) <= 0
 for every i: on J, c_i >= 1 and the pairing is negative; off J, c_i <= 0
 and the pairing is nonnegative.  Summed over i this is
@@ -41,7 +44,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exactalg import translate
+from .exactalg import span_numerators, translate
 from .roots import InvariantError, RootSystem, Weight
 from .varieties import CatalogError, WonderfulVariety
 
@@ -129,18 +132,13 @@ def in_translated_R(
     >= 1 on J and <= 0 elsewhere (returns False outside the integer span)."""
     lam = _require_pic(X, lam)
     mu = _require_pic(X, mu)
-    jset = set(J)
     diff = tuple(a - b for a, b in zip(mu, lam))
-    coords = X.sigma_coords(diff)
-    if coords is None or any(c.denominator != 1 for c in coords):
+    n = span_numerators(X.spherical_roots, X._sigma_left_inv, diff)
+    den = X._sigma_left_inv[1]
+    if n is None or any(x % den for x in n):
         return False
-    return _sign_pattern_ok(tuple(int(c) for c in coords), jset)
-
-
-def _sign_pattern_ok(coeffs: tuple[int, ...], jset: set[int]) -> bool:
-    return all(
-        (c >= 1) if i in jset else (c <= 0) for i, c in enumerate(coeffs)
-    )
+    jset = set(J)
+    return all((x > 0) == (i in jset) for i, x in enumerate(n))
 
 
 def _ball_coefficients(
@@ -226,23 +224,12 @@ def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]
     walks: dict[tuple[bool, ...], tuple[int, tuple[Weight, ...]]] = {}
     out = []
     for c in _ball_coefficients(X, lam, 1):
-        # J from the omega signature of mu
-        jset = set()
-        for i in range(X.rank):
-            s = sig_base[i] + sum(
-                cj * X._gamma_sign_gram[i][j] for j, cj in enumerate(c)
-            )
-            if s < 0:
-                jset.add(i)
-        if not _sign_pattern_ok(c, jset):
+        # the sign cone fixes J = {i : c_i > 0}; the omega signature must equal it
+        sig = translate(sig_base, c, X._gamma_sign_gram)  # symmetric: rows are columns
+        if any((s < 0) != (ci > 0) for s, ci in zip(sig, c)):
             continue
-        pair = list(base_pair)
-        for j, cj in enumerate(c):
-            if cj:
-                row = X._gamma_coroot_rows[j]
-                for k in range(len(pair)):
-                    pair[k] += cj * row[k]
-        if any(p == 0 for p in pair):
+        pair = translate(base_pair, c, X._gamma_coroot_rows)
+        if 0 in pair:
             continue  # mu + rho singular
         mu = translate(lam, c, X.spherical_roots)
         key = tuple([p < 0 for p in pair])
@@ -257,12 +244,11 @@ def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]
         dimension, rem = divmod(abs(math.prod(pair)), g._weyl_den)
         if rem:
             raise InvariantError("pairing product is not a Weyl dimension numerator")
-        degree = length + len(jset)
+        J = tuple(i for i, ci in enumerate(c) if ci > 0)
+        degree = length + len(J)
         if not 0 <= degree <= X.dimension_N:
             raise InvariantError("degree outside [0, N]")
-        out.append(
-            Contribution(tuple(sorted(jset)), mu, length, mu_plus, degree, dimension)
-        )
+        out.append(Contribution(J, mu, length, mu_plus, degree, dimension))
     out.sort(key=lambda t: (t.degree, t.mu))
     return out
 

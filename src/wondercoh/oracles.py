@@ -20,6 +20,7 @@ from .cohomology import (
     Constituent,
     Contribution,
     DegreeGroup,
+    _require_pic,
     cohomology_table,
     contributions,
     enumerate_candidates,
@@ -89,9 +90,7 @@ def brion_h0(X: WonderfulVariety, lam: Sequence[int]) -> list[Weight]:
     2 |lam| sqrt((G^-1)_ii).
     """
     g = X.group
-    lam = g.check_weight(lam)
-    if X.pic_contains(lam) is None:
-        raise ValueError(f"{list(lam)} is not in pic({X.name})")
+    lam = _require_pic(X, lam)
     r = X.rank
     if r == 0:
         return [tuple(lam)] if g.is_dominant(lam) else []

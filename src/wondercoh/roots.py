@@ -124,7 +124,7 @@ class RootSystem:
     """
 
     def __init__(self, components: Sequence[tuple[str, int]]):
-        components = tuple((str(f).upper(), int(n)) for f, n in components)
+        components = tuple((str(f).upper(), _integer(n)) for f, n in components)
         if not components:
             raise ValueError("empty component list")
         for family, rank in components:
@@ -258,15 +258,7 @@ class RootSystem:
         lam = self.check_weight(lam)
         v = [x + 1 for x in lam]  # lam + rho in fundamental coordinates
         inversions = sum(1 for p in self.shifted_pairings(lam) if p < 0)
-        word = []
-        for _ in range(len(self.positive_roots) + 1):
-            neg = next((i for i in range(self.rank) if v[i] < 0), None)
-            if neg is None:
-                break
-            c = v[neg]
-            for i in range(self.rank):
-                v[i] -= c * self.cartan[i][neg]
-            word.append(neg)
+        word = self._walk(v)
         if any(x == 0 for x in v):
             return None  # lam + rho is singular
         if len(word) != inversions:
@@ -277,14 +269,28 @@ class RootSystem:
     def dominant_representative(self, mu: Sequence[int]) -> Weight:
         """Unique dominant weight in the (unshifted) W-orbit of mu."""
         v = list(self.check_weight(mu))
-        for _ in range(2 * len(self.positive_roots) + 1):
+        self._walk(v)
+        return tuple(v)
+
+    def _walk(self, v: list[int]) -> list[int]:
+        """Reflect v in place on its first negative coordinate until v is
+        dominant; returns the word of simple reflections used.
+
+        Each step turns exactly one positive coroot pairing from negative to
+        positive, so the walk takes as many steps as v has negative
+        pairings, at most |Phi+|.
+        """
+        word: list[int] = []
+        while True:
             neg = next((i for i in range(self.rank) if v[i] < 0), None)
             if neg is None:
-                return tuple(v)
+                return word
+            if len(word) == len(self.positive_roots):
+                raise InvariantError("chamber walk is longer than |Phi+|")
             c = v[neg]
             for i in range(self.rank):
                 v[i] -= c * self.cartan[i][neg]
-        raise InvariantError("orbit walk did not terminate")
+            word.append(neg)
 
     def dual_weight(self, mu: Sequence[int]) -> Weight:
         """-w_0 mu for dominant mu (highest weight of the dual module)."""
@@ -298,9 +304,7 @@ class RootSystem:
         mu = self.check_weight(mu)
         if not self.is_dominant(mu):
             raise ValueError("weyl_dimension expects a dominant weight")
-        shifted = [x + 1 for x in mu]
-        num = prod(sum(r * x for r, x in zip(row, shifted)) for row in self._coroot_rows)
-        q, rem = divmod(num, self._weyl_den)
+        q, rem = divmod(prod(self.shifted_pairings(mu)), self._weyl_den)
         if rem:
             raise InvariantError("Weyl dimension is not integral")
         return q

@@ -7,6 +7,13 @@ to the closed orbit.  Catalog constructors ship the classical minimal
 rank cases; every descriptor (built-in or user supplied) must pass
 :func:`validate` before it is used.
 
+Every catalog entry except the flag varieties is symmetric and is built
+from its sgamma pairs: each spherical reflection is s_gamma = s_alpha s_beta
+for an orthogonal pair of positive roots (alpha, beta), and `_from_pairs`
+derives gamma = alpha + beta, halved for the quadrics.  A constructor
+supplies only the group, the pairs, the pic basis and q (plus the expected
+constants that `validate` compares against).
+
 Sign conventions: all weights live in the fundamental-weight basis of the
 standard positive system of the group, pic basis vectors are oriented so
 that they pair positively with their spherical roots, and the base point
@@ -106,11 +113,12 @@ class WonderfulVariety:
     ):
         self.name = name
         self.group = group
-        if any(len(v) != group.rank for v in (*spherical_roots, *pic_basis)):
-            raise CatalogError(f"{name}: weight vectors need length {group.rank}")
-        self.spherical_roots = tuple(group.check_weight(g) for g in spherical_roots)
-        self.pic_basis = tuple(group.check_weight(w) for w in pic_basis)
-        self.q_simple_roots = frozenset(int(i) for i in q_simple_roots)
+        try:
+            self.spherical_roots = tuple(group.check_weight(g) for g in spherical_roots)
+            self.pic_basis = tuple(group.check_weight(w) for w in pic_basis)
+            self.q_simple_roots = frozenset(map(_integer, q_simple_roots))
+        except ValueError as exc:
+            raise CatalogError(f"{name}: {exc}")
         if any(i < 0 or i >= group.rank for i in self.q_simple_roots):
             raise CatalogError(f"{name}: q_simple_roots out of range")
         self.sgamma_data = (
@@ -470,14 +478,15 @@ def _checked(X: WonderfulVariety) -> WonderfulVariety:
 # catalog constructors
 
 
+def _unit(rank: int, *indices: int) -> tuple[int, ...]:
+    """The length-rank 0/1 vector with ones at the given indices."""
+    return tuple(int(k in indices) for k in range(rank))
+
+
 def flag_variety(group: RootSystem, q_simple_roots: Sequence[int] = (), name: str = "") -> WonderfulVariety:
     """G/Q with no spherical roots; pic is spanned by the non-Levi fundamental weights."""
-    q = sorted(int(i) for i in q_simple_roots)
-    pic = [
-        tuple(int(k == i) for k in range(group.rank))
-        for i in range(group.rank)
-        if i not in q
-    ]
+    q = sorted(map(_integer, q_simple_roots))
+    pic = [_unit(group.rank, i) for i in range(group.rank) if i not in q]
     if not name:
         name = f"flag:{group.describe().replace(' x ', 'x')}"
         if q:
@@ -500,6 +509,41 @@ def _dynkin_involution(family: str, rank: int) -> dict[int, int]:
     return {i: swap.get(i, i) for i in range(rank)}
 
 
+def _from_pairs(
+    name: str,
+    components: Sequence[tuple[str, int]],
+    pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
+    pic: Sequence[Sequence[int]],
+    q: Sequence[int] = (),
+    quadric: bool = False,
+    expected: Optional[dict] = None,
+    divisibility: Optional[tuple[int, int]] = None,
+) -> WonderfulVariety:
+    """A symmetric case from its sgamma pairs (alpha_i, beta_i), given in
+    simple root coordinates: gamma_i = alpha_i + beta_i, halved for a quadric."""
+    group = build_root_system(components)
+    sigma = []
+    for alpha, beta in pairs:
+        gamma = group.root_as_weight([a + b for a, b in zip(alpha, beta)])
+        if quadric:
+            if any(x % 2 for x in gamma):
+                raise CatalogError(f"{name}: quadric spherical root is not integral")
+            gamma = tuple(x // 2 for x in gamma)
+        sigma.append(gamma)
+    return _checked(
+        WonderfulVariety(
+            name,
+            group,
+            sigma,
+            pic,
+            q_simple_roots=q,
+            sgamma_data=pairs,
+            expected=expected,
+            divisibility=divisibility,
+        )
+    )
+
+
 def group_compactification(family: str, rank: int, name: str = "") -> WonderfulVariety:
     """Wonderful compactification of the adjoint group of simple type (family, rank).
 
@@ -509,42 +553,47 @@ def group_compactification(family: str, rank: int, name: str = "") -> WonderfulV
     system of both factors.
     """
     single = build_root_system([(family, rank)])
-    doubled = build_root_system([(family, rank), (family, rank)])
     inv = _dynkin_involution(single.components[0][0], rank)
     zero = (0,) * rank
-    sigma = []
-    pic = []
-    sgamma = []
-    for i in range(rank):
-        alpha_i = single.root_as_weight(tuple(int(j == i) for j in range(rank)))
-        alpha_star = single.root_as_weight(tuple(int(j == inv[i]) for j in range(rank)))
-        sigma.append(alpha_i + alpha_star)
-        pic.append(
-            tuple(int(j == i) for j in range(rank))
-            + tuple(int(j == inv[i]) for j in range(rank))
-        )
-        sgamma.append(
-            (
-                tuple(int(j == i) for j in range(rank)) + zero,
-                zero + tuple(int(j == inv[i]) for j in range(rank)),
-            )
-        )
-    dim_k = 2 * len(single.positive_roots) + rank
-    if not name:
-        name = f"group:{family}{rank}"
-    expected = {"N": dim_k, "lambda0": (-2,) * rank if rank <= 2 else None}
-    if expected["lambda0"] is None:
-        del expected["lambda0"]
-    return _checked(
-        WonderfulVariety(
-            name,
-            doubled,
-            sigma,
-            pic,
-            sgamma_data=sgamma,
-            expected=expected,
-            divisibility=(2, len(single.positive_roots)),
-        )
+    pairs = [(_unit(rank, i) + zero, zero + _unit(rank, inv[i])) for i in range(rank)]
+    pic = [_unit(rank, i) + _unit(rank, inv[i]) for i in range(rank)]
+    positive = len(single.positive_roots)
+    expected = {"N": 2 * positive + rank}
+    if rank <= 2:
+        expected["lambda0"] = (-2,) * rank
+    return _from_pairs(
+        name or f"group:{family}{rank}",
+        [(family, rank)] * 2,
+        pairs,
+        pic,
+        expected=expected,
+        divisibility=(2, positive),
+    )
+
+
+def _rank_one(
+    name: str,
+    n: int,
+    simple_type: tuple[str, int],
+    pair: tuple[Sequence[int], Sequence[int]],
+    pic: Sequence[int],
+    q: Sequence[int],
+    quadric: bool,
+) -> WonderfulVariety:
+    """A rank one case of dimension 2n - 1: a projective space, or a quadric."""
+    return _from_pairs(
+        name,
+        [simple_type],
+        [pair],
+        [pic],
+        q,
+        quadric,
+        expected={
+            "N": 2 * n - 1,
+            "lambda0": (-n,),
+            "sgamma_rho_multiple": 2 - 2 * n if quadric else 1 - n,
+        },
+        divisibility=(2 * n - 2, 1),
     )
 
 
@@ -552,71 +601,13 @@ def _pso_pso(n: int, quadric: bool) -> WonderfulVariety:
     """Rank one D_n cases: the odd projective space and the odd quadric."""
     if n < 2:
         raise CatalogError("PSO/PSO and Q need n >= 2")
-    group = build_root_system([("D", n)])
-    if n == 2:
-        alpha = (1, 0)
-        beta = (0, 1)
-        q: tuple[int, ...] = ()
+    pair = (_unit(n, *range(n - 1)), _unit(n, *range(n - 2), n - 1))
+    if n == 2:  # D2 = A1 x A1 has no Levi to keep
+        pic, q = (1, 1), ()
     else:
-        alpha = tuple(1 if i < n - 1 else 0 for i in range(n))
-        beta = tuple(1 if i < n - 2 or i == n - 1 else 0 for i in range(n))
-        q = tuple(range(1, n))
-    aw = group.root_as_weight(alpha)
-    bw = group.root_as_weight(beta)
-    total = tuple(a + b for a, b in zip(aw, bw))
-    if quadric:
-        if any(x % 2 for x in total):
-            raise CatalogError("quadric spherical root is not integral")
-        gamma = tuple(x // 2 for x in total)
-        name = f"Q({n})"
-        multiple = 2 - 2 * n
-    else:
-        gamma = total
-        name = f"PSO/PSO({n})"
-        multiple = 1 - n
-    pic = [tuple(int(i == 0) for i in range(n)) if n > 2 else (1, 1)]
-    return _checked(
-        WonderfulVariety(
-            name,
-            group,
-            [gamma],
-            pic,
-            q_simple_roots=q,
-            sgamma_data=[(alpha, beta)],
-            expected={"N": 2 * n - 1, "lambda0": (-n,), "sgamma_rho_multiple": multiple},
-            divisibility=(2 * n - 2, 1),
-        )
-    )
-
-
-def _spin7(quadric: bool) -> WonderfulVariety:
-    """Rank one B_3 cases: P^7 and Q^7 under the 8-dimensional spin action."""
-    group = build_root_system([("B", 3)])
-    alpha = (1, 1, 2)
-    beta = (0, 1, 1)
-    aw = group.root_as_weight(alpha)
-    bw = group.root_as_weight(beta)
-    total = tuple(a + b for a, b in zip(aw, bw))
-    if quadric:
-        gamma = tuple(x // 2 for x in total)
-        name = "Q7"
-        multiple = 2 - 2 * 4
-    else:
-        gamma = total
-        name = "SO7/G2"
-        multiple = 1 - 4
-    return _checked(
-        WonderfulVariety(
-            name,
-            group,
-            [gamma],
-            [(0, 0, 1)],
-            q_simple_roots=(0, 1),
-            sgamma_data=[(alpha, beta)],
-            expected={"N": 7, "lambda0": (-4,), "sgamma_rho_multiple": multiple},
-            divisibility=(6, 1),
-        )
-    )
+        pic, q = _unit(n, 0), tuple(range(1, n))
+    name = f"Q({n})" if quadric else f"PSO/PSO({n})"
+    return _rank_one(name, n, ("D", n), pair, pic, q, quadric)
 
 
 def _pgl_psp(n: int) -> WonderfulVariety:
@@ -624,59 +615,18 @@ def _pgl_psp(n: int) -> WonderfulVariety:
     if n < 2:
         raise CatalogError("PGL/PSp needs n >= 2")
     rank = 2 * n - 1
-    group = build_root_system([("A", rank)])
-    sigma = []
-    pic = []
-    sgamma = []
-    for i in range(n - 1):
-        coeff = [0] * rank
-        coeff[2 * i] = 1
-        coeff[2 * i + 1] = 2
-        coeff[2 * i + 2] = 1
-        sigma.append(group.root_as_weight(tuple(coeff)))
-        pic.append(tuple(int(k == 2 * i + 1) for k in range(rank)))
-        a = [0] * rank
-        a[2 * i] = a[2 * i + 1] = 1
-        b = [0] * rank
-        b[2 * i + 1] = b[2 * i + 2] = 1
-        sgamma.append((tuple(a), tuple(b)))
+    odd = range(1, rank, 2)
     expected = {"N": 2 * n * n - n - 1}
     if n <= 3:
         expected["lambda0"] = (-3,) * (n - 1)
-    return _checked(
-        WonderfulVariety(
-            f"PGL/PSp({n})",
-            group,
-            sigma,
-            pic,
-            q_simple_roots=tuple(range(0, rank, 2)),
-            sgamma_data=sgamma,
-            expected=expected,
-            divisibility=(4, n * (n - 1) // 2),
-        )
-    )
-
-
-def _e6_f4() -> WonderfulVariety:
-    """Compactification of E6/F4; spherical roots from the rank two restriction."""
-    group = build_root_system([("E", 6)])
-    gamma1 = group.root_as_weight((2, 1, 2, 2, 1, 0))
-    gamma2 = group.root_as_weight((0, 1, 1, 2, 2, 2))
-    sgamma = [
-        ((1, 1, 1, 1, 0, 0), (1, 0, 1, 1, 1, 0)),
-        ((0, 1, 0, 1, 1, 1), (0, 0, 1, 1, 1, 1)),
-    ]
-    return _checked(
-        WonderfulVariety(
-            "E6/F4",
-            group,
-            [gamma1, gamma2],
-            [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)],
-            q_simple_roots=(1, 2, 3, 4),
-            sgamma_data=sgamma,
-            expected={"N": 26, "lambda0": (-5, -5)},
-            divisibility=(8, 3),
-        )
+    return _from_pairs(
+        f"PGL/PSp({n})",
+        [("A", rank)],
+        [(_unit(rank, i - 1, i), _unit(rank, i, i + 1)) for i in odd],
+        [_unit(rank, i) for i in odd],
+        q=tuple(range(0, rank, 2)),
+        expected=expected,
+        divisibility=(4, n * (n - 1) // 2),
     )
 
 
@@ -690,12 +640,22 @@ def build_case(name: str) -> WonderfulVariety:
     ``flag:<type>[:q=i,j]``.
     """
     text = name.strip()
+    if text in ("SO7/G2", "Q7"):  # P^7 and Q^7 under the 8-dimensional spin action
+        pair = ((1, 1, 2), (0, 1, 1))
+        return _rank_one(text, 4, ("B", 3), pair, (0, 0, 1), (0, 1), text == "Q7")
     if text == "E6/F4":
-        return _e6_f4()
-    if text == "SO7/G2":
-        return _spin7(quadric=False)
-    if text == "Q7":
-        return _spin7(quadric=True)
+        return _from_pairs(
+            text,
+            [("E", 6)],
+            [
+                ((1, 1, 1, 1, 0, 0), (1, 0, 1, 1, 1, 0)),
+                ((0, 1, 0, 1, 1, 1), (0, 0, 1, 1, 1, 1)),
+            ],
+            [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)],
+            q=(1, 2, 3, 4),
+            expected={"N": 26, "lambda0": (-5, -5)},
+            divisibility=(8, 3),
+        )
     for prefix, builder in (("PSO/PSO(", lambda n: _pso_pso(n, False)),
                             ("Q(", lambda n: _pso_pso(n, True)),
                             ("PGL/PSp(", _pgl_psp)):

@@ -16,6 +16,7 @@ from wondercoh.cohomology import (
 )
 from wondercoh.oracles import naive_contribution_scan
 from wondercoh.serialize import table_to_json
+from wondercoh.varieties import pic_box
 
 
 def pic(X, *coords):
@@ -218,3 +219,13 @@ def test_serialization_deterministic():
     b = table_to_json(X, cohomology_table(X, lam), (-6,))
     assert a == b
     assert '"dimension": "10"' in a
+
+
+@pytest.mark.parametrize("name", ["PSO/PSO(2)", "Q(3)", "group:A2", "PGL/PSp(3)", "E6/F4"])
+def test_witness_J_is_the_positive_support(name):
+    X = build_case(name)
+    for _, lam in pic_box(X, 2):
+        for t in contributions(X, lam):
+            coords = X.sigma_coords(tuple(a - b for a, b in zip(t.mu, lam)))
+            assert t.J == tuple(i for i, c in enumerate(coords) if c > 0)
+            assert omega_signature(X, t.mu) == t.J

@@ -1,11 +1,13 @@
 """Kernel tests: exact root system arithmetic and chamber walks."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from wondercoh import build_root_system
+from wondercoh.roots import InvariantError
 from wondercoh.oracles import weyl_group_bruteforce
 
 
@@ -187,3 +189,24 @@ def test_chamber_walk_matches_bruteforce():
                 assert slow is None
             else:
                 assert slow == (fast[0], fast[1])
+
+
+@pytest.mark.parametrize("spec", [[("A", 2)], [("B", 2)], [("G", 2)], [("A", 3)]])
+def test_walk_takes_one_step_per_negative_pairing(spec):
+    g = build_root_system(spec)
+    for mu in itertools.product(range(-3, 4), repeat=g.rank):
+        v = list(mu)
+        word = g._walk(v)
+        negative = sum(1 for row in g._coroot_rows if sum(r * x for r, x in zip(row, mu)) < 0)
+        assert len(word) == negative
+        assert min(v) >= 0
+        assert tuple(v) == g.dominant_representative(mu)
+
+
+def test_walk_longer_than_positive_root_count_raises():
+    g = build_root_system([("A", 2)])
+    g.positive_roots = g.positive_roots[:2]  # (-1, -1) needs all three steps
+    with pytest.raises(InvariantError):
+        g.dominant_representative((-1, -1))
+    with pytest.raises(InvariantError):
+        g.make_dominant_shifted((-2, -2))

@@ -301,3 +301,29 @@ def test_weights_accept_integral_floats():
     assert X.group.check_weight((2.0, 2)) == (2, 2)
     assert X.pic_contains((2.0, 2.0)) == X.pic_contains((2, 2))
     assert X.weight_from_pic_coords((3.0,)) == X.weight_from_pic_coords((3,))
+
+
+@pytest.mark.parametrize("rank", [2.5, "2"])
+def test_root_system_refuses_non_integer_rank(rank):
+    with pytest.raises(ValueError):
+        build_root_system([("A", rank)])
+
+
+def test_constructor_refuses_non_integers_with_catalog_error():
+    g = build_root_system([("A", 2)])
+    cases = [
+        ((), [(1, 0)], (1.5,)),
+        ([(2, -1.5)], [(1, 0)], ()),
+        ((), [(1, 0.5)], ()),
+        ([(2,)], [(1, 0)], ()),  # wrong length
+    ]
+    for sigma, pic, q in cases:
+        with pytest.raises(CatalogError):
+            WonderfulVariety("custom", g, sigma, pic, q_simple_roots=q)
+
+
+def test_flag_variety_refuses_non_integer_q():
+    g = build_root_system([("A", 2)])
+    with pytest.raises(ValueError):
+        flag_variety(g, (1.7,))
+    assert flag_variety(g, (1.0,)).q_simple_roots == frozenset({1})
