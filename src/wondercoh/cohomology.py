@@ -19,10 +19,22 @@ and the pairing is nonnegative.  Summed over i this is
 the witness ball: mu + rho lies in the ball whose diameter is the segment
 from 0 to lam + rho.  In the coefficients it reads c^T G c + c^T b <= 0,
 with G the spherical Gram matrix and b_i = (lam + rho, gamma_i);
-`contributions` enumerates its integer points.
+`contributions` searches its integer points.
 Adding |mu - lam|^2 >= 0 gives the weaker |mu + rho| <= |lam + rho|, i.e.
 c^T G c + 2 c^T b <= 0, a ball of twice the radius and about 2^r times the
 points; `enumerate_candidates` keeps returning that superset.
+
+The search runs line by line.  `_ball_lines` gives the ball as lines
+along c_0, one per fixed c_1..c_{r-1}, each with its range [lo, hi].  On
+such a line every D (mu + rho, gamma_i) is affine in c_0, s = a + c_0 G_0
+with G_0 row 0 of the integer sign Gram matrix, so each sign condition
+cuts the line by one exact floor or ceiling division (`_cut_line`): the
+condition on c_0 itself keeps [1, m - 1] or [m, 0], m the least c_0 with
+s_0 >= 0 (G_00 > 0), and each i != 0 keeps a half-line, or all or nothing
+where G_0i = 0.  What is left is one run of consecutive c_0 with one J,
+and `contributions` steps through it by adding fixed rows to s, to the
+coroot pairings and to mu.  Every visited point is checked again against
+the sign pattern; off the run, no point is visited at all.
 
 Per witness, `contributions` already holds the coroot pairings
 pair_k = <mu + rho, alpha_k^vee>.  Their sign vector is the inversion set
@@ -42,7 +54,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from operator import add, mul
+from typing import Iterator, Sequence
 
 from .exactalg import span_numerators, translate
 from .roots import InvariantError, RootSystem, Weight
@@ -113,7 +126,7 @@ def _require_pic(X: WonderfulVariety, lam: Sequence[int]) -> Weight:
 def _gamma_pairings(X: WonderfulVariety, mu: Weight) -> list[int]:
     """D (mu + rho, gamma_i) for each i, D = X._gamma_den: exact, sign-true ints."""
     shifted = [x + 1 for x in mu]
-    return [sum(w * x for w, x in zip(row, shifted)) for row in X._gamma_sign_rows]
+    return [sum(map(mul, row, shifted)) for row in X._gamma_sign_rows]
 
 
 def _omega_signature(X: WonderfulVariety, mu: Weight) -> tuple[int, ...]:
@@ -141,16 +154,13 @@ def in_translated_R(
     return all((x > 0) == (i in jset) for i, x in enumerate(n))
 
 
-def _ball_coefficients(
+def _ball_lines(
     X: WonderfulVariety, lam: Weight, k: int
-) -> list[tuple[int, ...]]:
-    """All integer c with c^T G c + k c^T b <= 0, where G is the spherical
-    Gram matrix and b_i = (lam + rho, gamma_i), in lexicographic order.
-
-    k = 1 is the witness ball (mu + rho, mu - lam) <= 0 that holds every
-    contributing pair; k = 2 is the ball |mu + rho| <= |lam + rho| that
-    `enumerate_candidates` returns (see the module docstring).  c = 0 is on
-    the boundary of both, so the result is never empty.
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """The integer points of the ball c^T G c + k c^T b <= 0 of
+    `_ball_coefficients`, as lines along c_0: one (c_1..c_{r-1}, lo, hi) per
+    fixed c_1..c_{r-1} whose line meets the ball, holding exactly the points
+    with lo <= c_0 <= hi (lo <= hi).  Rank at least 1.
 
     Completing the square with z = (k/2) G^-1 b and G = L diag(d) L^T
     turns the quadric into sum_i d_i (c_i + o_i)^2 <= z^T G z with
@@ -163,16 +173,15 @@ def _ball_coefficients(
     q_i c_i + base_i + sum_{j>i} A_ij c_j are integers, and as
     z^T G z = sum_i d_i u_i^2 the quadric reads
     sum_i e_i t_i^2 <= sum_i e_i base_i^2.  The branch and bound peels
-    c_{r-1}, ..., c_0 off with int arithmetic and math.isqrt only; every
-    bound is exact, so points on the boundary are always kept.
+    c_{r-1}, ..., c_1 off with int arithmetic and math.isqrt only, and the
+    same bound at c_0 is the line's [lo, hi]; every bound is exact, so
+    points on the boundary are always kept.
     """
     r = X.rank
-    if r == 0:
-        return [()]
     rows, q, A, e = X._witness_form
     sig = _gamma_pairings(X, lam)
-    base = [k * sum(w * x for w, x in zip(row, sig)) for row in rows]
-    results: list[tuple[int, ...]] = []
+    base = [k * sum(map(mul, row, sig)) for row in rows]
+    lines: list[tuple[tuple[int, ...], int, int]] = []
     c = [0] * r
 
     def descend(i: int, remaining: int) -> None:
@@ -180,16 +189,37 @@ def _ball_coefficients(
         qi, ei, row = q[i], e[i], A[i]
         p = base[i] + sum(row[j] * c[j] for j in range(i + 1, r))
         s = math.isqrt(remaining // ei)
-        for ci in range(-((s + p) // qi), (s - p) // qi + 1):
+        lo, hi = -((s + p) // qi), (s - p) // qi
+        if i == 0:
+            if lo <= hi:
+                lines.append((tuple(c[1:]), lo, hi))
+            return
+        for ci in range(lo, hi + 1):
             c[i] = ci
-            if i == 0:
-                results.append(tuple(c))
-            else:
-                t = qi * ci + p
-                descend(i - 1, remaining - ei * t * t)
+            t = qi * ci + p
+            descend(i - 1, remaining - ei * t * t)
 
     descend(r - 1, sum(ei * bi * bi for ei, bi in zip(e, base)))
-    return sorted(results)
+    return lines
+
+
+def _ball_coefficients(
+    X: WonderfulVariety, lam: Weight, k: int
+) -> list[tuple[int, ...]]:
+    """All integer c with c^T G c + k c^T b <= 0, where G is the spherical
+    Gram matrix and b_i = (lam + rho, gamma_i), in lexicographic order: the
+    points of `_ball_lines`, expanded and sorted.
+
+    k = 1 is the witness ball (mu + rho, mu - lam) <= 0 that holds every
+    contributing pair; k = 2 is the ball |mu + rho| <= |lam + rho| that
+    `enumerate_candidates` returns (see the module docstring).  c = 0 is on
+    the boundary of both, so the result is never empty.
+    """
+    if X.rank == 0:
+        return [()]
+    return sorted(
+        (c0, *rest) for rest, lo, hi in _ball_lines(X, lam, k) for c0 in range(lo, hi + 1)
+    )
 
 
 def enumerate_candidates(X: WonderfulVariety, lam: Sequence[int]) -> list[Weight]:
@@ -215,40 +245,111 @@ def _chamber(g: RootSystem, mu: Weight, inversions: int) -> tuple[int, tuple[Wei
     return length, tuple(zip(*cols))
 
 
+def _cut_line(
+    a: Sequence[int], row: Sequence[int], rest: tuple[int, ...], lo: int, hi: int
+) -> tuple[int, int]:
+    """The c_0 in [lo, hi] at which c = (c_0, *rest) keeps the sign pattern
+    (s_i < 0 iff c_i > 0), where s = a + c_0 row along the line: an interval
+    (lo, hi) of consecutive c_0, empty when lo > hi."""
+    # row[0] = D |gamma_0|^2 > 0, so s_0 rises with c_0 and m is the least c_0
+    # with s_0 >= 0: c_0 >= 1 needs [1, m - 1], c_0 <= 0 needs [m, 0]
+    m = -(a[0] // row[0])
+    if m > 1:
+        lo, hi = max(lo, 1), min(hi, m - 1)
+    else:
+        lo, hi = max(lo, m), min(hi, 0)
+    # c_i fixed: each s_i bounds c_0 on one side, or keeps all or nothing
+    for i in range(1, len(a)):
+        if lo > hi:
+            break
+        ai, gi, ci = a[i], row[i], rest[i - 1]
+        if gi > 0:
+            t = -(ai // gi)  # least c_0 with s_i >= 0
+            if ci > 0:
+                hi = min(hi, t - 1)
+            else:
+                lo = max(lo, t)
+        elif gi < 0:
+            t = ai // -gi  # greatest c_0 with s_i >= 0
+            if ci > 0:
+                lo = max(lo, t + 1)
+            else:
+                hi = min(hi, t)
+        elif (ai < 0) != (ci > 0):
+            return lo, lo - 1
+    return lo, hi
+
+
+def _sign_runs(
+    X: WonderfulVariety, lam: Weight, base_pair: tuple[int, ...]
+) -> Iterator[tuple[tuple[int, ...], int, list[int], tuple[int, ...], Weight]]:
+    """Per line of the witness ball, its run of c_0 that keeps the sign
+    pattern: (c, n, sig, pair, mu) at the run's first point c, n >= 1
+    points long.  Rank at least 1."""
+    sig_base = _gamma_pairings(X, lam)
+    row, rest_rows = X._gamma_sign_gram[0], X._gamma_sign_gram[1:]
+    for rest, lo, hi in _ball_lines(X, lam, 1):
+        a = translate(sig_base, rest, rest_rows) if rest else sig_base
+        lo, hi = _cut_line(a, row, rest, lo, hi)
+        if lo <= hi:
+            c = (lo, *rest)
+            yield (
+                c,
+                hi - lo + 1,
+                [x + lo * y for x, y in zip(a, row)],
+                translate(base_pair, c, X._gamma_coroot_rows),
+                translate(lam, c, X.spherical_roots),
+            )
+
+
 def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]:
     """All certified pairs (J, mu) for lam, in canonical order."""
     lam = _require_pic(X, lam)
     g = X.group
     base_pair = g.shifted_pairings(lam)
-    sig_base = _gamma_pairings(X, lam)
+    if X.rank:
+        runs = _sign_runs(X, lam, base_pair)
+        sig_step = X._gamma_sign_gram[0]
+        pair_step = X._gamma_coroot_rows[0]
+        mu_step = X.spherical_roots[0]
+    else:  # no spherical roots: the one point c = ()
+        runs = [((), 1, (), base_pair, lam)]
+        sig_step = pair_step = mu_step = ()
     walks: dict[tuple[bool, ...], tuple[int, tuple[Weight, ...]]] = {}
     out = []
-    for c in _ball_coefficients(X, lam, 1):
+    for c, n, sig, pair, mu in runs:
         # the sign cone fixes J = {i : c_i > 0}; the omega signature must equal it
-        sig = translate(sig_base, c, X._gamma_sign_gram)  # symmetric: rows are columns
-        if any((s < 0) != (ci > 0) for s, ci in zip(sig, c)):
-            continue
-        pair = translate(base_pair, c, X._gamma_coroot_rows)
-        if 0 in pair:
-            continue  # mu + rho singular
-        mu = translate(lam, c, X.spherical_roots)
-        key = tuple([p < 0 for p in pair])
-        walk = walks.get(key)
-        if walk is None:
-            walk = walks[key] = _chamber(g, mu, sum(key))
-        length, w = walk
-        shifted = [x + 1 for x in mu]
-        mu_plus = tuple(sum(a * x for a, x in zip(row, shifted)) - 1 for row in w)
-        if min(mu_plus) < 0:
-            raise InvariantError("w(mu + rho) is not dominant")
-        dimension, rem = divmod(abs(math.prod(pair)), g._weyl_den)
-        if rem:
-            raise InvariantError("pairing product is not a Weyl dimension numerator")
-        J = tuple(i for i, ci in enumerate(c) if ci > 0)
-        degree = length + len(J)
-        if not 0 <= degree <= X.dimension_N:
-            raise InvariantError("degree outside [0, N]")
-        out.append(Contribution(J, mu, length, mu_plus, degree, dimension))
+        signs = [ci > 0 for ci in c]
+        # a run on one side of c_0 = 0 has one J, and the check per point
+        # below is then the whole sign pattern
+        if n > 1 and (c[0] + n - 1 > 0) != signs[0]:
+            raise InvariantError("the line cut kept a point off the sign pattern")
+        J = tuple(itertools.compress(range(len(c)), signs))
+        for step in range(n):
+            if step:
+                sig = list(map(add, sig, sig_step))
+                pair = list(map(add, pair, pair_step))
+                mu = tuple(map(add, mu, mu_step))
+            if [s < 0 for s in sig] != signs:
+                raise InvariantError("the line cut kept a point off the sign pattern")
+            if 0 in pair:
+                continue  # mu + rho singular
+            key = tuple([p < 0 for p in pair])
+            walk = walks.get(key)
+            if walk is None:
+                walk = walks[key] = _chamber(g, mu, sum(key))
+            length, w = walk
+            shifted = [x + 1 for x in mu]
+            mu_plus = tuple(sum(map(mul, row, shifted)) - 1 for row in w)
+            if min(mu_plus) < 0:
+                raise InvariantError("w(mu + rho) is not dominant")
+            dimension, rem = divmod(abs(math.prod(pair)), g._weyl_den)
+            if rem:
+                raise InvariantError("pairing product is not a Weyl dimension numerator")
+            degree = length + len(J)
+            if not 0 <= degree <= X.dimension_N:
+                raise InvariantError("degree outside [0, N]")
+            out.append(Contribution(J, mu, length, mu_plus, degree, dimension))
     out.sort(key=lambda t: (t.degree, t.mu))
     return out
 

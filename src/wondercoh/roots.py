@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, prod
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .exactalg import Matrix, frac_matrix, int_scaled, mat_inverse, mat_vec
@@ -237,7 +238,7 @@ class RootSystem:
     def shifted_pairings(self, lam: Sequence[int]) -> tuple[int, ...]:
         """<lam + rho, alpha^vee> over all positive roots, in the frozen order."""
         v = [x + 1 for x in lam]
-        return tuple(sum(r * x for r, x in zip(row, v)) for row in self._coroot_rows)
+        return tuple(sum(map(mul, row, v)) for row in self._coroot_rows)
 
     def is_regular_shifted(self, lam: Sequence[int]) -> bool:
         """Whether lam + rho pairs nonzero with every positive coroot."""

@@ -117,7 +117,7 @@ class WonderfulVariety:
             self.spherical_roots = tuple(group.check_weight(g) for g in spherical_roots)
             self.pic_basis = tuple(group.check_weight(w) for w in pic_basis)
             self.q_simple_roots = frozenset(map(_integer, q_simple_roots))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise CatalogError(f"{name}: {exc}")
         if any(i < 0 or i >= group.rank for i in self.q_simple_roots):
             raise CatalogError(f"{name}: q_simple_roots out of range")

@@ -1,0 +1,185 @@
+"""The line cut of `contributions` against the per-point filter it replaces.
+
+`contributions` walks the witness ball line by line along c_0, cuts each
+line to the run of c_0 that keeps the sign pattern and steps through the
+run by fixed rows.  The reference below is the loop it replaces: every
+point of the witness ball, the sign pattern, the singular skip and a
+fresh chamber walk per point.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import wondercoh
+from wondercoh import build_case
+from wondercoh import cohomology
+from wondercoh.cli import main
+from wondercoh.cohomology import (
+    Contribution,
+    _ball_coefficients,
+    _gamma_pairings,
+    _sign_runs,
+    contributions,
+)
+from wondercoh.roots import InvariantError
+
+from test_helpers import NAMES, draw_weight, inline_translate
+
+
+def per_point_contributions(X, lam):
+    """Every point of the witness ball through the sign pattern, the
+    singular skip and its own chamber walk, in canonical order."""
+    g = X.group
+    out = []
+    for c in _ball_coefficients(X, lam, 1):
+        mu = inline_translate(lam, c, X.spherical_roots)
+        if any((s < 0) != (ci > 0) for s, ci in zip(_gamma_pairings(X, mu), c)):
+            continue
+        made = g.make_dominant_shifted(mu)
+        if made is None:
+            continue  # mu + rho singular
+        mu_plus, length, _ = made
+        J = tuple(i for i, ci in enumerate(c) if ci > 0)
+        out.append(
+            Contribution(J, mu, length, mu_plus, length + len(J), g.weyl_dimension(mu_plus))
+        )
+    out.sort(key=lambda t: (t.degree, t.mu))
+    return out
+
+
+#: deepest Picard coordinate per rank: the reference visits every ball
+#: point, about |lam + rho|^rank of them, so the depth falls with the rank
+DEPTH = {1: -60, 2: -30}
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_deep_weights_equal_per_point_filter(name, data):
+    X = build_case(name)
+    _, lam = draw_weight(data, X, DEPTH.get(X.rank, -8), 4)
+    assert contributions(X, lam) == per_point_contributions(X, lam)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cut_line_equals_pointwise_signs(data):
+    # the catalog's Gram rows are never positive off the diagonal, so small
+    # integers stand in for a line with every sign of G_0i
+    r = data.draw(st.integers(1, 4))
+    row = [data.draw(st.integers(1, 6))] + [data.draw(st.integers(-4, 4)) for _ in range(r - 1)]
+    # s_i = a_i + c_0 row_i changes sign near c_0 = z, and is 0 there when e = 0
+    a = [-data.draw(st.integers(-10, 10)) * g + data.draw(st.integers(-2, 2)) for g in row]
+    rest = tuple(data.draw(st.integers(-2, 2)) for _ in range(r - 1))
+    lo = data.draw(st.integers(-12, 4))
+    hi = lo + data.draw(st.integers(0, 16))
+    kept = [
+        c0
+        for c0 in range(lo, hi + 1)
+        if all((ai + c0 * gi < 0) == (ci > 0) for ai, gi, ci in zip(a, row, (c0, *rest)))
+    ]
+    start, end = cohomology._cut_line(a, row, rest, lo, hi)
+    assert kept == list(range(start, end + 1))
+
+
+def zero_endpoints(X, lam):
+    """(c, i, J) for each end c of a run at which s_i = 0: a cut endpoint
+    that is an exact division."""
+    found = []
+    row = X._gamma_sign_gram[0]
+    for c, n, sig, _, _ in _sign_runs(X, lam, X.group.shifted_pairings(lam)):
+        J = tuple(i for i, ci in enumerate(c) if ci > 0)
+        for end in {0, n - 1}:
+            s = [x + end * y for x, y in zip(sig, row)]
+            found += [((c[0] + end, *c[1:]), i, J) for i, si in enumerate(s) if si == 0]
+    return found
+
+
+@pytest.mark.parametrize(
+    "name, coords, zero_at",
+    [
+        ("PSO/PSO(2)", (1,), {0}),
+        ("Q7", (-2,), {0}),
+        ("group:A2", (-8, 2), {1}),
+        ("E6/F4", (-7, 2), {0, 1}),
+        ("group:A3", (-4, -1, 1), {1, 2}),
+        ("PGL/PSp(4)", (-4, -1, 2), {0, 1, 2}),
+    ],
+)
+def test_exact_division_endpoints(name, coords, zero_at):
+    # found by scanning Picard boxes for runs that end where some s_i = 0
+    X = build_case(name)
+    lam = X.weight_from_pic_coords(coords)
+    ends = zero_endpoints(X, lam)
+    assert {i for _, i, _ in ends} == zero_at
+    for c, i, J in ends:
+        assert i not in J and c[i] <= 0  # a zero pairing keeps i out of J
+    assert contributions(X, lam) == per_point_contributions(X, lam)
+
+
+def widened(cut, side):
+    """A line cut that keeps one point too many at the `side` end of every
+    run (0: below, 1: above)."""
+
+    def patched(a, row, rest, lo, hi):
+        lo, hi = cut(a, row, rest, lo, hi)
+        if lo > hi:
+            return lo, hi
+        return (lo - 1, hi) if side == 0 else (lo, hi + 1)
+
+    return patched
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("name, coords", [("PSO/PSO(2)", (-6,)), ("E6/F4", (-7, 2))])
+def test_sign_recheck_catches_a_wide_cut(capsys, monkeypatch, side, name, coords):
+    monkeypatch.setattr(cohomology, "_cut_line", widened(cohomology._cut_line, side))
+    X = build_case(name)
+    with pytest.raises(InvariantError, match="sign pattern"):
+        contributions(X, X.weight_from_pic_coords(coords))
+    assert main(["cohomology", name, "--lambda", *map(str, coords)]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "sign pattern" in out.err
+
+
+def test_sign_recheck_catches_a_run_across_zero(monkeypatch):
+    # a run [m, 0] let on to c_0 = 1: that point breaks the c_0 rule, which a
+    # check against the J of the run's first point alone would miss
+    cut = cohomology._cut_line
+
+    def across_zero(a, row, rest, lo, hi):
+        lo, hi = cut(a, row, rest, lo, hi)
+        return (lo, 1) if lo <= hi == 0 else (lo, hi)
+
+    monkeypatch.setattr(cohomology, "_cut_line", across_zero)
+    X = build_case("PSO/PSO(2)")
+    with pytest.raises(InvariantError, match="sign pattern"):
+        contributions(X, X.weight_from_pic_coords((4,)))  # its one run is [-2, 0]
+
+
+def test_sign_recheck_fires_under_optimize():
+    # `assert` statements vanish under -O; the sign recheck must not
+    script = "\n".join([
+        "import sys",
+        "from wondercoh import cohomology",
+        "from wondercoh.cli import main",
+        "from tests.test_line_cut import widened",
+        "print(sys.flags.optimize)",
+        "cohomology._cut_line = widened(cohomology._cut_line, 1)",
+        "sys.exit(main(['cohomology', 'PSO/PSO(2)', '--lambda', '-6']))",
+    ])
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wondercoh.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, root, os.path.join(root, "tests")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, cwd=root, timeout=60,
+    )
+    assert proc.stdout == "1\n"
+    assert proc.returncode == 3, proc.stderr
+    assert "sign pattern" in proc.stderr

@@ -327,3 +327,17 @@ def test_flag_variety_refuses_non_integer_q():
     with pytest.raises(ValueError):
         flag_variety(g, (1.7,))
     assert flag_variety(g, (1.0,)).q_simple_roots == frozenset({1})
+
+
+@pytest.mark.parametrize(
+    "sigma, pic, q",
+    [
+        ([(2, 2)], [(1, 1)], (None,)),  # q index that is not a number
+        ([None], [(1, 1)], ()),  # spherical root that is not a vector
+        ([(2, 2)], [([1], 1)], ()),  # list inside a Picard entry
+    ],
+)
+def test_constructor_refuses_non_numbers_with_catalog_error(sigma, pic, q):
+    g = build_root_system([("D", 2)])
+    with pytest.raises(CatalogError):
+        WonderfulVariety("x", g, sigma, pic, q_simple_roots=q)
