@@ -37,16 +37,23 @@ coroot pairings and to mu.  Every visited point is checked again against
 the sign pattern; off the run, no point is visited at all.
 
 Per witness, `contributions` already holds the coroot pairings
-pair_k = <mu + rho, alpha_k^vee>.  Their sign vector is the inversion set
-of mu + rho, and it fixes the Weyl element w with w(mu + rho) dominant.
-So the chamber walk runs once per distinct sign vector in a call, and
-its word, applied to the identity, gives the integer matrix of w; every
-witness with that key gets mu^+ = w(mu + rho) - rho and l(mu) = the number
-of negative pairings.  As w permutes the positive coroots up to sign,
-|prod_k pair_k| is the Weyl dimension numerator of mu^+, so
-dim L(mu^+) = |prod_k pair_k| / prod_k <rho, alpha_k^vee> needs no second
-pass over the roots.  Dominance of mu^+ and the divisibility are checked
-for every witness.
+pair_k = <mu + rho, alpha_k^vee>.  Their sign vector, the key, is the
+inversion set of mu + rho, and it fixes the Weyl element w with
+w(mu + rho) dominant.  So the chamber walk runs once per distinct key in a
+call; its word, replayed on the identity, gives the integer matrix of w,
+kept with l(mu) = the number of negative pairings and the vector
+w(gamma_0).  Along a run the key holds over stretches of consecutive
+witnesses.  At a stretch's first witness mu^+ = w(mu + rho) - rho is the
+full product, and the degree l(mu) + |J| is taken and range-checked (J
+is fixed for the whole run); at each next witness mu has moved by
+gamma_0, so mu^+ moves by w(gamma_0).  A singular point always ends a
+stretch: a pairing that is 0 there has opposite signs on either side of
+it.  As w permutes the positive coroots up to sign, |prod_k pair_k| is
+the Weyl dimension numerator of mu^+, so dim L(mu^+) = |prod_k pair_k| /
+prod_k <rho, alpha_k^vee> needs no second pass over the roots.
+Dominance of mu^+ and the divisibility are checked for every witness; as
+only the right w makes w(mu + rho) strictly dominant, the first also
+certifies each stepped mu^+.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterator, Sequence
 
 from .exactalg import span_numerators, translate
@@ -239,9 +246,14 @@ def _chamber(g: RootSystem, mu: Weight, inversions: int) -> tuple[int, tuple[Wei
     _, length, word = made
     if length != inversions:
         raise InvariantError("length mismatch between pairing rows and walk")
-    cols = [tuple(int(i == j) for i in range(g.rank)) for j in range(g.rank)]
-    for i in word:
-        cols = [g.reflect_simple(i, v) for v in cols]
+    r, cartan = g.rank, g.cartan
+    cols = [[int(i == j) for i in range(r)] for j in range(r)]
+    for i in word:  # s_i v = v - v_i alpha_i, alpha_i = column i of the Cartan matrix
+        for v in cols:
+            c = v[i]
+            if c:
+                for j in range(r):
+                    v[j] -= c * cartan[j][i]
     return length, tuple(zip(*cols))
 
 
@@ -315,7 +327,8 @@ def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]
     else:  # no spherical roots: the one point c = ()
         runs = [((), 1, (), base_pair, lam)]
         sig_step = pair_step = mu_step = ()
-    walks: dict[tuple[bool, ...], tuple[int, tuple[Weight, ...]]] = {}
+    # per inversion set: (length, matrix of w, w(gamma_0)), one walk each
+    walks: dict[tuple[bool, ...], tuple[int, tuple[Weight, ...], Weight]] = {}
     out = []
     for c, n, sig, pair, mu in runs:
         # the sign cone fixes J = {i : c_i > 0}; the omega signature must equal it
@@ -325,6 +338,7 @@ def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]
         if n > 1 and (c[0] + n - 1 > 0) != signs[0]:
             raise InvariantError("the line cut kept a point off the sign pattern")
         J = tuple(itertools.compress(range(len(c)), signs))
+        held = None  # the key of the run's last witness so far
         for step in range(n):
             if step:
                 sig = list(map(add, sig, sig_step))
@@ -333,22 +347,33 @@ def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]
             if [s < 0 for s in sig] != signs:
                 raise InvariantError("the line cut kept a point off the sign pattern")
             if 0 in pair:
-                continue  # mu + rho singular
+                # mu + rho singular; a pairing that is 0 here has opposite
+                # signs on either side, so the next witness starts a stretch
+                continue
             key = tuple([p < 0 for p in pair])
-            walk = walks.get(key)
-            if walk is None:
-                walk = walks[key] = _chamber(g, mu, sum(key))
-            length, w = walk
-            shifted = [x + 1 for x in mu]
-            mu_plus = tuple(sum(map(mul, row, shifted)) - 1 for row in w)
+            if key == held:
+                # same w as the previous point, and mu moved by gamma_0
+                mu_plus = tuple(map(add, mu_plus, w_step))
+            else:
+                walk = walks.get(key)
+                if walk is None:
+                    length, w = _chamber(g, mu, sum(key))
+                    w_step = tuple(sum(map(mul, row, mu_step)) for row in w)
+                    walk = walks[key] = (length, w, w_step)
+                length, w, w_step = walk
+                degree = length + len(J)
+                if not 0 <= degree <= X.dimension_N:
+                    raise InvariantError("degree outside [0, N]")
+                shifted = [x + 1 for x in mu]
+                mu_plus = tuple(sum(map(mul, row, shifted)) - 1 for row in w)
+                held = key
+            # only the right w makes w(mu + rho) strictly dominant, so this
+            # also certifies a stepped mu^+
             if min(mu_plus) < 0:
                 raise InvariantError("w(mu + rho) is not dominant")
             dimension, rem = divmod(abs(math.prod(pair)), g._weyl_den)
             if rem:
                 raise InvariantError("pairing product is not a Weyl dimension numerator")
-            degree = length + len(J)
-            if not 0 <= degree <= X.dimension_N:
-                raise InvariantError("degree outside [0, N]")
             out.append(Contribution(J, mu, length, mu_plus, degree, dimension))
     out.sort(key=lambda t: (t.degree, t.mu))
     return out
@@ -363,11 +388,13 @@ def tabulate(
     for t in conts:
         by_key.setdefault((t.degree, t.mu_plus), []).append(t)
     groups = []
-    for deg, items in itertools.groupby(sorted(by_key.items()), key=lambda kv: kv[0][0]):
+    for deg, keys in itertools.groupby(sorted(by_key), key=itemgetter(0)):
         constituents = []
-        for (_, hw), wits in items:
-            wits = tuple(sorted(wits, key=lambda t: (t.j_bitmask(), t.mu)))
-            constituents.append(Constituent(hw, len(wits), wits[0].dimension, wits))
+        for key in keys:
+            wits = by_key[key]
+            if len(wits) > 1:
+                wits.sort(key=lambda t: (t.j_bitmask(), t.mu))
+            constituents.append(Constituent(key[1], len(wits), wits[0].dimension, tuple(wits)))
         total = sum(c.multiplicity * c.dimension for c in constituents)
         groups.append(DegreeGroup(deg, tuple(constituents), total))
     return CohomologyTable(X.group.check_weight(lam), tuple(groups))

@@ -9,16 +9,20 @@ identical bytes.
 `json.dumps(table_to_dict(...), indent=2, separators=(",", ": "))` plus a
 newline.  Because the schema is fixed, it writes those bytes from
 pre-indented templates and calls `json.dumps` only for the variety name.
-With an indent, `json.dumps` runs CPython's pure-Python encoder, about
-four times slower than the templates on deep weights.
+Witness and constituent objects have one `str.format` template per shape,
+that is per array length (|J| and the length of mu, or the length of the
+highest weight), built once and cached, so each object is one `format`
+call.  With an indent, `json.dumps` runs CPython's pure-Python encoder,
+about four times slower than the templates on deep weights.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Sequence
 
-from .cohomology import CohomologyTable, Constituent, Contribution, DegreeGroup
+from .cohomology import CohomologyTable, Constituent, DegreeGroup
 from .varieties import WonderfulVariety
 
 
@@ -75,24 +79,42 @@ def _ints(values: Sequence[int], indent: str) -> str:
     return _items([f"{inner}{x}" for x in values], indent)
 
 
-def _witness_json(t: Contribution) -> str:
+@functools.cache
+def _witness_template(nj: int, nmu: int) -> str:
+    """str.format template of a witness object with nj entries in J and nmu
+    in mu; its fields are J, then mu, then the length."""
     return (
-        "            {\n"
-        f'              "J": {_ints(t.J, _WITNESS)},\n'
-        f'              "mu": {_ints(t.mu, _WITNESS)},\n'
-        f'              "length": {t.length}\n'
-        "            }"
+        "            {{\n"
+        f'              "J": {_ints(["{}"] * nj, _WITNESS)},\n'
+        f'              "mu": {_ints(["{}"] * nmu, _WITNESS)},\n'
+        '              "length": {}\n'
+        "            }}"
+    )
+
+
+@functools.cache
+def _constituent_template(nhw: int) -> str:
+    """str.format template of a constituent object with nhw entries in its
+    highest weight; its fields are the weight, the multiplicity and the
+    witness array."""
+    return (
+        "        {{\n"
+        f'          "highest_weight": {_ints(["{}"] * nhw, _CONSTITUENT)},\n'
+        '          "multiplicity": {},\n'
+        '          "witnesses": {}\n'
+        "        }}"
     )
 
 
 def _constituent_json(c: Constituent, with_witnesses: bool) -> str:
-    witnesses = [_witness_json(t) for t in c.witnesses] if with_witnesses else []
-    return (
-        "        {\n"
-        f'          "highest_weight": {_ints(c.highest_weight, _CONSTITUENT)},\n'
-        f'          "multiplicity": {c.multiplicity},\n'
-        f'          "witnesses": {_items(witnesses, _CONSTITUENT)}\n'
-        "        }"
+    witnesses = []
+    if with_witnesses:
+        witnesses = [
+            _witness_template(len(t.J), len(t.mu)).format(*t.J, *t.mu, t.length)
+            for t in c.witnesses
+        ]
+    return _constituent_template(len(c.highest_weight)).format(
+        *c.highest_weight, c.multiplicity, _items(witnesses, _CONSTITUENT)
     )
 
 

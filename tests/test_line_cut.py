@@ -122,6 +122,36 @@ def test_exact_division_endpoints(name, coords, zero_at):
     assert contributions(X, lam) == per_point_contributions(X, lam)
 
 
+def keys_along_runs(X, lam):
+    """Per run, the inversion key of each point, None where mu + rho is
+    singular."""
+    row = X._gamma_coroot_rows[0]
+    runs = []
+    for _, n, _, pair, _ in _sign_runs(X, lam, X.group.shifted_pairings(lam)):
+        points = ([p + step * y for p, y in zip(pair, row)] for step in range(n))
+        runs.append([None if 0 in p else tuple(x < 0 for x in p) for p in points])
+    return runs
+
+
+@pytest.mark.parametrize(
+    "name, coords",
+    [("group:A2", (-8, 4)), ("group:G2", (-8, 4)), ("group:A3", (-8, -7, 4))],
+)
+def test_singular_point_mid_run(name, coords):
+    # mu^+ is stepped by w(gamma_0) while the key holds; across a singular
+    # point the key changes, and stepping on would keep a stale w
+    X = build_case(name)
+    lam = X.weight_from_pic_coords(coords)
+    crossings = [
+        (keys[i - 1], keys[i + 1])
+        for keys in keys_along_runs(X, lam)
+        for i in range(1, len(keys) - 1)
+        if keys[i] is None and None not in (keys[i - 1], keys[i + 1])
+    ]
+    assert crossings and all(before != after for before, after in crossings)
+    assert contributions(X, lam) == per_point_contributions(X, lam)
+
+
 def widened(cut, side):
     """A line cut that keeps one point too many at the `side` end of every
     run (0: below, 1: above)."""

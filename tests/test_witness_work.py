@@ -6,6 +6,7 @@ writes the bytes of `json.dumps(table_to_dict(...), indent=2)` from
 templates.  Each is checked against the reference it replaces.
 """
 
+import itertools
 import json
 
 import pytest
@@ -14,7 +15,13 @@ from hypothesis import strategies as st
 
 from wondercoh import CATALOG_NAMES, build_case
 from wondercoh.cli import main
-from wondercoh.cohomology import cohomology_table, contributions, serre_dual_weight
+from wondercoh.cohomology import (
+    Contribution,
+    cohomology_table,
+    contributions,
+    serre_dual_weight,
+    tabulate,
+)
 from wondercoh.roots import InvariantError, RootSystem
 from wondercoh.serialize import table_to_dict, table_to_json
 
@@ -132,3 +139,26 @@ def test_indivisible_pair_product_raises(monkeypatch):
     monkeypatch.setattr(X.group, "_weyl_den", 2**61 - 1)
     with pytest.raises(InvariantError, match="Weyl dimension numerator"):
         contributions(X, X.weight_from_pic_coords((-4, 2)))
+
+
+def test_tabulate_orders_shared_witnesses_and_empty_J():
+    # no small catalog weight gives multiplicity > 1, so the contributions
+    # are built by hand: two share (degree, mu_plus) and one has J = ()
+    X = build_case("group:A2")
+    lam = X.weight_from_pic_coords((-6, 4))
+    hw, other = (1, 0, 0, 1), (0, 2, 0, 0)
+    first = Contribution((0,), (5, -9, -3, 1), 3, hw, 4, 9)  # j_bitmask 1
+    second = Contribution((1,), (-7, 2, 4, -8), 3, hw, 4, 9)  # j_bitmask 2
+    empty = Contribution((), (0, 2, -4, 0), 4, other, 4, 36)
+    for conts in itertools.permutations([second, empty, first]):
+        table = tabulate(X, lam, list(conts))
+        (group,) = table.groups
+        assert group.degree == 4 and group.dimension == 2 * 9 + 36
+        single, shared = group.constituents  # by highest weight
+        assert (shared.highest_weight, shared.multiplicity, shared.dimension) == (hw, 2, 9)
+        assert shared.witnesses == (first, second)  # by J bitmask before mu
+        assert (single.highest_weight, single.multiplicity, single.witnesses) == (other, 1, (empty,))
+    for with_witnesses in (True, False):
+        assert table_to_json(X, table, (-6, 4), with_witnesses) == reference_json(
+            X, table, (-6, 4), with_witnesses
+        )
