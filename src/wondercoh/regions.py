@@ -4,14 +4,27 @@ The drawing is plain SVG written by hand so output is byte-stable; the
 classification that matters for testing goes to a machine-readable
 sidecar, one line per lattice point: the grid coordinates followed by the
 subset J encoded as a bitmask.
+
+The Omega class of grid point n is the set of i with
+(base + sum_j n_j pic_j + rho, gamma_i) < 0.  Scaled by the common
+denominator D of the integer sign rows, these pairings are
+s + sum_j n_j P_j, with s = D (base + rho, gamma_.) and the integer step
+rows P_j = D (pic_j, gamma_.), both taken once per plot.  Along a grid
+line only the last coordinate moves, by the fixed row P_{r-1}, so each
+pairing is affine on the line and is negative on a prefix or a suffix of
+it; one exact floor division per pairing and line finds that interval,
+and no weight or pairing is computed per point.  The sidecar is one
+str.format template per rank, repeated once per point, and each SVG
+marker shape is one f-string applied to the pixel centres of its group.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional
 
-from .cohomology import _omega_signature, _require_pic
+from .cohomology import _gamma_pairings, _require_pic
 from .exactalg import translate
 from .roots import Weight
 from .varieties import WonderfulVariety
@@ -32,27 +45,37 @@ class RegionPlot:
     points: tuple[tuple[tuple[int, ...], int], ...]  # (grid coords, J bitmask)
 
     def sidecar(self) -> str:
-        lines = [
-            " ".join(str(c) for c in coords) + f" {mask}"
-            for coords, mask in self.points
-        ]
-        return "\n".join(lines) + "\n"
+        line = " ".join(["{}"] * (len(self.points[0][0]) + 1)) + "\n"
+        fields = itertools.chain.from_iterable([(*c, mask) for c, mask in self.points])
+        return (line * len(self.points)).format(*fields)
 
     def svg(self) -> str:
         return _render_svg(self)
 
 
-def _classify_point(
-    X: WonderfulVariety, kind: str, base: Weight, coords: Sequence[int]
-) -> int:
-    """J bitmask of one grid point; an Omega base must already be in pic(X)."""
-    if kind == "Omega":
-        mu = translate(base, coords, X.pic_basis)
-        return sum(1 << i for i in _omega_signature(X, mu))
-    if kind == "R":
-        # J is read off the coefficient sign pattern: strictly positive on J
-        return sum(1 << i for i, n in enumerate(coords) if n >= 1)
-    raise ValueError(f"unknown region kind {kind!r}")
+def _negative_run(x: int, d: int, n: int) -> range:
+    """The t in [0, n) with x + t d < 0."""
+    if d > 0:
+        return range(min(n, -(x // d)))  # t < -x / d
+    if d < 0:
+        return range(max(0, x // -d + 1), n)  # t > x / -d
+    return range(n if x < 0 else 0)
+
+
+def _omega_masks(X: WonderfulVariety, base: Weight, axis: range) -> Iterator[int]:
+    """J bitmasks of the grid points base + sum n_j pic_j, n in axis^r, in
+    itertools.product order; base must already be in pic(X)."""
+    # the pairings move by steps[j] per unit of n_j
+    steps = X._pic_pairings()
+    s = _gamma_pairings(X, base)
+    n = len(axis)
+    for outer in itertools.product(axis, repeat=X.rank - 1):
+        masks = [0] * n
+        start = translate(s, (*outer, axis[0]), steps)
+        for i, (x, d) in enumerate(zip(start, steps[-1])):
+            for t in _negative_run(x, d, n):
+                masks[t] |= 1 << i
+        yield from masks
 
 
 def region_plot(
@@ -72,20 +95,37 @@ def region_plot(
         raise ValueError("region plots are drawn for rank 1 and 2 only")
     if n_min > n_max:
         raise ValueError("empty range")
-    if base is None:
-        base = X.lambda_zero() if kind == "Omega" else (0,) * X.group.rank
+    if kind not in ("Omega", "R"):
+        raise ValueError(f"unknown region kind {kind!r}")
+    axis = range(n_min, n_max + 1)
+    grid = itertools.product(axis, repeat=X.rank)
     if kind == "Omega":
         # every grid point base + sum n_i pic_i is in pic(X) once base is
-        base = _require_pic(X, base)
-    axis = range(n_min, n_max + 1)
-    points = []
-    if X.rank == 1:
-        grid = [(n,) for n in axis]
+        base = _require_pic(X, X.lambda_zero() if base is None else base)
+        points = zip(grid, _omega_masks(X, base, axis))
     else:
-        grid = [(a, b) for a in axis for b in axis]
-    for coords in grid:
-        points.append((coords, _classify_point(X, kind, base, coords)))
+        if base is None:
+            base = (0,) * X.group.rank
+        # J is read off the coefficient sign pattern: strictly positive on J
+        points = ((c, sum(1 << i for i, n in enumerate(c) if n >= 1)) for c in grid)
     return RegionPlot(X.name, kind, tuple(base), (n_min, n_max), tuple(points))
+
+
+def _markers(shape: str, centres: list[tuple[int, int]]) -> list[str]:
+    """One SVG element of the given marker shape per pixel centre."""
+    if shape == "dot":
+        return [f'<circle cx="{x}" cy="{y}" r="4" fill="black"/>' for x, y in centres]
+    if shape == "circle":
+        return [
+            f'<circle cx="{x}" cy="{y}" r="4" fill="none" stroke="black"/>'
+            for x, y in centres
+        ]
+    if shape == "plus":
+        return [
+            f'<path d="M {x - 4} {y} H {x + 4} M {x} {y - 4} V {y + 4}" stroke="black"/>'
+            for x, y in centres
+        ]
+    return [f'<circle cx="{x}" cy="{y}" r="1.5" fill="black"/>' for x, y in centres]  # tick
 
 
 def _render_svg(plot: RegionPlot) -> str:
@@ -98,15 +138,13 @@ def _render_svg(plot: RegionPlot) -> str:
     height = size if rank == 2 else 2 * pad
     markers = _MARKERS_RANK2 if rank == 2 else _MARKERS_RANK1
 
-    def xy(coords):
-        x = pad + (coords[0] - n_min) * cell
-        if rank == 1:
-            return x, pad
-        return x, pad + (n_max - coords[1]) * cell
-
+    # pixel centres: x = pad + (n_0 - n_min) cell, and y = pad + (n_max - n_1) cell
+    # in rank 2 or y = pad in rank 1
+    x0 = pad - n_min * cell
+    y0, dy = (pad + n_max * cell, cell) if rank == 2 else (pad, 0)
     by_mask: dict[int, list] = {}
     for coords, mask in plot.points:
-        by_mask.setdefault(mask, []).append(xy(coords))
+        by_mask.setdefault(mask, []).append((x0 + coords[0] * cell, y0 - coords[-1] * dy))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {height}">',
@@ -116,19 +154,7 @@ def _render_svg(plot: RegionPlot) -> str:
     for mask in sorted(by_mask):
         shape = markers.get(mask, "dot")
         parts.append(f'<g id="J-{mask}" class="{shape}">')
-        for x, y in by_mask[mask]:
-            if shape == "dot":
-                parts.append(f'<circle cx="{x}" cy="{y}" r="4" fill="black"/>')
-            elif shape == "circle":
-                parts.append(
-                    f'<circle cx="{x}" cy="{y}" r="4" fill="none" stroke="black"/>'
-                )
-            elif shape == "plus":
-                parts.append(
-                    f'<path d="M {x - 4} {y} H {x + 4} M {x} {y - 4} V {y + 4}" stroke="black"/>'
-                )
-            else:  # tick
-                parts.append(f'<circle cx="{x}" cy="{y}" r="1.5" fill="black"/>')
+        parts += _markers(shape, by_mask[mask])
         parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -28,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .exactalg import (
@@ -221,6 +222,11 @@ class WonderfulVariety:
         den = self._sigma_left_inv[1]
         return None if n is None else tuple(Fraction(x, den) for x in n)
 
+    def _pic_pairings(self) -> list[list[int]]:
+        """D (pic_j, gamma_i) in row j, column i, D = self._gamma_den: exact,
+        sign-true ints."""
+        return [[sum(map(mul, row, w)) for row in self._gamma_sign_rows] for w in self.pic_basis]
+
     # -- distinguished weights --------------------------------------------
 
     def lambda_zero(self) -> Weight:
@@ -233,12 +239,10 @@ class WonderfulVariety:
             raise CatalogError(f"{self.name}: lambda_zero needs rank 1 or 2")
         if len(self.pic_basis) != self.rank:
             raise CatalogError(f"{self.name}: pic basis rank differs from variety rank")
-        g = self.group
-        rho = g.rho()
+        # pairings scaled by D > 0: the same signs and the same ratios
         coeffs = []
-        for i, (w, gam) in enumerate(zip(self.pic_basis, self.spherical_roots)):
-            for j, other in enumerate(self.spherical_roots):
-                pairing = g.inner_product(w, other)
+        for i, pairings in enumerate(self._pic_pairings()):
+            for j, pairing in enumerate(pairings):
                 if i != j and pairing != 0:
                     raise CatalogError(
                         f"{self.name}: pic/spherical pairing matrix is not diagonal"
@@ -247,12 +251,14 @@ class WonderfulVariety:
                     raise CatalogError(
                         f"{self.name}: (pic_i, gamma_i) must be positive"
                     )
-            ratio = g.inner_product(rho, gam) / g.inner_product(w, gam)
-            if ratio.denominator != 1:
+            rho_pairing = sum(self._gamma_sign_rows[i])  # rho = (1, ..., 1)
+            ratio, rem = divmod(rho_pairing, pairings[i])
+            if rem:
                 raise CatalogError(
-                    f"{self.name}: lambda_zero coefficient {ratio} is not integral"
+                    f"{self.name}: lambda_zero coefficient "
+                    f"{Fraction(rho_pairing, pairings[i])} is not integral"
                 )
-            coeffs.append(-(int(ratio) + 1))
+            coeffs.append(-(ratio + 1))
         return tuple(coeffs)
 
     def serre_twist(self) -> Weight:

@@ -1,13 +1,21 @@
 """Region classification and figure emission."""
 
+import functools
+import itertools
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wondercoh import build_case
+from wondercoh import WonderfulVariety, build_case
 from wondercoh.regions import region_plot
 
+from test_exact_forms import count_fractions
+from test_helpers import NAMES, draw_weight, inline_translate
+
 FIGURE_CASES = ["PSO/PSO(3)", "SO7/G2", "group:A2", "PGL/PSp(3)", "E6/F4"]
+PLOTTED = [name for name in NAMES if build_case(name).rank in (1, 2)]
 
 
 def test_omega_classification_rule():
@@ -101,3 +109,82 @@ def test_demo_figures_are_golden(name, kind):
     for text, suffix in ((plot.svg(), ".svg"), (plot.sidecar(), ".cls")):
         with open(stem + suffix, "rb") as fh:
             assert fh.read() == text.encode(), stem + suffix
+
+
+def reference_omega_mask(X, mu):
+    """J bitmask of mu from the Fraction pairings (mu + rho, gamma_i) < 0."""
+    shifted = [x + 1 for x in mu]
+    return sum(
+        1 << i
+        for i, gam in enumerate(X.spherical_roots)
+        if X.group.inner_product(shifted, gam) < 0
+    )
+
+
+def check_grid(X, n_min, n_max, base):
+    """Both kinds of plot on [n_min, n_max]^r against their rules."""
+    grid = list(itertools.product(range(n_min, n_max + 1), repeat=X.rank))
+    omega = region_plot(X, "Omega", n_min, n_max, base)
+    start = X.lambda_zero() if base is None else base
+    expected = [(c, reference_omega_mask(X, inline_translate(start, c, X.pic_basis))) for c in grid]
+    assert list(omega.points) == expected
+    r = region_plot(X, "R", n_min, n_max, base)
+    assert list(r.points) == [(c, sum(1 << i for i, n in enumerate(c) if n >= 1)) for c in grid]
+    for plot in (omega, r):
+        text = plot.sidecar()
+        assert text.endswith("\n")
+        lines = text.splitlines()
+        assert len(lines) == len(grid)
+        assert lines == [" ".join(map(str, (*c, mask))) for c, mask in plot.points]
+
+
+@functools.cache
+def sheared(name):
+    """`name` with pic basis (-p_0) in rank 1 or (p_0, p_1 - p_0) in rank 2,
+    unvalidated: the same lattice, but (pic_{r-1}, gamma_0) < 0, so the
+    pairings fall along each grid line."""
+    X = build_case(name)
+    pic = [tuple(-x for x in X.pic_basis[0])]
+    if X.rank == 2:
+        pic = [X.pic_basis[0], tuple(a - b for a, b in zip(X.pic_basis[1], X.pic_basis[0]))]
+    return WonderfulVariety(f"{name} sheared", X.group, X.spherical_roots, pic, X.q_simple_roots)
+
+
+@pytest.mark.parametrize("name", PLOTTED)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_grid_classes_equal_fraction_pairings(name, data):
+    n_min = data.draw(st.integers(-10, 4), label="n_min")
+    n_max = n_min + data.draw(st.integers(0, 5), label="width")
+    shear = data.draw(st.booleans(), label="sheared")
+    X = sheared(name) if shear else build_case(name)
+    base = None
+    # a sheared basis has no lambda_0: its pairing matrix is not diagonal
+    if shear or data.draw(st.booleans(), label="own base"):
+        _, base = draw_weight(data, X, -6, 6)
+    check_grid(X, n_min, n_max, base)
+
+
+@pytest.mark.parametrize("name", PLOTTED)
+def test_single_point_grids(name):
+    X = build_case(name)
+    for n in (-9, 0, 3):
+        check_grid(X, n, n, None)
+        check_grid(X, n, n, X.weight_from_pic_coords((2,) * len(X.pic_basis)))
+
+
+def test_unknown_kind_is_refused():
+    X = build_case("group:A2")
+    for base in (None, X.lambda_zero()):
+        with pytest.raises(ValueError, match="unknown region kind 'omega'"):
+            region_plot(X, "omega", -1, 1, base)
+
+
+@pytest.mark.parametrize("name", ["group:A1", "PSO/PSO(3)", "group:A2", "E6/F4"])
+def test_default_omega_plot_builds_no_fraction(monkeypatch, name):
+    X = build_case(name)
+    made = count_fractions(monkeypatch)
+    plot = region_plot(X, "Omega", -8, 8)
+    plot.svg()
+    plot.sidecar()
+    assert made == []

@@ -84,6 +84,41 @@ def test_lambda_zero_fixtures():
     assert build_case("E6/F4").lambda_zero_coords() == (-5, -5)
 
 
+def rebased(name, pic):
+    """`name` with another pic basis, unvalidated."""
+    X = build_case(name)
+    return WonderfulVariety(f"{name}'", X.group, X.spherical_roots, pic, X.q_simple_roots)
+
+
+def test_lambda_zero_refuses_non_diagonal_pairing():
+    p0, p1 = build_case("group:A2").pic_basis
+    # (p0 + p1, gamma_1) = (p1, gamma_1) > 0
+    X = rebased("group:A2", [tuple(a + b for a, b in zip(p0, p1)), p1])
+    with pytest.raises(CatalogError, match="pairing matrix is not diagonal"):
+        X.lambda_zero_coords()
+
+
+@pytest.mark.parametrize("name", ["PSO/PSO(2)", "E6/F4"])
+def test_lambda_zero_refuses_non_positive_pairing(name):
+    pic = build_case(name).pic_basis
+    X = rebased(name, [tuple(-x for x in pic[0]), *pic[1:]])
+    with pytest.raises(CatalogError, match=r"\(pic_i, gamma_i\) must be positive"):
+        X.lambda_zero_coords()
+
+
+@pytest.mark.parametrize(
+    "name, index, scale, ratio",
+    [("SO7/G2", 0, 2, "3/2"), ("group:A2", 1, 2, "1/2"), ("E6/F4", 0, 3, "4/3")],
+)
+def test_lambda_zero_refuses_fractional_coefficient(name, index, scale, ratio):
+    # scaling pic_i divides (rho, gamma_i) / (pic_i, gamma_i) by the same factor
+    pic = list(build_case(name).pic_basis)
+    pic[index] = tuple(scale * x for x in pic[index])
+    X = rebased(name, pic)
+    with pytest.raises(CatalogError, match=f"lambda_zero coefficient {ratio} is not integral"):
+        X.lambda_zero_coords()
+
+
 def test_e6_f4_data():
     X = build_case("E6/F4")
     assert X.rank == 2
