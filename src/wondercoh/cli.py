@@ -1,9 +1,12 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 usage error (unknown variety, malformed
-coordinates, a scan box whose weights exceed the vanishing check's
-candidate cap), 3 internal validation failure (a descriptor or a
-paper-derived invariant did not hold).
+`scan` evaluates each weight of its box once and feeds that evaluation
+to every selected check; with the vanishing check, a weight is first
+refused if its candidates, counted from the ball's lines and not listed,
+exceed the cap.  Exit codes: 0 success, 2 usage error (unknown variety,
+malformed coordinates, a scan weight over that cap), 3 internal
+validation failure (a descriptor or a paper-derived invariant did not
+hold).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import degrees as degrees_mod
 from . import oracles
-from .cohomology import cohomology_table
+from .cohomology import cohomology_table, contributions, tabulate
 from .regions import region_plot
 from .roots import InvariantError
 from .serialize import table_to_csv, table_to_json, table_to_text
@@ -111,60 +114,38 @@ def cmd_cohomology(args) -> int:
     return 0
 
 
-def _check_vanishing(X, box) -> tuple[bool, str]:
-    rule = degrees_mod.rule_for(X)
-    if rule is None:
-        raise CliError(f"{X.name} carries no degree rule for the vanishing check")
-    realized = oracles.vanishing_profile(X, box)
-    allowed = rule.allowed()
-    ok = realized <= allowed
-    return ok, f"realized degrees {sorted(realized)}, allowed {sorted(allowed)}"
+def _serre_failure(X, rule, coords, lam, conts, table) -> Optional[str]:
+    res = oracles._serre_check(X, lam, conts, table)
+    return None if res else f"lambda={list(coords)}: {res.detail}"
 
 
-def _check_serre(X, box) -> tuple[bool, str]:
-    for coords, lam in pic_box(X, box):
-        res = oracles.serre_involution_check(X, lam)
-        if not res:
-            return False, f"lambda={list(coords)}: {res.detail}"
-    return True, "witness bijection and dimension pairing hold on the box"
+def _h0_failure(X, rule, coords, lam, conts, table) -> Optional[str]:
+    got = sorted(c.highest_weight for c in table.constituents(0))
+    expected = oracles.brion_h0(X, lam)
+    if got != expected:
+        return f"lambda={list(coords)}: H^0 is {got}, oracle says {expected}"
+    if any(c.multiplicity != 1 for c in table.constituents(0)):
+        return f"lambda={list(coords)}: H^0 multiplicity above 1"
+    if X.group.is_dominant(lam) and any(d > 0 for d in table.nonzero_degrees()):
+        return f"lambda={list(coords)}: dominant weight with higher cohomology"
 
 
-def _check_h0(X, box) -> tuple[bool, str]:
-    for coords, lam in pic_box(X, box):
-        table = cohomology_table(X, lam)
-        got = sorted(c.highest_weight for c in table.constituents(0))
-        expected = oracles.brion_h0(X, lam)
-        if got != expected:
-            return False, f"lambda={list(coords)}: H^0 is {got}, oracle says {expected}"
-        if any(c.multiplicity != 1 for c in table.constituents(0)):
-            return False, f"lambda={list(coords)}: H^0 multiplicity above 1"
-        if X.group.is_dominant(lam) and any(d > 0 for d in table.nonzero_degrees()):
-            return False, f"lambda={list(coords)}: dominant weight with higher cohomology"
-    return True, "degree zero matches the independent scan on the box"
+def _divisibility_failure(X, rule, coords, lam, conts, table) -> Optional[str]:
+    ok, detail = degrees_mod._check_lengths(lam, conts, rule)
+    if ok:
+        ok, detail = degrees_mod.check_table_against_rule(table, rule)
+        detail = f"lambda={list(coords)}: {detail}"
+    return None if ok else detail
 
 
-def _check_divisibility(X, box) -> tuple[bool, str]:
-    rule = degrees_mod.rule_for(X)
-    if rule is None:
-        raise CliError(f"{X.name} carries no divisibility rule")
-    for coords, lam in pic_box(X, box):
-        ok, detail = degrees_mod.check_lengths(X, lam, rule)
-        if not ok:
-            return False, detail
-        ok, detail = degrees_mod.check_table_against_rule(
-            cohomology_table(X, lam), rule
-        )
-        if not ok:
-            return False, f"lambda={list(coords)}: {detail}"
-    return True, f"all witness lengths divisible by {rule.modulus}"
-
-
+#: per-weight checks, each with its detail for a box that passes; a check
+#: returns its failure detail or None and stops after its first failure
 _CHECKS = {
-    "vanishing": _check_vanishing,
-    "serre": _check_serre,
-    "h0": _check_h0,
-    "divisibility": _check_divisibility,
+    "serre": (_serre_failure, "witness bijection and dimension pairing hold on the box"),
+    "h0": (_h0_failure, "degree zero matches the independent scan on the box"),
+    "divisibility": (_divisibility_failure, "all witness lengths divisible by {rule.modulus}"),
 }
+_NO_RULE = {"vanishing": "degree rule for the vanishing check", "divisibility": "divisibility rule"}
 
 
 def cmd_scan(args) -> int:
@@ -172,18 +153,39 @@ def cmd_scan(args) -> int:
     if args.box < 0:
         raise CliError("box must be >= 0")
     names = [c.strip() for c in args.checks.split(",") if c.strip()]
-    unknown = [c for c in names if c not in _CHECKS]
+    unknown = [c for c in names if c != "vanishing" and c not in _CHECKS]
     if unknown:
         raise CliError(f"unknown checks: {', '.join(unknown)}")
+    rule = degrees_mod.rule_for(X)
+    needs = [_NO_RULE[c] for c in names if c in _NO_RULE]
+    if rule is None and needs:
+        raise CliError(f"{X.name} carries no {needs[0]}")
+    # (passed, detail) per check, in the order given; vanishing is decided last
+    checks = {c: (True, _CHECKS[c][1].format(rule=rule)) if c in _CHECKS else None for c in names}
+    realized: set[int] = set()
+    for coords, lam in pic_box(X, args.box):
+        running = [c for c, res in checks.items() if c in _CHECKS and res[0]]
+        if "vanishing" in checks:  # refuse an over-cap weight before any work on it
+            oracles.capped_candidate_count(X, coords, lam)
+        elif not running:
+            break
+        conts = contributions(X, lam)
+        table = tabulate(X, lam, conts)
+        realized.update(table.nonzero_degrees())
+        for name in running:
+            detail = _CHECKS[name][0](X, rule, coords, lam, conts, table)
+            if detail is not None:
+                checks[name] = (False, detail)
+    if "vanishing" in checks:
+        allowed = rule.allowed()
+        detail = f"realized degrees {sorted(realized)}, allowed {sorted(allowed)}"
+        checks["vanishing"] = (realized <= allowed, detail)
     report = {"variety": X.name, "box": args.box, "checks": {}}
-    all_ok = True
-    for name in names:
-        ok, detail = _CHECKS[name](X, args.box)
+    for name, (ok, detail) in checks.items():
         report["checks"][name] = {"passed": ok, "detail": detail}
-        all_ok = all_ok and ok
-    report["passed"] = all_ok
+    report["passed"] = all(ok for ok, _ in checks.values())
     _emit(json.dumps(report, indent=2) + "\n", args.out)
-    return 0 if all_ok else VALIDATION_ERROR
+    return 0 if report["passed"] else VALIDATION_ERROR
 
 
 def cmd_region_plot(args) -> int:

@@ -136,13 +136,9 @@ def _gamma_pairings(X: WonderfulVariety, mu: Weight) -> list[int]:
     return [sum(map(mul, row, shifted)) for row in X._gamma_sign_rows]
 
 
-def _omega_signature(X: WonderfulVariety, mu: Weight) -> tuple[int, ...]:
-    return tuple(i for i, s in enumerate(_gamma_pairings(X, mu)) if s < 0)
-
-
 def omega_signature(X: WonderfulVariety, mu: Sequence[int]) -> tuple[int, ...]:
     """Indices i with (mu + rho, gamma_i) < 0; zero pairings stay out."""
-    return _omega_signature(X, _require_pic(X, mu))
+    return tuple(i for i, s in enumerate(_gamma_pairings(X, _require_pic(X, mu))) if s < 0)
 
 
 def in_translated_R(

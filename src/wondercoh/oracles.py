@@ -20,15 +20,15 @@ from .cohomology import (
     Constituent,
     Contribution,
     DegreeGroup,
+    _ball_lines,
     _require_pic,
     cohomology_table,
     contributions,
-    enumerate_candidates,
     serre_dual_weight,
     serre_partner,
     tabulate,
 )
-from .exactalg import frac_isqrt_floor
+from .exactalg import frac_isqrt_floor, translate
 from .roots import RootSystem, Weight
 from .varieties import WonderfulVariety, pic_box
 
@@ -99,29 +99,34 @@ def brion_h0(X: WonderfulVariety, lam: Sequence[int]) -> list[Weight]:
         frac_isqrt_floor(4 * lam_norm * X.sigma_gram_inv[i][i]) for i in range(r)
     ]
     found = []
-    for d in itertools.product(*(range(b + 1) for b in bounds)):
-        mu = list(lam)
-        for di, gam in zip(d, X.spherical_roots):
-            for k, x in enumerate(gam):
-                mu[k] -= di * x
+    for minus_d in itertools.product(*(range(0, -b - 1, -1) for b in bounds)):
+        mu = translate(lam, minus_d, X.spherical_roots)
         if all(x >= 0 for x in mu):
-            found.append(tuple(mu))
+            found.append(mu)
     return sorted(found)
+
+
+def capped_candidate_count(X: WonderfulVariety, coords, lam, cap: int = 200_000) -> int:
+    """How many weights `enumerate_candidates(X, lam)` lists, counted from
+    the lines of its ball without listing them; raises OracleBudgetError
+    when the count exceeds `cap` (lam has pic coordinates `coords`)."""
+    n = sum(hi - lo + 1 for _, lo, hi in _ball_lines(X, lam, 2)) if X.rank else 1
+    if n > cap:
+        raise OracleBudgetError(
+            f"{X.name}, lambda={list(coords)}: {n} candidates exceed the cap {cap}"
+        )
+    return n
 
 
 def vanishing_profile(
     X: WonderfulVariety, box: int, candidate_cap: int = 200_000
 ) -> set[int]:
     """Union of nonzero cohomology degrees over all pic weights with
-    coordinates in [-box, box]."""
+    coordinates in [-box, box].  Each weight's candidates are counted, not
+    listed, and one over `candidate_cap` raises before it is evaluated."""
     degrees: set[int] = set()
     for coords, lam in pic_box(X, box):
-        n_candidates = len(enumerate_candidates(X, lam))
-        if n_candidates > candidate_cap:
-            raise OracleBudgetError(
-                f"{X.name}, lambda={list(coords)}: {n_candidates} candidates "
-                f"exceed the cap {candidate_cap}"
-            )
+        capped_candidate_count(X, coords, lam, candidate_cap)
         degrees.update(cohomology_table(X, lam).nonzero_degrees())
     return degrees
 
@@ -138,9 +143,12 @@ class SerreCheck:
 def serre_involution_check(X: WonderfulVariety, lam: Sequence[int]) -> SerreCheck:
     """Verify the witness bijection (J, mu) -> (J*, mu*) between lam and its
     Serre dual, including degree complementarity and dimension equality."""
-    lam = X.group.check_weight(lam)
-    dual = serre_dual_weight(X, lam)
     left = contributions(X, lam)
+    return _serre_check(X, lam, left, tabulate(X, lam, left))
+
+
+def _serre_check(X: WonderfulVariety, lam, left, table: CohomologyTable) -> SerreCheck:
+    dual = serre_dual_weight(X, lam)
     right = contributions(X, dual)
     n = X.dimension_N
     index = {(t.J, t.mu): t for t in right}
@@ -149,20 +157,14 @@ def serre_involution_check(X: WonderfulVariety, lam: Sequence[int]) -> SerreChec
     if len(left) != len(right):
         return SerreCheck(False, f"{len(left)} witnesses vs {len(right)} dual ones")
     for t in left:
-        jstar, mustar = serre_partner(X, t)
-        partner = index.get((jstar, mustar))
+        partner = index.get(serre_partner(X, t))
         if partner is None:
-            return SerreCheck(
-                False, f"witness (J={t.J}, mu={list(t.mu)}) has no dual partner"
-            )
+            return SerreCheck(False, f"witness (J={t.J}, mu={list(t.mu)}) has no dual partner")
         if partner.degree != n - t.degree:
-            return SerreCheck(
-                False,
-                f"degree {t.degree} pairs with {partner.degree}, expected {n - t.degree}",
-            )
-    dims = tabulate(X, lam, left).dimensions_by_degree()
+            detail = f"degree {t.degree} pairs with {partner.degree}, expected {n - t.degree}"
+            return SerreCheck(False, detail)
     dual_dims = tabulate(X, dual, right).dimensions_by_degree()
-    for d, value in dims.items():
+    for d, value in table.dimensions_by_degree().items():
         if dual_dims.get(n - d, 0) != value:
             return SerreCheck(False, f"dim H^{d} = {value} but dual H^{n - d} differs")
     return SerreCheck(True)
@@ -249,11 +251,7 @@ def naive_contribution_scan(
     r = X.rank
     out = []
     for c in itertools.product(range(-box, box + 1), repeat=r):
-        mu = list(lam)
-        for ci, gam in zip(c, X.spherical_roots):
-            for k, x in enumerate(gam):
-                mu[k] += ci * x
-        mu = tuple(mu)
+        mu = translate(lam, c, X.spherical_roots)
         if not g.is_regular_shifted(mu):
             continue
         shifted = [x + 1 for x in mu]

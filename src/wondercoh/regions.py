@@ -100,8 +100,8 @@ def region_plot(
     axis = range(n_min, n_max + 1)
     grid = itertools.product(axis, repeat=X.rank)
     if kind == "Omega":
-        # every grid point base + sum n_i pic_i is in pic(X) once base is
-        base = _require_pic(X, X.lambda_zero() if base is None else base)
+        # the grid stays in pic(X) once base is, as lambda_0 is by construction
+        base = X.lambda_zero() if base is None else _require_pic(X, base)
         points = zip(grid, _omega_masks(X, base, axis))
     else:
         if base is None:

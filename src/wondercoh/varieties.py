@@ -230,9 +230,9 @@ class WonderfulVariety:
     # -- distinguished weights --------------------------------------------
 
     def lambda_zero(self) -> Weight:
-        """Base point of the paper-style region figures (rank 1 and 2 only)."""
-        coeffs = self.lambda_zero_coords()
-        return self.weight_from_pic_coords(coeffs)
+        """Base point of the paper-style region figures (rank 1 and 2 only):
+        integer pic coordinates, so always in pic(X)."""
+        return self.weight_from_pic_coords(self.lambda_zero_coords())
 
     def lambda_zero_coords(self) -> tuple[int, ...]:
         if self.rank not in (1, 2):

@@ -258,21 +258,17 @@ def test_invariant_fires_under_optimize():
     assert "length mismatch" in proc.stderr
 
 
-def test_scan_over_budget_exits_2(capsys, monkeypatch):
-    from wondercoh import oracles
-
-    def over_budget(X, box):
-        raise oracles.OracleBudgetError(
-            f"{X.name}: 571352 candidates exceed the cap 200000"
-        )
-
-    monkeypatch.setattr(oracles, "vanishing_profile", over_budget)
+def test_scan_over_budget_exits_2(capsys):
+    # the real cap: the first box weight already has 571352 candidates
     code, out, err = run(
         capsys, "scan", "group:A3", "--box", "30", "--checks", "vanishing"
     )
     assert code == 2
     assert out == ""
-    assert err == "error: group:A3: 571352 candidates exceed the cap 200000\n"
+    assert err == (
+        "error: group:A3, lambda=[-30, -30, -30]: "
+        "571352 candidates exceed the cap 200000\n"
+    )
 
 
 def test_bad_serre_twist_exits_3(capsys, monkeypatch):

@@ -97,10 +97,14 @@ def test_cohomology_table_checks_membership_once(monkeypatch):
 
 @pytest.mark.parametrize("name", ["PSO/PSO(3)", "E6/F4"])
 def test_region_plot_checks_membership_once(monkeypatch, name):
+    # lambda_0 is built from integer pic coordinates, so only a given base
+    # is checked
     X = build_case(name)
     calls = count_calls(monkeypatch, [WonderfulVariety], "pic_contains")
     plot = region_plot(X, "Omega", -8, 8)
     assert len(plot.points) == 17**X.rank
+    assert len(calls) == 0
+    assert region_plot(X, "Omega", -8, 8, base=X.lambda_zero()) == plot
     assert len(calls) == 1
 
 

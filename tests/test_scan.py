@@ -1,0 +1,181 @@
+"""`wondercoh scan`: its reports pinned byte for byte, the evaluations it
+makes per box weight, and the candidate count behind the vanishing cap."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wondercoh import build_case, cli, cohomology, degrees, oracles
+from wondercoh.varieties import pic_box
+from test_helpers import NAMES, count_calls, draw_weight
+
+ALL = "vanishing,serre,h0,divisibility"
+SERRE = ("serre", True, "witness bijection and dimension pairing hold on the box")
+H0 = ("h0", True, "degree zero matches the independent scan on the box")
+
+
+def lengths(modulus):
+    return ("divisibility", True, f"all witness lengths divisible by {modulus}")
+
+
+def vanishing(passed, realized, allowed):
+    return ("vanishing", passed, f"realized degrees {realized}, allowed {allowed}")
+
+
+def report(variety, box, *checks):
+    """The stdout of a scan whose checks end as (name, passed, detail)."""
+    doc = {
+        "variety": variety,
+        "box": box,
+        "checks": {name: {"passed": ok, "detail": detail} for name, ok, detail in checks},
+        "passed": all(ok for _, ok, _ in checks),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+GROUP_A2_BOX_3 = """\
+{
+  "variety": "group:A2",
+  "box": 3,
+  "checks": {
+    "vanishing": {
+      "passed": true,
+      "detail": "realized degrees [0, 8], allowed [0, 3, 5, 8]"
+    },
+    "serre": {
+      "passed": true,
+      "detail": "witness bijection and dimension pairing hold on the box"
+    },
+    "h0": {
+      "passed": true,
+      "detail": "degree zero matches the independent scan on the box"
+    },
+    "divisibility": {
+      "passed": true,
+      "detail": "all witness lengths divisible by 2"
+    }
+  },
+  "passed": true
+}
+"""
+
+# (variety, box, checks, exit code, stdout, stderr), recorded from the
+# per-check scan that evaluated every weight once per check
+CASES = [
+    ("group:A2", 3, ALL, 0, GROUP_A2_BOX_3, ""),
+    ("PGL/PSp(3)", 2, ALL, 0, report(
+        "PGL/PSp(3)", 2, vanishing(True, [0], [0, 5, 9, 14]), SERRE, H0, lengths(4)
+    ), ""),
+    ("E6/F4", 3, ALL, 0, report(
+        "E6/F4", 3, vanishing(True, [0], [0, 9, 17, 26]), SERRE, H0, lengths(8)
+    ), ""),
+    ("Q(2)", 5, "h0,serre", 0, report("Q(2)", 5, H0, SERRE), ""),
+    ("group:A1", 6, "divisibility,vanishing", 0, report(
+        "group:A1", 6, lengths(2), vanishing(True, [0, 3], [0, 3])
+    ), ""),
+    ("flag:A2", 1, "serre,h0", 0, report("flag:A2", 1, SERRE, H0), ""),
+    ("group:A1", 1, "h0,,serre,h0", 0, report("group:A1", 1, H0, SERRE), ""),
+    ("flag:A2", 1, "serre,vanishing", 2, "",
+     "error: flag:A2 carries no degree rule for the vanishing check\n"),
+    ("flag:A2", 1, "h0,divisibility,vanishing", 2, "",
+     "error: flag:A2 carries no divisibility rule\n"),
+]
+
+
+def scan(capsys, variety, box, checks):
+    code = cli.main(["scan", variety, "--box", str(box), "--checks", checks])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize(
+    "variety, box, checks, code, out, err", CASES, ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in CASES]
+)
+def test_scan_report_bytes(capsys, variety, box, checks, code, out, err):
+    assert scan(capsys, variety, box, checks) == (code, out, err)
+
+
+def test_report_helper_writes_the_literal_bytes():
+    assert report(
+        "group:A2", 3, vanishing(True, [0, 8], [0, 3, 5, 8]), SERRE, H0, lengths(2)
+    ) == GROUP_A2_BOX_3
+
+
+def test_failing_degree_rule_report_bytes(capsys, monkeypatch):
+    # a smaller allowed set fails vanishing over the box and divisibility at
+    # its first weight with cohomology in degree 8 (group:A2) or 3 (group:A1)
+    monkeypatch.setattr(degrees.DivisibilityRule, "allowed", lambda self: frozenset({0}))
+    assert scan(capsys, "group:A2", 3, ALL) == (3, report(
+        "group:A2", 3, vanishing(False, [0, 8], [0]), SERRE, H0,
+        ("divisibility", False,
+         "lambda=[-3, -3]: degree 8 carries cohomology but the group:A2 rule allows only [0]"),
+    ), "")
+    assert scan(capsys, "group:A1", 6, "divisibility,vanishing") == (3, report(
+        "group:A1", 6,
+        ("divisibility", False,
+         "lambda=[-6]: degree 3 carries cohomology but the group:A1 rule allows only [0]"),
+        vanishing(False, [0, 3], [0]),
+    ), "")
+
+
+def test_failing_h0_report_bytes(capsys, monkeypatch):
+    monkeypatch.setattr(oracles, "brion_h0", lambda X, lam: [tuple(lam)])
+    assert scan(capsys, "group:A2", 2, ALL) == (3, report(
+        "group:A2", 2, vanishing(True, [0], [0, 3, 5, 8]), SERRE,
+        ("h0", False, "lambda=[-2, -2]: H^0 is [], oracle says [(-2, -2, -2, -2)]"),
+        lengths(2),
+    ), "")
+
+
+def test_failing_length_report_bytes(capsys, monkeypatch):
+    # modulus 4 on group:A2: the length 6 witness fails, and the detail names
+    # the weight itself, not its pic coordinates
+    def rule_for(X):
+        return degrees.DivisibilityRule(X.name, 4, X.divisibility[1], X.rank, X.dimension_N)
+
+    monkeypatch.setattr(degrees, "rule_for", rule_for)
+    failure = ("divisibility", False,
+               "lambda=[-3, -3, -3, -3]: witness mu=[-2, -2, -2, -2] has length 6, "
+               "not a multiple of 4")
+    assert scan(capsys, "group:A2", 3, ALL) == (3, report(
+        "group:A2", 3, vanishing(False, [0, 8], [0, 5, 9, 14]), SERRE, H0, failure
+    ), "")
+    assert scan(capsys, "group:A2", 3, "divisibility") == (
+        3, report("group:A2", 3, failure), ""
+    )
+
+
+@pytest.mark.parametrize(
+    "checks, per_weight, capped",
+    [(ALL, 2, 1), ("vanishing,h0,divisibility", 1, 1), ("serre,h0", 2, 0)],
+)
+def test_scan_evaluates_each_weight_once(monkeypatch, capsys, checks, per_weight, capped):
+    # every module holding a reference to contributions shares one counter;
+    # serre evaluates the Serre dual weight on top of the box weight
+    holders = [m for m in (cohomology, oracles, degrees, cli) if hasattr(m, "contributions")]
+    calls = count_calls(monkeypatch, holders, "contributions")
+    listed = count_calls(monkeypatch, [cohomology], "_ball_coefficients")
+    counted = count_calls(monkeypatch, [oracles], "capped_candidate_count")
+    X = build_case("group:A2")
+    weights = len(list(pic_box(X, 2)))
+    assert scan(capsys, "group:A2", 2, checks)[0] == 0
+    assert len(calls) == per_weight * weights
+    assert len(counted) == capped * weights
+    oracles.vanishing_profile(X, 2)
+    assert listed == []
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_capped_count_is_the_candidate_list_length(name, data):
+    X = build_case(name)
+    coords, lam = draw_weight(data, X, -4, 4)
+    n = len(cohomology.enumerate_candidates(X, lam))
+    assert oracles.capped_candidate_count(X, coords, lam, n) == n
+    message = f"{X.name}, lambda={list(coords)}: {n} candidates exceed the cap {n - 1}"
+    with pytest.raises(oracles.OracleBudgetError) as exc:
+        oracles.capped_candidate_count(X, coords, lam, n - 1)
+    assert str(exc.value) == message
