@@ -28,13 +28,13 @@ The search runs line by line.  `_ball_lines` gives the ball as lines
 along c_0, one per fixed c_1..c_{r-1}, each with its range [lo, hi].  On
 such a line every D (mu + rho, gamma_i) is affine in c_0, s = a + c_0 G_0
 with G_0 row 0 of the integer sign Gram matrix, so each sign condition
-cuts the line by one exact floor or ceiling division (`_cut_line`): the
-condition on c_0 itself keeps [1, m - 1] or [m, 0], m the least c_0 with
-s_0 >= 0 (G_00 > 0), and each i != 0 keeps a half-line, or all or nothing
-where G_0i = 0.  What is left is one run of consecutive c_0 with one J,
-and `contributions` steps through it by adding fixed rows to s, to the
-coroot pairings and to mu.  Every visited point is checked again against
-the sign pattern; off the run, no point is visited at all.
+keeps a half-line, or all or nothing where G_0i = 0: one call of
+`exactalg.negative_interval` (`_cut_line`).  As G_00 > 0, the c_0
+condition can hold on c_0 >= 1 only if s_0 < 0 at c_0 = 1, and else only
+on c_0 <= 0.  What is left is one run of consecutive c_0 with one J, and
+`contributions` steps through it by adding fixed rows to s, to the coroot
+pairings and to mu.  Every visited point is checked again against the
+sign pattern; off the run, no point is visited at all.
 
 Per witness, `contributions` already holds the coroot pairings
 pair_k = <mu + rho, alpha_k^vee>.  Their sign vector, the key, is the
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from operator import add, itemgetter, mul
 from typing import Iterator, Sequence
 
-from .exactalg import span_numerators, translate
+from .exactalg import lattice_coords, negative_interval, translate
 from .roots import InvariantError, RootSystem, Weight
 from .varieties import CatalogError, WonderfulVariety
 
@@ -148,10 +148,8 @@ def in_translated_R(
     >= 1 on J and <= 0 elsewhere (returns False outside the integer span)."""
     lam = _require_pic(X, lam)
     mu = _require_pic(X, mu)
-    diff = tuple(a - b for a, b in zip(mu, lam))
-    n = span_numerators(X.spherical_roots, X._sigma_left_inv, diff)
-    den = X._sigma_left_inv[1]
-    if n is None or any(x % den for x in n):
+    n = lattice_coords(X.spherical_roots, X._sigma_left_inv, [a - b for a, b in zip(mu, lam)])
+    if n is None:
         return False
     jset = set(J)
     return all((x > 0) == (i in jset) for i, x in enumerate(n))
@@ -258,33 +256,19 @@ def _cut_line(
 ) -> tuple[int, int]:
     """The c_0 in [lo, hi] at which c = (c_0, *rest) keeps the sign pattern
     (s_i < 0 iff c_i > 0), where s = a + c_0 row along the line: an interval
-    (lo, hi) of consecutive c_0, empty when lo > hi."""
-    # row[0] = D |gamma_0|^2 > 0, so s_0 rises with c_0 and m is the least c_0
-    # with s_0 >= 0: c_0 >= 1 needs [1, m - 1], c_0 <= 0 needs [m, 0]
-    m = -(a[0] // row[0])
-    if m > 1:
-        lo, hi = max(lo, 1), min(hi, m - 1)
-    else:
-        lo, hi = max(lo, m), min(hi, 0)
-    # c_i fixed: each s_i bounds c_0 on one side, or keeps all or nothing
-    for i in range(1, len(a)):
+    (lo, hi) of consecutive c_0, empty when lo > hi.  Each s_i decides its
+    sign by one `negative_interval` call."""
+    # row[0] = D |gamma_0|^2 > 0, so the pattern can hold on c_0 >= 1 only if
+    # s_0 < 0 at c_0 = 1, else only on c_0 <= 0; c0 is a c_0 on that side
+    c0 = 1 if a[0] + row[0] < 0 else 0
+    lo, hi = (max(lo, 1), hi) if c0 else (lo, min(hi, 0))
+    for ai, gi, ci in zip(a, row, (c0, *rest)):
         if lo > hi:
             break
-        ai, gi, ci = a[i], row[i], rest[i - 1]
-        if gi > 0:
-            t = -(ai // gi)  # least c_0 with s_i >= 0
-            if ci > 0:
-                hi = min(hi, t - 1)
-            else:
-                lo = max(lo, t)
-        elif gi < 0:
-            t = ai // -gi  # greatest c_0 with s_i >= 0
-            if ci > 0:
-                lo = max(lo, t + 1)
-            else:
-                hi = min(hi, t)
-        elif (ai < 0) != (ci > 0):
-            return lo, lo - 1
+        if ci > 0:  # s_i < 0
+            lo, hi = negative_interval(ai, gi, lo, hi)
+        else:  # s_i >= 0, that is -s_i - 1 < 0
+            lo, hi = negative_interval(-ai - 1, -gi, lo, hi)
     return lo, hi
 
 

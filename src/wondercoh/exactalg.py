@@ -1,4 +1,4 @@
-"""Small exact linear algebra helpers over the rationals.
+"""Small exact helpers: linear algebra over the rationals, and signs on a line.
 
 The matrices of this package are tiny (at most the rank of the ambient
 group), so Gauss-Jordan elimination and LDL^T with `fractions.Fraction`
@@ -85,6 +85,18 @@ def translate(base: Sequence, coeffs: Sequence, vectors: Sequence[Sequence]) -> 
     return tuple(out)
 
 
+def negative_interval(x: int, d: int, lo: int, hi: int) -> tuple[int, int]:
+    """The t in [lo, hi] with x + t d < 0, as an interval (lo, hi) that is
+    empty when lo > hi.  x + t d is monotone in t, so one floor division
+    cuts one end; d = 0 keeps all of [lo, hi] or none of it.  The t with
+    x + t d >= 0 are negative_interval(-x - 1, -d, lo, hi)."""
+    if d > 0:
+        return lo, min(hi, -(x // d) - 1)  # t < -x / d
+    if d < 0:
+        return max(lo, x // -d + 1), hi  # t > x / -d
+    return (lo, hi) if x < 0 else (lo, lo - 1)
+
+
 def frac_isqrt_floor(x: Fraction) -> int:
     """Largest integer s with s*s <= x (x >= 0)."""
     if x < 0:
@@ -108,3 +120,12 @@ def span_numerators(
     if translate((0,) * len(v), n, basis) != tuple(den * x for x in v):
         return None
     return n
+
+
+def lattice_coords(
+    basis: Sequence[Sequence[int]], left_inverse: ScaledMatrix, v: Sequence[int]
+) -> tuple[int, ...] | None:
+    """Integer c with v = sum_i c_i basis[i], or None off that lattice."""
+    n = span_numerators(basis, left_inverse, v)
+    den = left_inverse[1]
+    return None if n is None or any(x % den for x in n) else tuple(x // den for x in n)

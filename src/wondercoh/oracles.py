@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 from typing import Optional, Sequence
 
 from .cohomology import (
@@ -28,7 +29,7 @@ from .cohomology import (
     serre_partner,
     tabulate,
 )
-from .exactalg import frac_isqrt_floor, translate
+from .exactalg import translate
 from .roots import RootSystem, Weight
 from .varieties import WonderfulVariety, pic_box
 
@@ -84,20 +85,20 @@ def brion_h0(X: WonderfulVariety, lam: Sequence[int]) -> list[Weight]:
     """Dominant weights mu with lam - mu a nonnegative integer combination
     of the spherical roots, found by a plain box scan.
 
-    Dominant mu forces |mu| <= |lam| (each spherical root is a nonnegative
-    combination of positive roots), so with mu = lam - sum d_i gamma_i the
-    vector d satisfies d^T G d <= 4 |lam|^2 and each coordinate is at most
-    2 |lam| sqrt((G^-1)_ii).
+    A dominant mu has nonnegative simple-root coordinates, and `validate`
+    checks that each gamma_i has too.  So mu = lam - sum d_i gamma_i with
+    d >= 0 needs d_i gamma_ia <= lam_a in each simple-root coordinate a:
+    d_i <= lam_a // gamma_ia wherever gamma_ia > 0, with the coordinates
+    scaled to integers by one common denominator.  A bound below 0 leaves
+    no mu.
     """
-    g = X.group
     lam = _require_pic(X, lam)
-    r = X.rank
-    if r == 0:
-        return [tuple(lam)] if g.is_dominant(lam) else []
-    lam_norm = g.inner_product(lam, lam)
-    bounds = [
-        frac_isqrt_floor(4 * lam_norm * X.sigma_gram_inv[i][i]) for i in range(r)
-    ]
+    rows, _ = X.group._cartan_inv_scaled
+    lam_a = [sum(map(mul, row, lam)) for row in rows]
+    bounds = []
+    for gam in X.spherical_roots:
+        gam_a = [sum(map(mul, row, gam)) for row in rows]
+        bounds.append(min(la // ga for la, ga in zip(lam_a, gam_a) if ga > 0))
     found = []
     for minus_d in itertools.product(*(range(0, -b - 1, -1) for b in bounds)):
         mu = translate(lam, minus_d, X.spherical_roots)

@@ -12,10 +12,11 @@ s + sum_j n_j P_j, with s = D (base + rho, gamma_.) and the integer step
 rows P_j = D (pic_j, gamma_.), both taken once per plot.  Along a grid
 line only the last coordinate moves, by the fixed row P_{r-1}, so each
 pairing is affine on the line and is negative on a prefix or a suffix of
-it; one exact floor division per pairing and line finds that interval,
-and no weight or pairing is computed per point.  The sidecar is one
-str.format template per rank, repeated once per point, and each SVG
-marker shape is one f-string applied to the pixel centres of its group.
+it; one `exactalg.negative_interval` call per pairing and line finds
+that interval, and no weight or pairing is computed per point.  The
+sidecar is one str.format template per rank, repeated once per point, and
+each SVG marker shape is one f-string applied to the pixel centres of its
+group.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .cohomology import _gamma_pairings, _require_pic
-from .exactalg import translate
+from .exactalg import negative_interval, translate
 from .roots import Weight
 from .varieties import WonderfulVariety
 
@@ -53,15 +54,6 @@ class RegionPlot:
         return _render_svg(self)
 
 
-def _negative_run(x: int, d: int, n: int) -> range:
-    """The t in [0, n) with x + t d < 0."""
-    if d > 0:
-        return range(min(n, -(x // d)))  # t < -x / d
-    if d < 0:
-        return range(max(0, x // -d + 1), n)  # t > x / -d
-    return range(n if x < 0 else 0)
-
-
 def _omega_masks(X: WonderfulVariety, base: Weight, axis: range) -> Iterator[int]:
     """J bitmasks of the grid points base + sum n_j pic_j, n in axis^r, in
     itertools.product order; base must already be in pic(X)."""
@@ -73,7 +65,8 @@ def _omega_masks(X: WonderfulVariety, base: Weight, axis: range) -> Iterator[int
         masks = [0] * n
         start = translate(s, (*outer, axis[0]), steps)
         for i, (x, d) in enumerate(zip(start, steps[-1])):
-            for t in _negative_run(x, d, n):
+            lo, hi = negative_interval(x, d, 0, n - 1)
+            for t in range(lo, hi + 1):
                 masks[t] |= 1 << i
         yield from masks
 

@@ -155,6 +155,8 @@ class RootSystem:
 
         # (omega_i, omega_j) = d_i * (A^-1)_ij; short roots have length^2 = 2
         self._cartan_inv = mat_inverse(frac_matrix(self.cartan))
+        # (rows, den): rows . lam is den times the simple-root coordinates of lam
+        self._cartan_inv_scaled = int_scaled(self._cartan_inv)
         self._fw_gram: Matrix = tuple(
             tuple(self.symmetrizer[i] * self._cartan_inv[i][j] for j in range(self.rank))
             for i in range(self.rank)

@@ -37,6 +37,7 @@ from .exactalg import (
     dot,
     frac_matrix,
     int_scaled,
+    lattice_coords,
     ldl,
     mat_inverse,
     mat_vec,
@@ -133,7 +134,6 @@ class WonderfulVariety:
         self.rank = len(self.spherical_roots)
         q = self.q_simple_roots
         levi = sum(1 for a in group.positive_roots if _support(a) <= q)
-        self.levi_positive_count = levi
         self.dimension_N = len(group.positive_roots) - levi + self.rank
         two_rho = [0] * group.rank
         for alpha, w in zip(group.positive_roots, group.positive_root_weights()):
@@ -165,7 +165,7 @@ class WonderfulVariety:
         # integer D > 0, so W_i . v is exact and has the sign of (v, gamma_i)
         sigma_pairing = [mat_vec(g._fw_gram, gam) for gam in sigma]
         self._gamma_sign_rows, self._gamma_den = int_scaled(sigma_pairing)
-        # (rows, q, A, e) of cohomology._ball_coefficients, scaled to integers once
+        # (rows, q, A, e) of cohomology._ball_lines, scaled to integers once
         self._witness_form = None
         if sigma_ldl is not None:
             L, d = sigma_ldl
@@ -202,10 +202,7 @@ class WonderfulVariety:
 
     def pic_contains(self, lam: Sequence[int]) -> Optional[tuple[int, ...]]:
         """Integer coordinates of lam in the pic basis, or None."""
-        lam = self.group.check_weight(lam)
-        n = span_numerators(self.pic_basis, self._pic_left_inv, lam)
-        den = self._pic_left_inv[1]
-        return None if n is None or any(x % den for x in n) else tuple(x // den for x in n)
+        return lattice_coords(self.pic_basis, self._pic_left_inv, self.group.check_weight(lam))
 
     def weight_from_pic_coords(self, coords: Sequence[int]) -> Weight:
         if len(coords) != len(self.pic_basis):

@@ -12,7 +12,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wondercoh
@@ -26,6 +26,7 @@ from wondercoh.cohomology import (
     _sign_runs,
     contributions,
 )
+from wondercoh.exactalg import negative_interval
 from wondercoh.roots import InvariantError
 
 from test_helpers import NAMES, draw_weight, inline_translate
@@ -85,6 +86,30 @@ def test_cut_line_equals_pointwise_signs(data):
     ]
     start, end = cohomology._cut_line(a, row, rest, lo, hi)
     assert kept == list(range(start, end + 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    d=st.integers(-5, 5),
+    z=st.integers(-12, 12),
+    e=st.just(0) | st.integers(-4, 4),
+    lo=st.integers(-10, 10),
+    width=st.integers(-3, 16),
+)
+@example(d=3, z=2, e=0, lo=-4, width=10)  # x + t d is 0 at t = 2
+@example(d=-3, z=2, e=0, lo=-4, width=10)
+@example(d=0, z=0, e=0, lo=-4, width=10)  # 0 everywhere: never negative
+@example(d=0, z=0, e=-1, lo=-4, width=10)  # negative everywhere
+@example(d=2, z=0, e=-1, lo=3, width=-1)  # [lo, hi] empty
+def test_negative_interval_equals_pointwise_filter(d, z, e, lo, width):
+    # x + t d changes sign near t = z, and is 0 there when e = 0
+    x = -z * d + e
+    hi = lo + width
+    start, end = negative_interval(x, d, lo, hi)
+    assert list(range(start, end + 1)) == [t for t in range(lo, hi + 1) if x + t * d < 0]
+    # the complement x + t d >= 0 is the same call on (-x - 1, -d)
+    start, end = negative_interval(-x - 1, -d, lo, hi)
+    assert list(range(start, end + 1)) == [t for t in range(lo, hi + 1) if x + t * d >= 0]
 
 
 def zero_endpoints(X, lam):

@@ -1,7 +1,9 @@
 """The engine against its independent oracles, as hypothesis properties over
 the catalog and the larger groups it lacks: the Serre witness bijection,
-the H^0 law against `brion_h0`, and Borel-Weil-Bott against `bwb_direct`
-on the flag varieties."""
+the H^0 law against `brion_h0` (and its box against the norm bound it
+replaced), and Borel-Weil-Bott against `bwb_direct` on the flag varieties."""
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,10 @@ from hypothesis import strategies as st
 
 from wondercoh import build_case
 from wondercoh.cohomology import cohomology_table
+from wondercoh.exactalg import frac_isqrt_floor
 from wondercoh.oracles import brion_h0, bwb_direct, serre_involution_check
 
-from test_helpers import NAMES, draw_weight
+from test_helpers import NAMES, draw_weight, inline_translate
 
 FLAGS = tuple(n for n in NAMES if build_case(n).rank == 0)
 PROPERTY = settings(max_examples=8, deadline=None, derandomize=True)
@@ -42,6 +45,31 @@ def test_h0_law(name, data):
     assert all(c.multiplicity == 1 for c in h0)
     if X.group.is_dominant(lam):
         assert table.nonzero_degrees() in ((), (0,))
+
+
+def norm_bound_h0(X, lam):
+    """The H^0 box scan with the norm bound d_i <= 2 |lam| sqrt((G^-1)_ii)
+    that the simple-root bound of `brion_h0` replaces."""
+    if X.rank == 0:
+        return [lam] if X.group.is_dominant(lam) else []
+    norm = X.group.inner_product(lam, lam)
+    bounds = [frac_isqrt_floor(4 * norm * X.sigma_gram_inv[i][i]) for i in range(X.rank)]
+    found = []
+    for d in itertools.product(*(range(b + 1) for b in bounds)):
+        mu = inline_translate(lam, [-x for x in d], X.spherical_roots)
+        if all(x >= 0 for x in mu):
+            found.append(mu)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@PROPERTY
+@given(data=st.data())
+def test_h0_box_equals_norm_bound_scan(name, data):
+    X = build_case(name)
+    # mostly positive coordinates, where degree zero is not empty
+    _, lam = draw_weight(data, X, -2, 6 if X.rank < 3 else 4)
+    assert brion_h0(X, lam) == norm_bound_h0(X, lam)
 
 
 @pytest.mark.parametrize("name", FLAGS)
