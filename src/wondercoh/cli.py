@@ -109,7 +109,7 @@ def cmd_cohomology(args) -> int:
     elif args.format == "csv":
         text = table_to_csv(X, table, coords)
     else:
-        text = table_to_text(X, table, coords)
+        text = table_to_text(X, table, coords, with_witnesses=not args.no_witness)
     _emit(text, args.out)
     return 0
 

@@ -31,29 +31,40 @@ with G_0 row 0 of the integer sign Gram matrix, so each sign condition
 keeps a half-line, or all or nothing where G_0i = 0: one call of
 `exactalg.negative_interval` (`_cut_line`).  As G_00 > 0, the c_0
 condition can hold on c_0 >= 1 only if s_0 < 0 at c_0 = 1, and else only
-on c_0 <= 0.  What is left is one run of consecutive c_0 with one J, and
-`contributions` steps through it by adding fixed rows to s, to the coroot
-pairings and to mu.  Every visited point is checked again against the
-sign pattern; off the run, no point is visited at all.
+on c_0 <= 0.  What is left is one run of consecutive c_0 with one J;
+off the run, no point is visited at all.
 
-Per witness, `contributions` already holds the coroot pairings
-pair_k = <mu + rho, alpha_k^vee>.  Their sign vector, the key, is the
-inversion set of mu + rho, and it fixes the Weyl element w with
-w(mu + rho) dominant.  So the chamber walk runs once per distinct key in a
-call; its word, replayed on the identity, gives the integer matrix of w,
-kept with l(mu) = the number of negative pairings and the vector
-w(gamma_0).  Along a run the key holds over stretches of consecutive
-witnesses.  At a stretch's first witness mu^+ = w(mu + rho) - rho is the
-full product, and the degree l(mu) + |J| is taken and range-checked (J
-is fixed for the whole run); at each next witness mu has moved by
-gamma_0, so mu^+ moves by w(gamma_0).  A singular point always ends a
-stretch: a pairing that is 0 there has opposite signs on either side of
-it.  As w permutes the positive coroots up to sign, |prod_k pair_k| is
-the Weyl dimension numerator of mu^+, so dim L(mu^+) = |prod_k pair_k| /
-prod_k <rho, alpha_k^vee> needs no second pass over the roots.
-Dominance of mu^+ and the divisibility are checked for every witness; as
-only the right w makes w(mu + rho) strictly dominant, the first also
-certifies each stepped mu^+.
+Along a run, mu, the spherical pairings s and the coroot pairings
+pair_k = <mu + rho, alpha_k^vee> move by fixed rows per step of c_0.
+The sign vector of the coroot pairings, the key, is the inversion set of
+mu + rho, and it fixes the Weyl element w with w(mu + rho) dominant.  So
+the chamber walk runs once per distinct key in a call; its word, replayed
+on the identity, gives the integer matrix of w, kept with l(mu) = the
+number of negative pairings and the vector w(gamma_0).  Along a run the
+key holds over stretches of consecutive witnesses, and `_stretches`
+yields one record per stretch.  Each pairing
+is affine along the run, pair_k + t <gamma_0, alpha_k^vee>, so the
+stretch ends in closed form: where the first pairing that moves toward 0
+would reach or cross it, one floor division per such pairing.  A point
+where some pairing is 0 is singular and is skipped; the next regular point
+starts a new stretch, and so does a point where a pairing stepped across 0
+without touching it.  As w permutes the positive coroots up to sign,
+|prod_k pair_k| is the Weyl dimension numerator of mu^+, so
+dim L(mu^+) = |prod_k pair_k| / prod_k <rho, alpha_k^vee> needs no second
+pass over the roots.
+
+The checks are made per run and per stretch.  An affine form is
+nonnegative (or negative) on a segment exactly when it is so at the
+segment's two ends, and everything checked here is affine along a
+run: the spherical pairings s_i, the coroot pairings and, within a
+stretch where w is fixed, mu^+ = w(mu + rho) - rho.  So the sign pattern
+is checked at the two ends of each run; the key is fixed by construction
+over a stretch; min(mu^+) >= 0 is checked at its two ends.  As only the
+right w makes w(mu + rho) strictly dominant, that last check also
+certifies every mu^+ of the stretch, and a stretch that ran one point too
+far lands in a singular or wrong chamber and fails it.  The degree
+l(mu) + |J| is range-checked once per stretch (J is fixed for the whole
+run), and the divisibility of the pairing product once per witness.
 """
 
 from __future__ import annotations
@@ -62,15 +73,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import add, itemgetter, mul
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .exactalg import lattice_coords, negative_interval, translate
 from .roots import InvariantError, RootSystem, Weight
 from .varieties import CatalogError, WonderfulVariety
 
 
-@dataclass(frozen=True)
-class Contribution:
+class Contribution(NamedTuple):
     """One summand L(mu_plus) of H^degree, with its certifying pair (J, mu)."""
 
     J: tuple[int, ...]
@@ -84,8 +94,7 @@ class Contribution:
         return sum(1 << i for i in self.J)
 
 
-@dataclass(frozen=True)
-class Constituent:
+class Constituent(NamedTuple):
     highest_weight: Weight
     multiplicity: int
     dimension: int
@@ -294,9 +303,14 @@ def _sign_runs(
             )
 
 
-def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]:
-    """All certified pairs (J, mu) for lam, in canonical order."""
-    lam = _require_pic(X, lam)
+def _stretches(
+    X: WonderfulVariety, lam: Weight
+) -> Iterator[tuple[tuple[int, ...], int, int, Weight, Weight, Sequence[int], Weight, int]]:
+    """The witnesses of lam as chamber stretches, checked at their ends:
+    (J, length, degree, mu, mu_plus, pair, w_step, m) for m >= 1
+    consecutive witnesses along c_0 with one inversion key, at the first of
+    them.  Along the stretch mu moves by gamma_0, the coroot pairings by
+    <gamma_0, alpha_k^vee> and mu_plus by w_step = w(gamma_0)."""
     g = X.group
     base_pair = g.shifted_pairings(lam)
     if X.rank:
@@ -307,34 +321,43 @@ def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]
     else:  # no spherical roots: the one point c = ()
         runs = [((), 1, (), base_pair, lam)]
         sig_step = pair_step = mu_step = ()
+    rising, falling = X._gamma0_rising, X._gamma0_falling
     # per inversion set: (length, matrix of w, w(gamma_0)), one walk each
     walks: dict[tuple[bool, ...], tuple[int, tuple[Weight, ...], Weight]] = {}
-    out = []
     for c, n, sig, pair, mu in runs:
-        # the sign cone fixes J = {i : c_i > 0}; the omega signature must equal it
+        # the sign cone fixes J = {i : c_i > 0}; the omega signature must
+        # equal it.  A run on one side of c_0 = 0 has one J, and each s_i is
+        # affine along it, so the pattern holds on the run if it holds at
+        # both ends
         signs = [ci > 0 for ci in c]
-        # a run on one side of c_0 = 0 has one J, and the check per point
-        # below is then the whole sign pattern
-        if n > 1 and (c[0] + n - 1 > 0) != signs[0]:
+        if [s < 0 for s in sig] != signs or (
+            n > 1
+            and (
+                (c[0] + n - 1 > 0) != signs[0]
+                or [s + (n - 1) * e < 0 for s, e in zip(sig, sig_step)] != signs
+            )
+        ):
             raise InvariantError("the line cut kept a point off the sign pattern")
         J = tuple(itertools.compress(range(len(c)), signs))
-        held = None  # the key of the run's last witness so far
-        for step in range(n):
-            if step:
-                sig = list(map(add, sig, sig_step))
-                pair = list(map(add, pair, pair_step))
-                mu = tuple(map(add, mu, mu_step))
-            if [s < 0 for s in sig] != signs:
-                raise InvariantError("the line cut kept a point off the sign pattern")
+        t = 0  # offset of the point at mu and pair from the run's start
+        while True:
             if 0 in pair:
-                # mu + rho singular; a pairing that is 0 here has opposite
-                # signs on either side, so the next witness starts a stretch
-                continue
-            key = tuple([p < 0 for p in pair])
-            if key == held:
-                # same w as the previous point, and mu moved by gamma_0
-                mu_plus = tuple(map(add, mu_plus, w_step))
+                m = 1  # mu + rho singular: skip the point
             else:
+                # the stretch ends where the first pairing that moves toward
+                # 0 reaches or crosses it: p + s d keeps its sign for the
+                # -(p // d) points s >= 0 when p and d have opposite signs
+                m = n - t
+                if m > 1:
+                    for k in rising:
+                        if pair[k] < 0:
+                            m = min(m, -(pair[k] // pair_step[k]))
+                    for k in falling:
+                        if pair[k] > 0:
+                            m = min(m, -(pair[k] // pair_step[k]))
+                if m < 1:
+                    raise InvariantError("empty chamber stretch")
+                key = tuple([p < 0 for p in pair])
                 walk = walks.get(key)
                 if walk is None:
                     length, w = _chamber(g, mu, sum(key))
@@ -346,16 +369,39 @@ def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]
                     raise InvariantError("degree outside [0, N]")
                 shifted = [x + 1 for x in mu]
                 mu_plus = tuple(sum(map(mul, row, shifted)) - 1 for row in w)
-                held = key
-            # only the right w makes w(mu + rho) strictly dominant, so this
-            # also certifies a stepped mu^+
-            if min(mu_plus) < 0:
-                raise InvariantError("w(mu + rho) is not dominant")
-            dimension, rem = divmod(abs(math.prod(pair)), g._weyl_den)
+                # mu^+ is affine along the stretch and only the right w
+                # makes w(mu + rho) strictly dominant, so its two ends
+                # certify every witness in between
+                if min(mu_plus) < 0 or (
+                    m > 1 and min(x + (m - 1) * y for x, y in zip(mu_plus, w_step)) < 0
+                ):
+                    raise InvariantError("w(mu + rho) is not dominant")
+                yield J, length, degree, mu, mu_plus, pair, w_step, m
+            t += m
+            if t >= n:
+                break
+            pair = [p + m * d for p, d in zip(pair, pair_step)]
+            mu = tuple([x + m * y for x, y in zip(mu, mu_step)])
+
+
+def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]:
+    """All certified pairs (J, mu) for lam, in canonical order."""
+    lam = _require_pic(X, lam)
+    den = X.group._weyl_den
+    mu_step = X.spherical_roots[0] if X.rank else ()
+    pair_step = X._gamma_coroot_rows[0] if X.rank else ()
+    out = []
+    for J, length, degree, mu, mu_plus, pair, w_step, m in _stretches(X, lam):
+        for step in range(m):
+            if step:
+                mu = tuple(map(add, mu, mu_step))
+                mu_plus = tuple(map(add, mu_plus, w_step))
+                pair = list(map(add, pair, pair_step))
+            dimension, rem = divmod(abs(math.prod(pair)), den)
             if rem:
                 raise InvariantError("pairing product is not a Weyl dimension numerator")
             out.append(Contribution(J, mu, length, mu_plus, degree, dimension))
-    out.sort(key=lambda t: (t.degree, t.mu))
+    out.sort(key=itemgetter(4, 1))  # (degree, mu)
     return out
 
 

@@ -97,15 +97,6 @@ def negative_interval(x: int, d: int, lo: int, hi: int) -> tuple[int, int]:
     return (lo, hi) if x < 0 else (lo, lo - 1)
 
 
-def frac_isqrt_floor(x: Fraction) -> int:
-    """Largest integer s with s*s <= x (x >= 0)."""
-    if x < 0:
-        raise ValueError("negative argument")
-    # floor(sqrt(p/q)) = floor(sqrt(p*q)/q) and isqrt is exact on ints.
-    p, q = x.numerator, x.denominator
-    return math.isqrt(p * q) // q
-
-
 def span_numerators(
     basis: Sequence[Sequence[int]], left_inverse: ScaledMatrix, v: Sequence[int]
 ) -> tuple[int, ...] | None:

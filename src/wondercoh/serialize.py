@@ -12,8 +12,11 @@ pre-indented templates and calls `json.dumps` only for the variety name.
 Witness and constituent objects have one `str.format` template per shape,
 that is per array length (|J| and the length of mu, or the length of the
 highest weight), built once and cached, so each object is one `format`
-call.  With an indent, `json.dumps` runs CPython's pure-Python encoder,
-about four times slower than the templates on deep weights.
+call.  A constituent with exactly one witness, the usual case at depth,
+is one `format` call in all: its template is the constituent template
+with the witness template spliced in as its one-element array.  With an
+indent, `json.dumps` runs CPython's pure-Python encoder, about four times
+slower than the templates on deep weights.
 """
 
 from __future__ import annotations
@@ -106,15 +109,30 @@ def _constituent_template(nhw: int) -> str:
     )
 
 
+@functools.cache
+def _single_witness_template(nhw: int, nj: int, nmu: int) -> str:
+    """str.format template of a constituent object with exactly one witness:
+    the constituent template with that witness's template as its array; its
+    fields are the weight, the multiplicity, J, mu and the length."""
+    head, tail = _constituent_template(nhw).rsplit("{}", 1)
+    return head + _items([_witness_template(nj, nmu)], _CONSTITUENT) + tail
+
+
 def _constituent_json(c: Constituent, with_witnesses: bool) -> str:
+    hw, multiplicity, _, wits = c
+    if with_witnesses and len(wits) == 1:
+        (t,) = wits
+        return _single_witness_template(len(hw), len(t.J), len(t.mu)).format(
+            *hw, multiplicity, *t.J, *t.mu, t.length
+        )
     witnesses = []
     if with_witnesses:
         witnesses = [
             _witness_template(len(t.J), len(t.mu)).format(*t.J, *t.mu, t.length)
-            for t in c.witnesses
+            for t in wits
         ]
-    return _constituent_template(len(c.highest_weight)).format(
-        *c.highest_weight, c.multiplicity, _items(witnesses, _CONSTITUENT)
+    return _constituent_template(len(hw)).format(
+        *hw, multiplicity, _items(witnesses, _CONSTITUENT)
     )
 
 
@@ -149,7 +167,10 @@ def table_to_json(
 
 
 def table_to_text(
-    X: WonderfulVariety, table: CohomologyTable, lam_coords: Sequence[int]
+    X: WonderfulVariety,
+    table: CohomologyTable,
+    lam_coords: Sequence[int],
+    with_witnesses: bool = True,
 ) -> str:
     lines = [
         f"{X.name}, lambda = {list(lam_coords)} (pic coordinates), N = {X.dimension_N}"
@@ -163,7 +184,7 @@ def table_to_text(
             lines.append(
                 f"  L({list(c.highest_weight)}){mult}  dim {c.dimension}"
             )
-            for t in c.witnesses:
+            for t in c.witnesses if with_witnesses else ():
                 lines.append(
                     f"    witness: J = {list(t.J)}, mu = {list(t.mu)}, l(mu) = {t.length}"
                 )

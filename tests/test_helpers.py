@@ -3,6 +3,8 @@ lattice membership) and the number of evaluations each entry point makes."""
 
 import functools
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,15 @@ from wondercoh.roots import RootSystem
 from wondercoh.varieties import pic_box
 
 NAMES = CATALOG_NAMES + ("group:A3", "group:B2", "group:G2", "PSO/PSO(5)", "PGL/PSp(4)")
+
+
+def frac_isqrt_floor(x: Fraction) -> int:
+    """Largest integer s with s*s <= x (x >= 0)."""
+    if x < 0:
+        raise ValueError("negative argument")
+    # floor(sqrt(p/q)) = floor(sqrt(p*q)/q) and isqrt is exact on ints.
+    p, q = x.numerator, x.denominator
+    return math.isqrt(p * q) // q
 
 
 def draw_weight(data, X, lo, hi):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wondercoh import build_case
 from wondercoh.cohomology import cohomology_table
-from wondercoh.exactalg import frac_isqrt_floor
+from test_helpers import frac_isqrt_floor
 from wondercoh.oracles import brion_h0, bwb_direct, serre_involution_check
 
 from test_helpers import NAMES, draw_weight, inline_translate

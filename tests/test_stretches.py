@@ -1,0 +1,152 @@
+"""Chamber stretches, the tuple records they fill and the writers that read
+them.
+
+`contributions` takes the witnesses of each run as stretches: maximal
+blocks of consecutive witnesses with one inversion key, each ended in
+closed form and checked at its two ends.  The stretches are checked
+against the per-point keys of `test_line_cut.keys_along_runs` and the
+records against the per-point filter.  `Contribution` and `Constituent`
+are named tuples, and a constituent with one witness is written from one
+JSON template.
+"""
+
+import itertools
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wondercoh import build_case
+from wondercoh import cohomology
+from wondercoh.cli import main
+from wondercoh.cohomology import (
+    CohomologyTable,
+    Constituent,
+    Contribution,
+    DegreeGroup,
+    cohomology_table,
+    contributions,
+)
+from wondercoh.serialize import table_to_dict, table_to_json
+
+from test_helpers import NAMES, draw_weight
+from test_line_cut import DEPTH, keys_along_runs, per_point_contributions
+
+
+def count_stretches(monkeypatch):
+    """Wrap `cohomology._stretches`; the list gets each stretch it yields."""
+    seen = []
+    stretches = cohomology._stretches
+
+    def counted(X, lam):
+        for stretch in stretches(X, lam):
+            seen.append(stretch)
+            yield stretch
+
+    monkeypatch.setattr(cohomology, "_stretches", counted)
+    return seen
+
+
+def key_blocks(X, lam):
+    """The number of maximal blocks of consecutive regular points with one
+    inversion key, over all runs."""
+    return sum(
+        key is not None
+        for keys in keys_along_runs(X, lam)
+        for key, _ in itertools.groupby(keys)
+    )
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_stretch_per_key_block(name, data):
+    X = build_case(name)
+    _, lam = draw_weight(data, X, DEPTH.get(X.rank, -8), 4)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        seen = count_stretches(monkeypatch)
+        conts = contributions(X, lam)
+    assert len(seen) == (key_blocks(X, lam) if X.rank else len(conts))
+    assert sum(stretch[-1] for stretch in seen) == len(conts)
+    assert conts == per_point_contributions(X, lam)
+
+
+def test_key_changes_between_regular_witnesses(monkeypatch):
+    # <gamma_0, alpha_k^vee> = 2 for two coroots here, and their pairings
+    # step from -1 to 1: the key changes with no singular point between
+    X = build_case("group:B2")
+    lam = X.weight_from_pic_coords((3, -8))
+    jumps = [
+        (before, after)
+        for keys in keys_along_runs(X, lam)
+        for before, after in zip(keys, keys[1:])
+        if None not in (before, after) and before != after
+    ]
+    assert jumps
+    seen = count_stretches(monkeypatch)
+    conts = contributions(X, lam)
+    assert len(seen) == key_blocks(X, lam) and all(stretch[-1] == 1 for stretch in seen)
+    assert conts == per_point_contributions(X, lam)
+
+
+def test_records_are_named_tuples():
+    t = Contribution((0,), (5, -9, -3, 1), 3, (1, 0, 0, 1), 4, 9)
+    c = Constituent((1, 0, 0, 1), 1, 9, (t,))
+    assert Contribution._fields == ("J", "mu", "length", "mu_plus", "degree", "dimension")
+    assert Constituent._fields == ("highest_weight", "multiplicity", "dimension", "witnesses")
+    for record in (t, c):
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+    assert t == ((0,), (5, -9, -3, 1), 3, (1, 0, 0, 1), 4, 9)
+    assert repr(t) == (
+        "Contribution(J=(0,), mu=(5, -9, -3, 1), length=3, mu_plus=(1, 0, 0, 1),"
+        " degree=4, dimension=9)"
+    )
+    assert t.j_bitmask() == 1
+
+
+def reference_json(X, table, coords, with_witnesses):
+    doc = table_to_dict(X, table, coords, with_witnesses)
+    return json.dumps(doc, indent=2, separators=(",", ": ")) + "\n"
+
+
+def test_json_writer_on_mixed_witness_counts():
+    # each constituent of a catalog table has one witness, so one with two
+    # (of different |J|) is added by hand to each degree
+    X = build_case("group:A2")
+    coords = (-8, 4)
+    table = cohomology_table(X, X.weight_from_pic_coords(coords))
+    assert [len(g.constituents) for g in table.groups] == [1, 3]
+    groups = []
+    for g in table.groups:
+        single = g.constituents[0].witnesses[0]
+        shared = Constituent((0,) * len(single.mu_plus), 2, 1, (single, single._replace(J=())))
+        groups.append(DegreeGroup(g.degree, (shared, *g.constituents), g.dimension + 2))
+    mixed = CohomologyTable(table.lam, tuple(groups))
+    for with_witnesses in (True, False):
+        assert table_to_json(X, mixed, coords, with_witnesses) == reference_json(
+            X, mixed, coords, with_witnesses
+        )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_no_witness_drops_only_witnesses(capsys, fmt):
+    argv = ["cohomology", "group:A2", "--lambda", "-4", "-4", "--format", fmt]
+    assert main(argv) == 0
+    full = capsys.readouterr().out
+    assert main([*argv, "--no-witness"]) == 0
+    bare = capsys.readouterr().out
+    if fmt == "text":
+        assert "    witness: " in full
+        kept = [line for line in full.splitlines(True) if not line.startswith("    witness: ")]
+        assert bare == "".join(kept)
+    elif fmt == "json":
+        doc = json.loads(full)
+        for g in doc["groups"]:
+            for c in g["constituents"]:
+                c["witnesses"] = []
+        assert json.loads(bare) == doc
+    else:
+        assert bare == full
