@@ -4,9 +4,9 @@
 to every selected check; with the vanishing check, a weight is first
 refused if its candidates, counted from the ball's lines and not listed,
 exceed the cap.  Exit codes: 0 success, 2 usage error (unknown variety,
-malformed coordinates, a scan weight over that cap), 3 internal
-validation failure (a descriptor or a paper-derived invariant did not
-hold).
+malformed coordinates, a scan weight over that cap, an output file that
+cannot be written), 3 internal validation failure (a descriptor or a
+paper-derived invariant did not hold).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import degrees as degrees_mod
 from . import oracles
-from .cohomology import cohomology_table, contributions, tabulate
+from .cohomology import DegreeGroup, cohomology_table, contributions, tabulate
 from .regions import region_plot
 from .roots import InvariantError
 from .serialize import table_to_csv, table_to_json, table_to_text
@@ -74,9 +74,12 @@ def _resolve_lambda(X: WonderfulVariety, args) -> tuple[int, ...]:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if out is not None:
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write output: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -109,6 +112,9 @@ def cmd_cohomology(args) -> int:
     elif args.format == "csv":
         text = table_to_csv(X, table, coords)
     else:
+        if args.degree is not None and not table.groups:
+            # the filter left only H^degree, and it vanishes: not every group does
+            table = type(table)(table.lam, (DegreeGroup(args.degree, (), 0),))
         text = table_to_text(X, table, coords, with_witnesses=not args.no_witness)
     _emit(text, args.out)
     return 0
@@ -200,10 +206,8 @@ def cmd_region_plot(args) -> int:
     plot = region_plot(X, args.kind, args.range[0], args.range[1], base=base)
     out = args.out
     sidecar = os.path.splitext(out)[0] + ".cls"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(plot.svg())
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        fh.write(plot.sidecar())
+    _emit(plot.svg(), out)
+    _emit(plot.sidecar(), sidecar)
     print(f"wrote {out} and {sidecar}")
     return 0
 

@@ -32,7 +32,9 @@ keeps a half-line, or all or nothing where G_0i = 0: one call of
 `exactalg.negative_interval` (`_cut_line`).  As G_00 > 0, the c_0
 condition can hold on c_0 >= 1 only if s_0 < 0 at c_0 = 1, and else only
 on c_0 <= 0.  What is left is one run of consecutive c_0 with one J;
-off the run, no point is visited at all.
+off the run, no point is visited at all.  `_sign_runs` yields the runs,
+each certified where it is cut.  With no spherical roots the sign cone is
+the one point c = (), and rank zero is its one-point run.
 
 Along a run, mu, the spherical pairings s and the coroot pairings
 pair_k = <mu + rho, alpha_k^vee> move by fixed rows per step of c_0.
@@ -42,14 +44,16 @@ the chamber walk runs once per distinct key in a call; its word, replayed
 on the identity, gives the integer matrix of w, kept with l(mu) = the
 number of negative pairings and the vector w(gamma_0).  Along a run the
 key holds over stretches of consecutive witnesses, and `_stretches`
-yields one record per stretch.  Each pairing
-is affine along the run, pair_k + t <gamma_0, alpha_k^vee>, so the
-stretch ends in closed form: where the first pairing that moves toward 0
-would reach or cross it, one floor division per such pairing.  A point
-where some pairing is 0 is singular and is skipped; the next regular point
-starts a new stretch, and so does a point where a pairing stepped across 0
-without touching it.  As w permutes the positive coroots up to sign,
-|prod_k pair_k| is the Weyl dimension numerator of mu^+, so
+yields one record per stretch.  Each pairing is affine along the run,
+pair_k + t <gamma_0, alpha_k^vee>, so the stretch ends in closed form:
+where the first pairing that moves toward 0 would reach or cross it, one
+floor division per such pairing.  Only the coroots with
+<gamma_0, alpha_k^vee> != 0 move, and one moves toward 0 when its pairing
+and its step have opposite signs.  A point where some pairing is 0 is
+singular and is skipped; the next regular point starts a new stretch, and
+so does a point where a pairing stepped across 0 without touching it.  As
+w permutes the positive coroots up to sign, |prod_k pair_k| is the Weyl
+dimension numerator of mu^+, so
 dim L(mu^+) = |prod_k pair_k| / prod_k <rho, alpha_k^vee> needs no second
 pass over the roots.
 
@@ -57,14 +61,14 @@ The checks are made per run and per stretch.  An affine form is
 nonnegative (or negative) on a segment exactly when it is so at the
 segment's two ends, and everything checked here is affine along a
 run: the spherical pairings s_i, the coroot pairings and, within a
-stretch where w is fixed, mu^+ = w(mu + rho) - rho.  So the sign pattern
-is checked at the two ends of each run; the key is fixed by construction
-over a stretch; min(mu^+) >= 0 is checked at its two ends.  As only the
-right w makes w(mu + rho) strictly dominant, that last check also
-certifies every mu^+ of the stretch, and a stretch that ran one point too
-far lands in a singular or wrong chamber and fails it.  The degree
-l(mu) + |J| is range-checked once per stretch (J is fixed for the whole
-run), and the divisibility of the pairing product once per witness.
+stretch where w is fixed, mu^+ = w(mu + rho) - rho.  So `_sign_runs`
+checks the sign pattern at the two ends of each run; the key is fixed by
+construction over a stretch; min(mu^+) >= 0 is checked at its two ends.
+As only the right w makes w(mu + rho) strictly dominant, that last check
+also certifies every mu^+ of the stretch, and a stretch that ran one
+point too far lands in a singular or wrong chamber and fails it.  The
+degree l(mu) + |J| is range-checked once per stretch (J is fixed for the
+whole run), and the divisibility of the pairing product once per witness.
 """
 
 from __future__ import annotations
@@ -285,22 +289,41 @@ def _sign_runs(
     X: WonderfulVariety, lam: Weight, base_pair: tuple[int, ...]
 ) -> Iterator[tuple[tuple[int, ...], int, list[int], tuple[int, ...], Weight]]:
     """Per line of the witness ball, its run of c_0 that keeps the sign
-    pattern: (c, n, sig, pair, mu) at the run's first point c, n >= 1
-    points long.  Rank at least 1."""
+    pattern, certified at its ends: (c, n, sig, pair, mu) at the run's first
+    point c, n >= 1 points long.  At rank 0 the one run is the point c = ()."""
+    if not X.rank:
+        yield (), 1, [], base_pair, lam
+        return
     sig_base = _gamma_pairings(X, lam)
     row, rest_rows = X._gamma_sign_gram[0], X._gamma_sign_gram[1:]
     for rest, lo, hi in _ball_lines(X, lam, 1):
         a = translate(sig_base, rest, rest_rows) if rest else sig_base
         lo, hi = _cut_line(a, row, rest, lo, hi)
-        if lo <= hi:
-            c = (lo, *rest)
-            yield (
-                c,
-                hi - lo + 1,
-                [x + lo * y for x, y in zip(a, row)],
-                translate(base_pair, c, X._gamma_coroot_rows),
-                translate(lam, c, X.spherical_roots),
+        if lo > hi:
+            continue
+        c = (lo, *rest)
+        n = hi - lo + 1
+        sig = [x + lo * y for x, y in zip(a, row)]
+        # the sign cone fixes J = {i : c_i > 0}; the omega signature must
+        # equal it.  A run on one side of c_0 = 0 has one J, and each s_i is
+        # affine along it, so the pattern holds on the run if it holds at
+        # both ends
+        signs = [ci > 0 for ci in c]
+        if [s < 0 for s in sig] != signs or (
+            n > 1
+            and (
+                (c[0] + n - 1 > 0) != signs[0]
+                or [s + (n - 1) * e < 0 for s, e in zip(sig, row)] != signs
             )
+        ):
+            raise InvariantError("the line cut kept a point off the sign pattern")
+        yield (
+            c,
+            n,
+            sig,
+            translate(base_pair, c, X._gamma_coroot_rows),
+            translate(lam, c, X.spherical_roots),
+        )
 
 
 def _stretches(
@@ -312,33 +335,12 @@ def _stretches(
     them.  Along the stretch mu moves by gamma_0, the coroot pairings by
     <gamma_0, alpha_k^vee> and mu_plus by w_step = w(gamma_0)."""
     g = X.group
-    base_pair = g.shifted_pairings(lam)
-    if X.rank:
-        runs = _sign_runs(X, lam, base_pair)
-        sig_step = X._gamma_sign_gram[0]
-        pair_step = X._gamma_coroot_rows[0]
-        mu_step = X.spherical_roots[0]
-    else:  # no spherical roots: the one point c = ()
-        runs = [((), 1, (), base_pair, lam)]
-        sig_step = pair_step = mu_step = ()
-    rising, falling = X._gamma0_rising, X._gamma0_falling
+    mu_step, pair_step = X._gamma0_step
+    moving = X._gamma0_moving
     # per inversion set: (length, matrix of w, w(gamma_0)), one walk each
     walks: dict[tuple[bool, ...], tuple[int, tuple[Weight, ...], Weight]] = {}
-    for c, n, sig, pair, mu in runs:
-        # the sign cone fixes J = {i : c_i > 0}; the omega signature must
-        # equal it.  A run on one side of c_0 = 0 has one J, and each s_i is
-        # affine along it, so the pattern holds on the run if it holds at
-        # both ends
-        signs = [ci > 0 for ci in c]
-        if [s < 0 for s in sig] != signs or (
-            n > 1
-            and (
-                (c[0] + n - 1 > 0) != signs[0]
-                or [s + (n - 1) * e < 0 for s, e in zip(sig, sig_step)] != signs
-            )
-        ):
-            raise InvariantError("the line cut kept a point off the sign pattern")
-        J = tuple(itertools.compress(range(len(c)), signs))
+    for c, n, _, pair, mu in _sign_runs(X, lam, g.shifted_pairings(lam)):
+        J = tuple([i for i, ci in enumerate(c) if ci > 0])
         t = 0  # offset of the point at mu and pair from the run's start
         while True:
             if 0 in pair:
@@ -349,12 +351,10 @@ def _stretches(
                 # -(p // d) points s >= 0 when p and d have opposite signs
                 m = n - t
                 if m > 1:
-                    for k in rising:
-                        if pair[k] < 0:
-                            m = min(m, -(pair[k] // pair_step[k]))
-                    for k in falling:
-                        if pair[k] > 0:
-                            m = min(m, -(pair[k] // pair_step[k]))
+                    for k in moving:
+                        p, d = pair[k], pair_step[k]
+                        if (p < 0) == (d > 0):
+                            m = min(m, -(p // d))
                 if m < 1:
                     raise InvariantError("empty chamber stretch")
                 key = tuple([p < 0 for p in pair])
@@ -388,8 +388,7 @@ def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]
     """All certified pairs (J, mu) for lam, in canonical order."""
     lam = _require_pic(X, lam)
     den = X.group._weyl_den
-    mu_step = X.spherical_roots[0] if X.rank else ()
-    pair_step = X._gamma_coroot_rows[0] if X.rank else ()
+    mu_step, pair_step = X._gamma0_step
     out = []
     for J, length, degree, mu, mu_plus, pair, w_step, m in _stretches(X, lam):
         for step in range(m):

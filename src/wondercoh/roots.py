@@ -8,8 +8,9 @@ never go through floating point.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -42,16 +43,6 @@ _POSITIVE_ROOT_COUNT = {
     "E": {6: 36, 7: 63, 8: 120}.get,
     "F": {4: 24}.get,
     "G": {2: 6}.get,
-}
-
-_WEYL_ORDER = {
-    "A": lambda n: factorial(n + 1),
-    "B": lambda n: 2**n * factorial(n),
-    "C": lambda n: 2**n * factorial(n),
-    "D": lambda n: 2 ** (n - 1) * factorial(n),
-    "E": {6: 51840, 7: 2903040, 8: 696729600}.get,
-    "F": {4: 1152}.get,
-    "G": {2: 12}.get,
 }
 
 
@@ -136,14 +127,12 @@ class RootSystem:
         cartan = [[0] * self.rank for _ in range(self.rank)]
         symmetrizer: list[int] = []
         offset = 0
-        self._component_slices = []
         for family, rank in components:
             block = _component_cartan(family, rank)
             for i in range(rank):
                 for j in range(rank):
                     cartan[offset + i][offset + j] = block[i][j]
             symmetrizer.extend(_component_symmetrizer(family, rank))
-            self._component_slices.append((offset, offset + rank))
             offset += rank
         self.cartan = tuple(tuple(row) for row in cartan)
         self.symmetrizer = tuple(symmetrizer)
@@ -313,11 +302,10 @@ class RootSystem:
         return q
 
     def weyl_order(self) -> int:
-        order = 1
-        for family, rank in self.components:
-            table = _WEYL_ORDER[family]
-            order *= table(rank)
-        return order
+        """|W| = prod (m + 1) over the exponents m (Kostant): h[k] positive
+        roots have height k, and h[k] - h[k + 1] exponents equal k."""
+        h = Counter(map(sum, self.positive_roots))
+        return prod((k + 1) ** (h[k] - h[k + 1]) for k in h)
 
     def reflect_simple(self, i: int, lam: Sequence[int]) -> Weight:
         """Image of a weight under the simple reflection s_i (unshifted)."""

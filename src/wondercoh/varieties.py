@@ -192,12 +192,11 @@ class WonderfulVariety:
             tuple(sum(r * x for r, x in zip(row, gam)) for row in g._coroot_rows)
             for gam in sigma
         )
-        # the coroots k with <gamma_0, alpha_k^vee> > 0 and < 0: along c_0 a
-        # pairing can reach 0 only from below in the first, from above in
-        # the second, which ends a chamber stretch of `cohomology._stretches`
-        step = self._gamma_coroot_rows[0] if sigma else ()
-        self._gamma0_rising = tuple(k for k, d in enumerate(step) if d > 0)
-        self._gamma0_falling = tuple(k for k, d in enumerate(step) if d < 0)
+        # one step along c_0: (gamma_0, <gamma_0, alpha_k^vee>_k), ((), ())
+        # at rank 0; only the coroots k that move (d != 0) can end a chamber
+        # stretch of `cohomology._stretches`
+        self._gamma0_step = (sigma[0], self._gamma_coroot_rows[0]) if sigma else ((), ())
+        self._gamma0_moving = tuple(k for k, d in enumerate(self._gamma0_step[1]) if d)
         # signature increments: dot(W_i, gamma_j)
         self._gamma_sign_gram = tuple(
             tuple(sum(a * b for a, b in zip(w, gam)) for gam in sigma)

@@ -121,6 +121,36 @@ def test_cohomology_degree_filter(capsys):
     assert json.loads(out)["groups"] == []
 
 
+def test_degree_filter_text_names_only_its_group(capsys):
+    argv = ("cohomology", "group:A1", "--lambda", "2")
+    _, full, _ = run(capsys, *argv)
+    assert full.splitlines()[1] == "H^0: dimension 10"
+    code, out, _ = run(capsys, *argv, "--degree", "1")
+    assert code == 0
+    assert out.splitlines() == [full.splitlines()[0], "H^1: dimension 0"]
+    assert run(capsys, *argv, "--degree", "0")[1] == full
+    _, csv_out, _ = run(capsys, *argv, "--degree", "1", "--format", "csv")
+    assert csv_out == "degree,highest_weight,multiplicity,dimension\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cohomology", "group:A1", "--lambda", "2"),
+        ("scan", "group:A1", "--box", "1"),
+        ("region-plot", "group:A1", "--kind", "Omega", "--range", "-2", "2"),
+    ],
+)
+def test_unwritable_out_is_one_error_line(tmp_path, capsys, argv):
+    # an empty path is no file either: it must not fall back to stdout
+    for target in (str(tmp_path / "missing" / "out.svg"), ""):
+        code, out, err = run(capsys, *argv, "--out", target)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
 def test_cohomology_byte_stable(capsys):
     args = ("cohomology", "E6/F4", "--lambda", "-10", "-10", "--format", "json")
     _, out1, _ = run(capsys, *args)

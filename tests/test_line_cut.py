@@ -112,6 +112,16 @@ def test_negative_interval_equals_pointwise_filter(d, z, e, lo, width):
     assert list(range(start, end + 1)) == [t for t in range(lo, hi + 1) if x + t * d >= 0]
 
 
+@pytest.mark.parametrize("name", [n for n in NAMES if build_case(n).rank == 0])
+def test_rank_zero_is_one_point_run(name):
+    # no spherical roots: the sign cone is the one point c = ()
+    X = build_case(name)
+    for coords in [(0,) * len(X.pic_basis), (-3,) * len(X.pic_basis)]:
+        lam = X.weight_from_pic_coords(coords)
+        base_pair = X.group.shifted_pairings(lam)
+        assert list(_sign_runs(X, lam, base_pair)) == [((), 1, [], base_pair, lam)]
+
+
 def zero_endpoints(X, lam):
     """(c, i, J) for each end c of a run at which s_i = 0: a cut endpoint
     that is an exact division."""

@@ -174,6 +174,26 @@ def test_weyl_orders():
     assert build_root_system([("A", 2)]).weyl_order() == 6
     assert build_root_system([("A", 1), ("A", 1)]).weyl_order() == 4
     assert build_root_system([("E", 6)]).weyl_order() == 51840
+    # up to rank 3 against the enumerated group
+    for spec in [
+        [("A", 1)], [("A", 2)], [("A", 3)], [("B", 2)], [("B", 3)], [("C", 3)], [("G", 2)],
+        [("A", 1), ("A", 1)], [("A", 1), ("B", 2)], [("A", 1), ("A", 1), ("A", 1)],
+    ]:
+        g = build_root_system(spec)
+        assert g.weyl_order() == len(weyl_group_bruteforce(g))
+    # beyond rank 3 against the classical orders
+    for spec, order in [
+        ([("A", 5)], 720),
+        ([("B", 4)], 384),
+        ([("C", 4)], 384),
+        ([("D", 4)], 192),
+        ([("D", 5)], 1920),
+        ([("E", 7)], 2903040),
+        ([("E", 8)], 696729600),
+        ([("F", 4)], 1152),
+        ([("A", 2), ("B", 3)], 288),
+    ]:
+        assert build_root_system(spec).weyl_order() == order
 
 
 def test_chamber_walk_matches_bruteforce():
