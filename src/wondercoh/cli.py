@@ -5,8 +5,8 @@ to every selected check; with the vanishing check, a weight is first
 refused if its candidates, counted from the ball's lines and not listed,
 exceed the cap.  Exit codes: 0 success, 2 usage error (unknown variety,
 malformed coordinates, a scan weight over that cap, an output file that
-cannot be written), 3 internal validation failure (a descriptor or a
-paper-derived invariant did not hold).
+cannot be written, a stdout whose reader is gone), 3 internal validation
+failure (a descriptor or a paper-derived invariant did not hold).
 """
 
 from __future__ import annotations
@@ -218,17 +218,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="line bundle cohomology on wonderful varieties of minimal rank",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    variety = argparse.ArgumentParser(add_help=False)
+    variety.add_argument("variety", nargs="?")
+    variety.add_argument("--variety-file")
 
     sub.add_parser("list", help="list the built-in catalog").set_defaults(func=cmd_list)
 
-    p = sub.add_parser("describe", help="print a variety descriptor and its validation")
-    p.add_argument("variety", nargs="?")
-    p.add_argument("--variety-file")
+    p = sub.add_parser("describe", parents=[variety],
+                       help="print a variety descriptor and its validation")
     p.set_defaults(func=cmd_describe)
 
-    p = sub.add_parser("cohomology", help="decompose all cohomology groups of L_lambda")
-    p.add_argument("variety", nargs="?")
-    p.add_argument("--variety-file")
+    p = sub.add_parser("cohomology", parents=[variety],
+                       help="decompose all cohomology groups of L_lambda")
     p.add_argument("--lambda", dest="lam", type=int, nargs="+", required=True,
                    help="coordinates in the pic basis")
     p.add_argument("--relative-lambda0", action="store_true",
@@ -239,18 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_cohomology)
 
-    p = sub.add_parser("scan", help="run oracle checks over a coordinate box")
-    p.add_argument("variety", nargs="?")
-    p.add_argument("--variety-file")
+    p = sub.add_parser("scan", parents=[variety], help="run oracle checks over a coordinate box")
     p.add_argument("--box", type=int, required=True)
     p.add_argument("--checks", default="vanishing,serre,h0",
                    help="comma separated: vanishing, serre, h0, divisibility")
     p.add_argument("--out")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("region-plot", help="emit an SVG weight-region figure")
-    p.add_argument("variety", nargs="?")
-    p.add_argument("--variety-file")
+    p = sub.add_parser("region-plot", parents=[variety], help="emit an SVG weight-region figure")
     p.add_argument("--kind", choices=("Omega", "R"), required=True)
     p.add_argument("--range", type=int, nargs=2, required=True, metavar=("MIN", "MAX"))
     p.add_argument("--base", type=int, nargs="+",
@@ -265,7 +262,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that is gone shows here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # the interpreter flushes stdout again at exit; let that write go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -157,6 +157,8 @@ def _serre_check(X: WonderfulVariety, lam, left, table: CohomologyTable) -> Serr
         return SerreCheck(False, "duplicate witnesses on the dual side")
     if len(left) != len(right):
         return SerreCheck(False, f"{len(left)} witnesses vs {len(right)} dual ones")
+    # the partners are all of `right`, so dual_dims[d] is dim H^{n - d} of the dual
+    dual_dims: dict[int, int] = {}
     for t in left:
         partner = index.get(serre_partner(X, t))
         if partner is None:
@@ -164,9 +166,9 @@ def _serre_check(X: WonderfulVariety, lam, left, table: CohomologyTable) -> Serr
         if partner.degree != n - t.degree:
             detail = f"degree {t.degree} pairs with {partner.degree}, expected {n - t.degree}"
             return SerreCheck(False, detail)
-    dual_dims = tabulate(X, dual, right).dimensions_by_degree()
+        dual_dims[t.degree] = dual_dims.get(t.degree, 0) + partner.dimension
     for d, value in table.dimensions_by_degree().items():
-        if dual_dims.get(n - d, 0) != value:
+        if dual_dims.get(d, 0) != value:
             return SerreCheck(False, f"dim H^{d} = {value} but dual H^{n - d} differs")
     return SerreCheck(True)
 
@@ -240,36 +242,3 @@ class BruteWeylGroup:
 def weyl_group_bruteforce(system: RootSystem) -> BruteWeylGroup:
     return BruteWeylGroup(system)
 
-
-def naive_contribution_scan(
-    X: WonderfulVariety, lam: Sequence[int], box: int
-) -> list[Contribution]:
-    """Contributions found by scanning the axis-aligned coefficient box
-    [-box, box]^r with the defining conditions spelled out directly
-    (rational inner products, no candidate ball)."""
-    g = X.group
-    lam = g.check_weight(lam)
-    r = X.rank
-    out = []
-    for c in itertools.product(range(-box, box + 1), repeat=r):
-        mu = translate(lam, c, X.spherical_roots)
-        if not g.is_regular_shifted(mu):
-            continue
-        shifted = [x + 1 for x in mu]
-        jset = {
-            i
-            for i, gam in enumerate(X.spherical_roots)
-            if g.inner_product(shifted, gam) < 0
-        }
-        if not all((ci >= 1) if i in jset else (ci <= 0) for i, ci in enumerate(c)):
-            continue
-        made = g.make_dominant_shifted(mu)
-        mu_plus, length, _ = made
-        out.append(
-            Contribution(
-                tuple(sorted(jset)), mu, length, mu_plus, length + len(jset),
-                g.weyl_dimension(mu_plus),
-            )
-        )
-    out.sort(key=lambda t: (t.degree, t.mu))
-    return out

@@ -34,12 +34,12 @@ def _integer(x) -> int:
     return n
 
 
-#: classical positive root counts per simple family
+#: classical positive root counts per simple family, None at a rank it lacks
 _POSITIVE_ROOT_COUNT = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
+    "A": lambda n: n * (n + 1) // 2 if n >= 1 else None,
+    "B": lambda n: n * n if n >= 2 else None,
+    "C": lambda n: n * n if n >= 2 else None,
+    "D": lambda n: n * (n - 1) if n >= 2 else None,
     "E": {6: 36, 7: 63, 8: 120}.get,
     "F": {4: 24}.get,
     "G": {2: 6}.get,
@@ -65,24 +65,8 @@ def _simple_edges(family: str, rank: int) -> list[tuple[int, int, int, int]]:
         return [(i, j, -1, -1) for i, j in edges]
     if family == "F":
         return [(0, 1, -1, -1), (1, 2, -1, -2), (2, 3, -1, -1)]
-    if family == "G":
-        # alpha_1 short, alpha_2 long (Bourbaki)
-        return [(0, 1, -3, -1)]
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _validate_type(family: str, rank: int) -> None:
-    ok = {
-        "A": rank >= 1,
-        "B": rank >= 2,
-        "C": rank >= 2,
-        "D": rank >= 2,
-        "E": rank in (6, 7, 8),
-        "F": rank == 4,
-        "G": rank == 2,
-    }.get(family)
-    if not ok:
-        raise ValueError(f"invalid Dynkin type {family}{rank}")
+    # G: alpha_1 short, alpha_2 long (Bourbaki)
+    return [(0, 1, -3, -1)]
 
 
 def _component_cartan(family: str, rank: int) -> list[list[int]]:
@@ -119,8 +103,10 @@ class RootSystem:
         components = tuple((str(f).upper(), _integer(n)) for f, n in components)
         if not components:
             raise ValueError("empty component list")
-        for family, rank in components:
-            _validate_type(family, rank)
+        counts = [_POSITIVE_ROOT_COUNT.get(f, lambda n: None)(n) for f, n in components]
+        for (family, rank), count in zip(components, counts):
+            if count is None:
+                raise ValueError(f"invalid Dynkin type {family}{rank}")
         self.components = components
         self.rank = sum(n for _, n in components)
 
@@ -138,8 +124,7 @@ class RootSystem:
         self.symmetrizer = tuple(symmetrizer)
 
         self.positive_roots = self._generate_positive_roots()
-        expected = sum(_POSITIVE_ROOT_COUNT[f](n) for f, n in components)
-        if len(self.positive_roots) != expected:
+        if len(self.positive_roots) != sum(counts):
             raise InvariantError("positive root closure has the wrong size")
 
         # (omega_i, omega_j) = d_i * (A^-1)_ij; short roots have length^2 = 2

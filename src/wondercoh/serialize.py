@@ -5,10 +5,10 @@ consumers never have to parse big integers.  All orderings are inherited
 from the canonical table order, so identical inputs serialise to
 identical bytes.
 
-`table_to_dict` is the reference document: `table_to_json` returns exactly
+`table_to_json` writes the README's "JSON schema" from pre-indented
+templates, calling `json.dumps` only for the variety name: the bytes of
 `json.dumps(table_to_dict(...), indent=2, separators=(",", ": "))` plus a
-newline.  Because the schema is fixed, it writes those bytes from
-pre-indented templates and calls `json.dumps` only for the variety name.
+newline, with the test reference `tests/test_helpers.table_to_dict`.
 Witness and constituent objects have one `str.format` template per shape,
 that is per array length (|J| and the length of mu, or the length of the
 highest weight), built once and cached, so each object is one `format`
@@ -27,42 +27,6 @@ from typing import Sequence
 
 from .cohomology import CohomologyTable, Constituent, DegreeGroup
 from .varieties import WonderfulVariety
-
-
-def table_to_dict(
-    X: WonderfulVariety,
-    table: CohomologyTable,
-    lam_coords: Sequence[int],
-    with_witnesses: bool = True,
-) -> dict:
-    groups = []
-    for g in table.groups:
-        constituents = []
-        for c in g.constituents:
-            entry = {
-                "highest_weight": list(c.highest_weight),
-                "multiplicity": c.multiplicity,
-                "witnesses": [
-                    {"J": list(t.J), "mu": list(t.mu), "length": t.length}
-                    for t in c.witnesses
-                ]
-                if with_witnesses
-                else [],
-            }
-            constituents.append(entry)
-        groups.append(
-            {
-                "degree": g.degree,
-                "dimension": str(g.dimension),
-                "constituents": constituents,
-            }
-        )
-    return {
-        "variety": X.name,
-        "lambda": [int(x) for x in lam_coords],
-        "N": X.dimension_N,
-        "groups": groups,
-    }
 
 
 #: key indentation of group, constituent and witness objects
@@ -154,7 +118,7 @@ def table_to_json(
     with_witnesses: bool = True,
 ) -> str:
     """json.dumps(table_to_dict(...), indent=2, separators=(",", ": ")) plus
-    a newline, written from fixed templates."""
+    a newline (the README's JSON schema; table_to_dict is in tests/test_helpers.py)."""
     groups = [_group_json(g, with_witnesses) for g in table.groups]
     return (
         "{\n"

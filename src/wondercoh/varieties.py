@@ -504,19 +504,6 @@ def flag_variety(group: RootSystem, q_simple_roots: Sequence[int] = (), name: st
     )
 
 
-_DYNKIN_INVOLUTION = {
-    "A": lambda n: {i: n - 1 - i for i in range(n)},
-    "D": lambda n: {n - 2: n - 1, n - 1: n - 2} if n % 2 else {},
-    "E": lambda n: {0: 5, 5: 0, 2: 4, 4: 2} if n == 6 else {},
-}
-
-
-def _dynkin_involution(family: str, rank: int) -> dict[int, int]:
-    table = _DYNKIN_INVOLUTION.get(family)
-    swap = table(rank) if table else {}
-    return {i: swap.get(i, i) for i in range(rank)}
-
-
 def _from_pairs(
     name: str,
     components: Sequence[tuple[str, int]],
@@ -561,7 +548,8 @@ def group_compactification(family: str, rank: int, name: str = "") -> WonderfulV
     system of both factors.
     """
     single = build_root_system([(family, rank)])
-    inv = _dynkin_involution(single.components[0][0], rank)
+    # the diagram involution: -w_0 omega_i = omega_inv[i]
+    inv = [single.dual_weight(_unit(rank, i)).index(1) for i in range(rank)]
     zero = (0,) * rank
     pairs = [(_unit(rank, i) + zero, zero + _unit(rank, inv[i])) for i in range(rank)]
     pic = [_unit(rank, i) + _unit(rank, inv[i]) for i in range(rank)]

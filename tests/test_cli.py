@@ -312,3 +312,30 @@ def test_bad_serre_twist_exits_3(capsys, monkeypatch):
     )
     assert code == 3
     assert out == "" and "left pic; bad catalog data" in err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cohomology", "group:A2", "--lambda", "-60", "-60", "--format", "json"),
+        ("list",),
+        ("describe", "E6/F4"),
+    ],
+)
+def test_closed_stdout_is_one_error_line(argv, unbuffered):
+    # the read end is closed before the child starts, so every write to
+    # stdout fails, buffered (at the final flush) or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wondercoh.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wondercoh.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"

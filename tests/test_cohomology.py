@@ -14,7 +14,7 @@ from wondercoh.cohomology import (
     omega_signature,
     serre_dual_weight,
 )
-from wondercoh.oracles import naive_contribution_scan
+from test_helpers import naive_contribution_scan
 from wondercoh.serialize import table_to_json
 from wondercoh.varieties import pic_box
 

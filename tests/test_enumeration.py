@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from wondercoh import CATALOG_NAMES, build_case
 from wondercoh.cohomology import _ball_coefficients, contributions, enumerate_candidates
-from test_helpers import frac_isqrt_floor
-from wondercoh.oracles import naive_contribution_scan
+from test_helpers import frac_isqrt_floor, naive_contribution_scan
 
 NAMES = CATALOG_NAMES + ("group:A3", "group:B2", "group:G2", "PSO/PSO(5)", "PGL/PSp(4)")
 PROPERTY = settings(max_examples=5, deadline=None, derandomize=True)

@@ -1,10 +1,13 @@
 """Shared helpers (weight translation, Picard boxes, the build_case memo,
-lattice membership) and the number of evaluations each entry point makes."""
+lattice membership), the reference evaluation and JSON document the
+engine is compared with, and the number of evaluations each entry point
+makes."""
 
 import functools
 import itertools
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from wondercoh import CATALOG_NAMES, CatalogError, WonderfulVariety, build_case
 from wondercoh import cohomology, oracles
+from wondercoh.cohomology import CohomologyTable, Contribution
 from wondercoh.regions import region_plot
 from wondercoh.exactalg import mat_inverse, mat_vec, translate
 from wondercoh.roots import RootSystem
@@ -27,6 +31,76 @@ def frac_isqrt_floor(x: Fraction) -> int:
     # floor(sqrt(p/q)) = floor(sqrt(p*q)/q) and isqrt is exact on ints.
     p, q = x.numerator, x.denominator
     return math.isqrt(p * q) // q
+
+
+def naive_contribution_scan(
+    X: WonderfulVariety, lam: Sequence[int], box: int
+) -> list[Contribution]:
+    """Contributions found by scanning the axis-aligned coefficient box
+    [-box, box]^r with the defining conditions spelled out directly
+    (rational inner products, no candidate ball)."""
+    g = X.group
+    lam = g.check_weight(lam)
+    r = X.rank
+    out = []
+    for c in itertools.product(range(-box, box + 1), repeat=r):
+        mu = translate(lam, c, X.spherical_roots)
+        if not g.is_regular_shifted(mu):
+            continue
+        shifted = [x + 1 for x in mu]
+        jset = {
+            i
+            for i, gam in enumerate(X.spherical_roots)
+            if g.inner_product(shifted, gam) < 0
+        }
+        if not all((ci >= 1) if i in jset else (ci <= 0) for i, ci in enumerate(c)):
+            continue
+        made = g.make_dominant_shifted(mu)
+        mu_plus, length, _ = made
+        out.append(
+            Contribution(
+                tuple(sorted(jset)), mu, length, mu_plus, length + len(jset),
+                g.weyl_dimension(mu_plus),
+            )
+        )
+    out.sort(key=lambda t: (t.degree, t.mu))
+    return out
+
+
+def table_to_dict(
+    X: WonderfulVariety,
+    table: CohomologyTable,
+    lam_coords: Sequence[int],
+    with_witnesses: bool = True,
+) -> dict:
+    groups = []
+    for g in table.groups:
+        constituents = []
+        for c in g.constituents:
+            entry = {
+                "highest_weight": list(c.highest_weight),
+                "multiplicity": c.multiplicity,
+                "witnesses": [
+                    {"J": list(t.J), "mu": list(t.mu), "length": t.length}
+                    for t in c.witnesses
+                ]
+                if with_witnesses
+                else [],
+            }
+            constituents.append(entry)
+        groups.append(
+            {
+                "degree": g.degree,
+                "dimension": str(g.dimension),
+                "constituents": constituents,
+            }
+        )
+    return {
+        "variety": X.name,
+        "lambda": [int(x) for x in lam_coords],
+        "N": X.dimension_N,
+        "groups": groups,
+    }
 
 
 def draw_weight(data, X, lo, hi):

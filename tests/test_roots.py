@@ -32,6 +32,15 @@ def test_invalid_types_rejected(bad):
         build_root_system([bad])
 
 
+@pytest.mark.parametrize("family, rank", [
+    ("A", 0), ("B", 1), ("C", 1), ("D", 1), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("H", 2),
+])
+def test_invalid_type_message(family, rank):
+    with pytest.raises(ValueError) as info:
+        build_root_system([("A", 2), (family, rank)])
+    assert str(info.value) == f"invalid Dynkin type {family}{rank}"
+
+
 def test_pair_coroot_examples():
     a2 = build_root_system([("A", 2)])
     assert a2.pair_coroot((1, 0), (1, 0)) == 1  # <omega_1, alpha_1^vee>

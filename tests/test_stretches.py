@@ -28,9 +28,9 @@ from wondercoh.cohomology import (
     cohomology_table,
     contributions,
 )
-from wondercoh.serialize import table_to_dict, table_to_json
+from wondercoh.serialize import table_to_json
 
-from test_helpers import NAMES, draw_weight
+from test_helpers import NAMES, draw_weight, table_to_dict
 from test_line_cut import DEPTH, keys_along_runs, per_point_contributions
 
 

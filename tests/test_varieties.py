@@ -55,6 +55,38 @@ def test_group_compactification_a2():
     assert X.spherical_roots[1] == (-1, 2, 2, -1)
 
 
+def classical_diagram_involution(family, rank):
+    """-w_0 on the simple roots (Bourbaki labels, 0-based): A_n reverses the
+    chain, D_n with n odd swaps its two end nodes, E6 swaps 1 <-> 6 and
+    3 <-> 5; every other simple type has w_0 = -1."""
+    if family == "A":
+        return [rank - 1 - i for i in range(rank)]
+    swap = {}
+    if family == "D" and rank % 2:
+        swap = {rank - 2: rank - 1, rank - 1: rank - 2}
+    if family == "E" and rank == 6:
+        swap = {0: 5, 5: 0, 2: 4, 4: 2}
+    return [swap.get(i, i) for i in range(rank)]
+
+
+@pytest.mark.parametrize("family, rank", [
+    *(("A", n) for n in range(1, 7)),
+    *((f, n) for f in "BC" for n in range(2, 5)),
+    *(("D", n) for n in range(2, 7)),
+    ("E", 6), ("E", 7), ("F", 4), ("G", 2),
+])
+def test_group_compactification_pairs_by_the_diagram_involution(family, rank):
+    X = group_compactification(family, rank)
+    single = build_root_system([(family, rank)])
+    inv = classical_diagram_involution(family, rank)
+    alpha = [tuple(row[i] for row in single.cartan) for i in range(rank)]
+    unit = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
+    # gamma_i = alpha_i in the first factor plus alpha_inv(i) in the second
+    assert X.spherical_roots == tuple(alpha[i] + alpha[inv[i]] for i in range(rank))
+    # and the Picard basis omega_i + omega_inv(i) likewise
+    assert X.pic_basis == tuple(unit[i] + unit[inv[i]] for i in range(rank))
+
+
 def test_p3_descriptor():
     X = build_case("PSO/PSO(2)")
     assert X.group.describe() == "D2"

@@ -23,9 +23,9 @@ from wondercoh.cohomology import (
     tabulate,
 )
 from wondercoh.roots import InvariantError, RootSystem
-from wondercoh.serialize import table_to_dict, table_to_json
+from wondercoh.serialize import table_to_json
 
-from test_helpers import NAMES, draw_weight
+from test_helpers import NAMES, draw_weight, table_to_dict
 
 
 def deep_weight(data, X):
