@@ -40,11 +40,14 @@ Along a run, mu, the spherical pairings s and the coroot pairings
 pair_k = <mu + rho, alpha_k^vee> move by fixed rows per step of c_0.
 The sign vector of the coroot pairings, the key, is the inversion set of
 mu + rho, and it fixes the Weyl element w with w(mu + rho) dominant.  So
-the chamber walk runs once per distinct key in a call; its word, replayed
-on the identity, gives the integer matrix of w, kept with l(mu) = the
-number of negative pairings and the vector w(gamma_0).  Along a run the
-key holds over stretches of consecutive witnesses, and `_stretches`
-yields one record per stretch.  Each pairing is affine along the run,
+the chamber walk runs once per distinct key and variety in a process; its
+word, replayed on the identity, gives the integer matrix of w, kept with
+l(mu) = the number of negative pairings and the vector w(gamma_0) in the
+variety's chamber table `X._chambers`.  An entry joins the table only
+after the first stretch that used it passed the checks below, and later
+evaluations of that variety reuse it.  Along a run the key holds over
+stretches of consecutive witnesses, and `_stretches` yields one record
+per stretch.  Each pairing is affine along the run,
 pair_k + t <gamma_0, alpha_k^vee>, so the stretch ends in closed form:
 where the first pairing that moves toward 0 would reach or cross it, one
 floor division per such pairing.  Only the coroots with
@@ -66,9 +69,11 @@ checks the sign pattern at the two ends of each run; the key is fixed by
 construction over a stretch; min(mu^+) >= 0 is checked at its two ends.
 As only the right w makes w(mu + rho) strictly dominant, that last check
 also certifies every mu^+ of the stretch, and a stretch that ran one
-point too far lands in a singular or wrong chamber and fails it.  The
-degree l(mu) + |J| is range-checked once per stretch (J is fixed for the
-whole run), and the divisibility of the pairing product once per witness.
+point too far lands in a singular or wrong chamber and fails it; the
+same check certifies each reused table entry on every stretch that reads
+it.  The degree l(mu) + |J| is range-checked once per stretch (J is fixed
+for the whole run), and the divisibility of the pairing product once per
+witness.
 """
 
 from __future__ import annotations
@@ -337,8 +342,7 @@ def _stretches(
     g = X.group
     mu_step, pair_step = X._gamma0_step
     moving = X._gamma0_moving
-    # per inversion set: (length, matrix of w, w(gamma_0)), one walk each
-    walks: dict[tuple[bool, ...], tuple[int, tuple[Weight, ...], Weight]] = {}
+    chambers = X._chambers
     for c, n, _, pair, mu in _sign_runs(X, lam, g.shifted_pairings(lam)):
         J = tuple([i for i, ci in enumerate(c) if ci > 0])
         t = 0  # offset of the point at mu and pair from the run's start
@@ -358,11 +362,11 @@ def _stretches(
                 if m < 1:
                     raise InvariantError("empty chamber stretch")
                 key = tuple([p < 0 for p in pair])
-                walk = walks.get(key)
-                if walk is None:
+                walk = chambers.get(key)
+                fresh = walk is None
+                if fresh:
                     length, w = _chamber(g, mu, sum(key))
-                    w_step = tuple(sum(map(mul, row, mu_step)) for row in w)
-                    walk = walks[key] = (length, w, w_step)
+                    walk = (length, w, tuple(sum(map(mul, row, mu_step)) for row in w))
                 length, w, w_step = walk
                 degree = length + len(J)
                 if not 0 <= degree <= X.dimension_N:
@@ -376,6 +380,11 @@ def _stretches(
                     m > 1 and min(x + (m - 1) * y for x, y in zip(mu_plus, w_step)) < 0
                 ):
                     raise InvariantError("w(mu + rho) is not dominant")
+                if fresh:
+                    # stored only once this stretch has certified the walk,
+                    # so a failed or patched walk never serves a later
+                    # evaluation of X; each reuse is certified again above
+                    chambers[key] = walk
                 yield J, length, degree, mu, mu_plus, pair, w_step, m
             t += m
             if t >= n:

@@ -12,8 +12,10 @@ membership (integer left inverses of the Picard and spherical bases) run on
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -104,12 +106,15 @@ def span_numerators(
 
     `left_inverse` = (rows, den) is a left inverse of the basis scaled to
     integers, rows . basis[j] = den e_j.  Off the span rows . v is only a
-    projection, so rebuilding den * v exactly is the membership check.
+    projection, so rebuilding den * v exactly is the membership check: entry
+    k of sum_i n_i basis[i] is n . (column k of the basis), and an empty
+    basis rebuilds the zero vector.
     """
     rows, den = left_inverse
-    n = tuple(sum(r * x for r, x in zip(row, v)) for row in rows)
-    if translate((0,) * len(v), n, basis) != tuple(den * x for x in v):
-        return None
+    n = tuple([sum(map(mul, row, v)) for row in rows])
+    for column, x in zip(zip(*basis) if basis else itertools.repeat(()), v):
+        if sum(map(mul, n, column)) != den * x:
+            return None
     return n
 
 

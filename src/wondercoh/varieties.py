@@ -144,7 +144,7 @@ class WonderfulVariety:
 
         self._init_lattice_caches()
 
-    # -- construction-time caches (immutable afterwards) -----------------
+    # -- construction-time caches (only the chamber table changes later) -
 
     def _init_lattice_caches(self) -> None:
         g = self.group
@@ -202,6 +202,13 @@ class WonderfulVariety:
             tuple(sum(a * b for a, b in zip(w, gam)) for gam in sigma)
             for w in self._gamma_sign_rows
         )
+        self._serre_twist: Weight = translate(
+            [-x for x in self.two_rho_X], (-1,) * self.rank, sigma
+        )
+        # inversion set of mu + rho -> (length, matrix of w, w(gamma_0)) of
+        # the Weyl element w making mu + rho dominant; filled by
+        # `cohomology._stretches`, one chamber walk per entry per process
+        self._chambers: dict[tuple[bool, ...], tuple[int, tuple[Weight, ...], Weight]] = {}
 
     # -- lattice membership ----------------------------------------------
 
@@ -265,9 +272,7 @@ class WonderfulVariety:
 
     def serre_twist(self) -> Weight:
         """-2 rho_X - sum of spherical roots (the dualising shift on pic)."""
-        return translate(
-            [-x for x in self.two_rho_X], (-1,) * self.rank, self.spherical_roots
-        )
+        return self._serre_twist
 
     def sgamma_shifted(self, index: int, lam: Sequence[int]) -> Weight:
         """rho-shifted action of the spherical reflection s_gamma on lam."""
@@ -628,7 +633,12 @@ def _pgl_psp(n: int) -> WonderfulVariety:
 
 @functools.cache
 def build_case(name: str) -> WonderfulVariety:
-    """Build a named catalog case, once per name (descriptors are immutable).
+    """Build a named catalog case, once per name.
+
+    Descriptors are immutable but for one memo, the chamber table
+    `_chambers` that `cohomology._stretches` fills: one entry per Weyl
+    chamber its witnesses reach, so it never outgrows |W| entries of one
+    small integer matrix each, and it only saves repeated chamber walks.
 
     Accepted names: ``PSO/PSO(n)``, ``Q(n)`` (the quadric of dimension
     2n-1, n >= 2), ``SO7/G2``, ``Q7``, ``PGL/PSp(n)`` (n >= 2, meaning

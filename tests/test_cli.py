@@ -255,6 +255,11 @@ def _off_by_one_walk(walk):
 
 
 def test_invariant_failure_exits_3(capsys, monkeypatch):
+    # imported here: the -O subprocess below imports this module without
+    # the tests directory on its path
+    from test_helpers import cold_chambers
+
+    cold_chambers(monkeypatch, wondercoh.build_case("PSO/PSO(2)"))
     monkeypatch.setattr(
         RootSystem, "make_dominant_shifted",
         _off_by_one_walk(RootSystem.make_dominant_shifted),

@@ -1,5 +1,5 @@
 """Shared helpers (weight translation, Picard boxes, the build_case memo,
-lattice membership), the reference evaluation and JSON document the
+lattice membership, a cold chamber table), the reference evaluation and JSON document the
 engine is compared with, and the number of evaluations each entry point
 makes."""
 
@@ -17,7 +17,7 @@ from wondercoh import CATALOG_NAMES, CatalogError, WonderfulVariety, build_case
 from wondercoh import cohomology, oracles
 from wondercoh.cohomology import CohomologyTable, Contribution
 from wondercoh.regions import region_plot
-from wondercoh.exactalg import mat_inverse, mat_vec, translate
+from wondercoh.exactalg import mat_inverse, mat_vec, span_numerators, translate
 from wondercoh.roots import RootSystem
 from wondercoh.varieties import pic_box
 
@@ -149,6 +149,15 @@ def test_build_case_is_memoised():
             build_case("nosuch")
 
 
+def cold_chambers(monkeypatch, X):
+    """Give X an empty chamber table for this test, so every inversion set
+    its evaluations meet is walked afresh; the shared table comes back
+    after the test."""
+    table: dict = {}
+    monkeypatch.setattr(X, "_chambers", table)
+    return table
+
+
 def count_calls(monkeypatch, holders, attr):
     """Wrap `attr` on every holder with one shared call counter."""
     calls = []
@@ -246,6 +255,38 @@ def test_membership_equals_fraction_solve(name, data):
             assert Y.pic_contains(v) == (None if pic is None else tuple(map(int, pic)))
             sigma = reference_coords(Y, Y.spherical_roots, Y.sigma_gram, v)
             assert Y.sigma_coords(v) == sigma
+
+
+def reference_span_numerators(basis, left_inverse, v):
+    """The entry-by-entry rebuild of den * v that span_numerators replaces."""
+    rows, den = left_inverse
+    n = tuple(sum(r * x for r, x in zip(row, v)) for row in rows)
+    if inline_translate((0,) * len(v), n, basis) != tuple(den * x for x in v):
+        return None
+    return n
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_span_numerators_equals_entry_rebuild(name, data):
+    small = st.integers(-6, 6)
+    for Y in (build_case(name), doubled(name)):
+        rank = Y.group.rank
+        bases = ((Y.pic_basis, Y._pic_left_inv), (Y.spherical_roots, Y._sigma_left_inv))
+        for basis, inverse in bases:
+            on = translate((0,) * rank, data.draw(st.tuples(*(small for _ in basis))), basis)
+            off = data.draw(st.tuples(*(small for _ in range(rank))))
+            # the zero vector, a unit vector (off every empty basis), lattice,
+            # half-lattice and off-span points
+            weights = [(0,) * rank, (1,) + (0,) * (rank - 1), on, off]
+            weights += [tuple(x // 2 for x in v) for v in (on, off) if not any(x % 2 for x in v)]
+            for v in weights:
+                n = span_numerators(basis, inverse, v)
+                assert n == reference_span_numerators(basis, inverse, v)
+                assert n is None or all(type(x) is int for x in n)
+            if not basis:
+                assert span_numerators(basis, inverse, weights[1]) is None
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Per-witness work in `contributions` and the JSON writer.
 
-The chamber walk runs once per inversion set of mu + rho, the constituent
+The chamber walk runs once per inversion set of mu + rho and variety, the
+variety's chamber table keeps only certified walks, the constituent
 dimension comes from the coroot pairings of mu + rho, and `table_to_json`
 writes the bytes of `json.dumps(table_to_dict(...), indent=2)` from
 templates.  Each is checked against the reference it replaces.
@@ -25,7 +26,7 @@ from wondercoh.cohomology import (
 from wondercoh.roots import InvariantError, RootSystem
 from wondercoh.serialize import table_to_json
 
-from test_helpers import NAMES, draw_weight, table_to_dict
+from test_helpers import NAMES, cold_chambers, draw_weight, table_to_dict
 
 
 def deep_weight(data, X):
@@ -63,11 +64,69 @@ def count_walks(monkeypatch):
 def test_one_walk_per_inversion_set(monkeypatch, name, coords, witnesses, walks):
     X = build_case(name)
     lam = X.weight_from_pic_coords(coords)
+    cold_chambers(monkeypatch, X)
     calls = count_walks(monkeypatch)
     conts = contributions(X, lam)
     assert len(conts) == witnesses
     assert len(calls) == walks
     assert {inversion_set(X, mu) for mu in calls} == {inversion_set(X, t.mu) for t in conts}
+
+
+@pytest.mark.parametrize(
+    "name, coords", [("group:A3", (-8, -8, -8)), ("E6/F4", (-30, -30)), ("group:A2", (-8, 4))]
+)
+def test_second_evaluation_walks_no_chamber(monkeypatch, name, coords):
+    X = build_case(name)
+    lam = X.weight_from_pic_coords(coords)
+    table = cold_chambers(monkeypatch, X)
+    calls = count_walks(monkeypatch)
+    first = contributions(X, lam)
+    assert len(calls) == len(table) > 0
+    walked = len(calls)
+    assert contributions(X, lam) == first
+    assert len(calls) == walked
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_chamber_table_does_not_depend_on_order(name, data):
+    X = build_case(name)
+    weights = [deep_weight(data, X)[1] for _ in range(3)]
+    weights += [serre_dual_weight(X, lam) for lam in weights]
+    tables, outputs = [], []
+    for order in (weights, weights[::-1]):
+        with pytest.MonkeyPatch.context() as mp:
+            tables.append(cold_chambers(mp, X))
+            outputs.append([contributions(X, lam) for lam in order])
+    assert tables[0] == tables[1]
+    assert outputs[0] == outputs[1][::-1]
+
+
+def test_failed_walk_leaves_no_entry(monkeypatch):
+    # group:A2 at (-8, 4) meets two inversion sets; the second walk is cut
+    # short, so its first stretch fails dominance and only the first is kept
+    walk = RootSystem.make_dominant_shifted
+    calls = []
+
+    def second_short(self, lam):
+        made = walk(self, lam)
+        calls.append(lam)
+        return made if len(calls) == 1 else (made[0], made[1], made[2][:-1])
+
+    X = build_case("group:A2")
+    lam = X.weight_from_pic_coords((-8, 4))
+    table = cold_chambers(monkeypatch, X)
+    monkeypatch.setattr(RootSystem, "make_dominant_shifted", second_short)
+    with pytest.raises(InvariantError, match="not dominant"):
+        contributions(X, lam)
+    assert len(calls) == 2
+    (key,) = table
+    assert key == inversion_set(X, calls[0])
+    kept = table[key]
+    monkeypatch.setattr(RootSystem, "make_dominant_shifted", walk)
+    assert len(contributions(X, lam)) == 4
+    assert len(table) == 2 and table[key] == kept
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -127,6 +186,7 @@ def test_short_word_breaks_dominance(capsys, monkeypatch):
 
     monkeypatch.setattr(RootSystem, "make_dominant_shifted", short_word)
     X = build_case("PSO/PSO(2)")
+    cold_chambers(monkeypatch, X)
     with pytest.raises(InvariantError, match="not dominant"):
         contributions(X, X.weight_from_pic_coords((-6,)))
     assert main(["cohomology", "PSO/PSO(2)", "--lambda", "-6"]) == 3
