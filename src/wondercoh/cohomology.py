@@ -74,14 +74,24 @@ same check certifies each reused table entry on every stretch that reads
 it.  The degree l(mu) + |J| is range-checked once per stretch (J is fixed
 for the whole run), and the divisibility of the pairing product once per
 witness.
+
+`cohomology_table` has the value of tabulate(X, lam, contributions(X, lam))
+but calls neither.  One pass expands the stretches into witnesses, kept in
+one list per degree, and each degree is sorted once by mu^+, so the
+witnesses of a constituent are adjacent.  Where every mu^+ of a degree is
+distinct, the usual case, its one-witness constituents are built by one
+`map`; otherwise the witnesses that share a mu^+ make one constituent,
+ordered by (J bitmask, mu).  `tabulate` runs the same per-degree step on
+contributions in any order, and `contributions` sorts each degree by mu.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, itemgetter, mul
+from operator import add, eq, itemgetter, mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .exactalg import lattice_coords, negative_interval, translate
@@ -108,6 +118,11 @@ class Constituent(NamedTuple):
     multiplicity: int
     dimension: int
     witnesses: tuple[Contribution, ...]
+
+
+# a Constituent from the tuple of its fields, without the Python-level
+# NamedTuple.__new__, so that a `map` over a degree's records stays in C
+_new_constituent = functools.partial(tuple.__new__, Constituent)
 
 
 @dataclass(frozen=True)
@@ -393,13 +408,14 @@ def _stretches(
             mu = tuple([x + m * y for x, y in zip(mu, mu_step)])
 
 
-def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]:
-    """All certified pairs (J, mu) for lam, in canonical order."""
-    lam = _require_pic(X, lam)
+def _witnesses_by_degree(X: WonderfulVariety, lam: Weight) -> dict[int, list[Contribution]]:
+    """The certified pairs (J, mu) of lam, a weight of pic(X), per degree, in
+    the order `_stretches` yields them."""
     den = X.group._weyl_den
     mu_step, pair_step = X._gamma0_step
-    out = []
+    by_degree: dict[int, list[Contribution]] = {}
     for J, length, degree, mu, mu_plus, pair, w_step, m in _stretches(X, lam):
+        append = by_degree.setdefault(degree, []).append
         for step in range(m):
             if step:
                 mu = tuple(map(add, mu, mu_step))
@@ -408,35 +424,56 @@ def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]
             dimension, rem = divmod(abs(math.prod(pair)), den)
             if rem:
                 raise InvariantError("pairing product is not a Weyl dimension numerator")
-            out.append(Contribution(J, mu, length, mu_plus, degree, dimension))
-    out.sort(key=itemgetter(4, 1))  # (degree, mu)
+            append(Contribution(J, mu, length, mu_plus, degree, dimension))
+    return by_degree
+
+
+def _degree_group(degree: int, conts: list[Contribution]) -> DegreeGroup:
+    """H^degree from its contributions, which are sorted in place: one
+    constituent per highest weight, in order, with shared witnesses ordered
+    by (J bitmask, mu)."""
+    conts.sort(key=itemgetter(3))  # by mu_plus
+    hws = list(map(itemgetter(3), conts))
+    if not any(map(eq, hws, itertools.islice(hws, 1, None))):
+        # every highest weight once: one one-witness constituent per record
+        dims = list(map(itemgetter(5), conts))
+        constituents = tuple(map(_new_constituent, zip(hws, itertools.repeat(1), dims, zip(conts))))
+        return DegreeGroup(degree, constituents, sum(dims))
+    shared = []
+    for hw, wits in itertools.groupby(conts, key=itemgetter(3)):
+        wits = sorted(wits, key=lambda t: (t.j_bitmask(), t.mu))
+        shared.append(Constituent(hw, len(wits), wits[0].dimension, tuple(wits)))
+    total = sum(c.multiplicity * c.dimension for c in shared)
+    return DegreeGroup(degree, tuple(shared), total)
+
+
+def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]:
+    """All certified pairs (J, mu) for lam, in canonical order: by degree,
+    then by mu."""
+    by_degree = _witnesses_by_degree(X, _require_pic(X, lam))
+    out: list[Contribution] = []
+    for degree in sorted(by_degree):
+        out += sorted(by_degree[degree], key=itemgetter(1))
     return out
 
 
 def tabulate(
     X: WonderfulVariety, lam: Sequence[int], conts: Sequence[Contribution]
 ) -> CohomologyTable:
-    """Aggregate the contributions of lam into per-degree constituents;
-    each constituent's dimension is that of its witnesses."""
-    by_key: dict[tuple[int, Weight], list[Contribution]] = {}
-    for t in conts:
-        by_key.setdefault((t.degree, t.mu_plus), []).append(t)
-    groups = []
-    for deg, keys in itertools.groupby(sorted(by_key), key=itemgetter(0)):
-        constituents = []
-        for key in keys:
-            wits = by_key[key]
-            if len(wits) > 1:
-                wits.sort(key=lambda t: (t.j_bitmask(), t.mu))
-            constituents.append(Constituent(key[1], len(wits), wits[0].dimension, tuple(wits)))
-        total = sum(c.multiplicity * c.dimension for c in constituents)
-        groups.append(DegreeGroup(deg, tuple(constituents), total))
-    return CohomologyTable(X.group.check_weight(lam), tuple(groups))
+    """Aggregate the contributions of lam, in any order, into per-degree
+    constituents; each constituent's dimension is that of its witnesses."""
+    by_degree = itertools.groupby(sorted(conts, key=itemgetter(4)), key=itemgetter(4))
+    groups = tuple(_degree_group(degree, list(ts)) for degree, ts in by_degree)
+    return CohomologyTable(X.group.check_weight(lam), groups)
 
 
 def cohomology_table(X: WonderfulVariety, lam: Sequence[int]) -> CohomologyTable:
-    """The cohomology decomposition of L_lam: its contributions, tabulated."""
-    return tabulate(X, lam, contributions(X, lam))
+    """The cohomology decomposition of L_lam: the value of
+    tabulate(X, lam, contributions(X, lam)), built in one pass that sorts
+    each degree once."""
+    lam = _require_pic(X, lam)
+    by_degree = _witnesses_by_degree(X, lam)
+    return CohomologyTable(lam, tuple(_degree_group(d, by_degree[d]) for d in sorted(by_degree)))
 
 
 def serre_dual_weight(X: WonderfulVariety, lam: Sequence[int]) -> Weight:

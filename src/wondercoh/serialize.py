@@ -14,7 +14,10 @@ that is per array length (|J| and the length of mu, or the length of the
 highest weight), built once and cached, so each object is one `format`
 call.  A constituent with exactly one witness, the usual case at depth,
 is one `format` call in all: its template is the constituent template
-with the witness template spliced in as its one-element array.  With an
+with the witness template spliced in as its one-element array.  The
+weights of a degree group share one length, so each group binds the
+`format` methods it needs once (one per |J| for one-witness
+constituents) instead of looking a template up per constituent.  With an
 indent, `json.dumps` runs CPython's pure-Python encoder, about four times
 slower than the templates on deep weights.
 """
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import json
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .cohomology import CohomologyTable, Constituent, DegreeGroup
 from .varieties import WonderfulVariety
@@ -82,26 +85,34 @@ def _single_witness_template(nhw: int, nj: int, nmu: int) -> str:
     return head + _items([_witness_template(nj, nmu)], _CONSTITUENT) + tail
 
 
-def _constituent_json(c: Constituent, with_witnesses: bool) -> str:
-    hw, multiplicity, _, wits = c
-    if with_witnesses and len(wits) == 1:
-        (t,) = wits
-        return _single_witness_template(len(hw), len(t.J), len(t.mu)).format(
-            *hw, multiplicity, *t.J, *t.mu, t.length
-        )
-    witnesses = []
-    if with_witnesses:
-        witnesses = [
-            _witness_template(len(t.J), len(t.mu)).format(*t.J, *t.mu, t.length)
-            for t in wits
-        ]
-    return _constituent_template(len(hw)).format(
-        *hw, multiplicity, _items(witnesses, _CONSTITUENT)
-    )
+def _constituents_json(constituents: Sequence[Constituent], with_witnesses: bool) -> list[str]:
+    """The constituent objects of one degree group, formatted with the
+    methods bound once per group (see the module docstring)."""
+    if not constituents:
+        return []
+    n = len(constituents[0].highest_weight)
+    plain = _constituent_template(n).format
+    if not with_witnesses:
+        return [plain(*hw, multiplicity, "[]") for hw, multiplicity, _, _ in constituents]
+    single: dict[int, Callable[..., str]] = {}  # |J| -> one-witness constituent format
+    out = []
+    for hw, multiplicity, _, wits in constituents:
+        if len(wits) == 1:
+            (t,) = wits
+            fmt = single.get(len(t.J))
+            if fmt is None:
+                fmt = single[len(t.J)] = _single_witness_template(n, len(t.J), n).format
+            out.append(fmt(*hw, multiplicity, *t.J, *t.mu, t.length))
+        else:
+            witnesses = [
+                _witness_template(len(t.J), n).format(*t.J, *t.mu, t.length) for t in wits
+            ]
+            out.append(plain(*hw, multiplicity, _items(witnesses, _CONSTITUENT)))
+    return out
 
 
 def _group_json(g: DegreeGroup, with_witnesses: bool) -> str:
-    constituents = [_constituent_json(c, with_witnesses) for c in g.constituents]
+    constituents = _constituents_json(g.constituents, with_witnesses)
     return (
         "    {\n"
         f'      "degree": {g.degree},\n'

@@ -1,7 +1,9 @@
 """The engine against its independent oracles, as hypothesis properties over
 the catalog and the larger groups it lacks: the Serre witness bijection,
 the H^0 law against `brion_h0` (and its box against the norm bound it
-replaced), and Borel-Weil-Bott against `bwb_direct` on the flag varieties."""
+replaced), Borel-Weil-Bott against `bwb_direct` on the flag varieties, and
+the L(mu) x L(mu)^* shape of every constituent on the group
+compactifications."""
 
 import itertools
 
@@ -13,10 +15,13 @@ from wondercoh import build_case
 from wondercoh.cohomology import cohomology_table
 from test_helpers import frac_isqrt_floor
 from wondercoh.oracles import brion_h0, bwb_direct, serre_involution_check
+from wondercoh.roots import build_root_system
+from wondercoh.varieties import pic_box
 
 from test_helpers import NAMES, draw_weight, inline_translate
 
 FLAGS = tuple(n for n in NAMES if build_case(n).rank == 0)
+GROUPS = tuple(n for n in NAMES if n.startswith("group:"))
 PROPERTY = settings(max_examples=8, deadline=None, derandomize=True)
 
 
@@ -79,3 +84,22 @@ def test_borel_weil_bott(name, data):
     X = build_case(name)
     _, lam = draw_weight(data, X, -20, 20)
     assert cohomology_table(X, lam) == bwb_direct(X, lam)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_group_constituents_pair_each_weight_with_its_dual(name):
+    # every H^d of the group compactification is a sum of L(mu) x L(mu)^*,
+    # so the second factor's weight is -w_0 of the first factor's; the
+    # identity pairing breaks this wherever -w_0 is not the identity
+    X = build_case(name)
+    (factor, _) = X.group.components
+    single = build_root_system([factor])
+    rank = single.rank
+    degrees = set()
+    for _, lam in pic_box(X, {1: 12, 2: 6}.get(rank, 3)):
+        for group in cohomology_table(X, lam).groups:
+            degrees.add(group.degree)
+            for c in group.constituents:
+                mu_1, mu_2 = c.highest_weight[:rank], c.highest_weight[rank:]
+                assert mu_2 == single.dual_weight(mu_1)
+    assert degrees - {0}  # the box reaches past H^0

@@ -1,12 +1,15 @@
-"""Per-witness work in `contributions` and the JSON writer.
+"""Per-witness work in `contributions`, `cohomology_table` and the writers.
 
 The chamber walk runs once per inversion set of mu + rho and variety, the
 variety's chamber table keeps only certified walks, the constituent
-dimension comes from the coroot pairings of mu + rho, and `table_to_json`
-writes the bytes of `json.dumps(table_to_dict(...), indent=2)` from
-templates.  Each is checked against the reference it replaces.
+dimension comes from the coroot pairings of mu + rho, `cohomology_table`
+builds in one pass the table that `tabulate` makes of the contributions,
+and `table_to_json` writes the bytes of `json.dumps(table_to_dict(...),
+indent=2)` from templates.  Each is checked against the reference it
+replaces, and the bytes of all three writers are pinned on four weights.
 """
 
+import hashlib
 import itertools
 import json
 
@@ -14,19 +17,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wondercoh import CATALOG_NAMES, build_case
+from wondercoh import CATALOG_NAMES, build_case, cohomology
 from wondercoh.cli import main
 from wondercoh.cohomology import (
     Contribution,
     cohomology_table,
     contributions,
+    enumerate_candidates,
     serre_dual_weight,
     tabulate,
 )
 from wondercoh.roots import InvariantError, RootSystem
-from wondercoh.serialize import table_to_json
+from wondercoh.serialize import table_to_csv, table_to_json, table_to_text
+from wondercoh.varieties import pic_box
 
-from test_helpers import NAMES, cold_chambers, draw_weight, table_to_dict
+from test_helpers import NAMES, cold_chambers, draw_weight, naive_contribution_scan, table_to_dict
 
 
 def deep_weight(data, X):
@@ -201,6 +206,13 @@ def test_indivisible_pair_product_raises(monkeypatch):
         contributions(X, X.weight_from_pic_coords((-4, 2)))
 
 
+def test_indivisible_pair_product_raises_in_table(monkeypatch):
+    X = build_case("group:A2")
+    monkeypatch.setattr(X.group, "_weyl_den", 2**61 - 1)
+    with pytest.raises(InvariantError, match="Weyl dimension numerator"):
+        cohomology_table(X, X.weight_from_pic_coords((-4, 2)))
+
+
 def test_tabulate_orders_shared_witnesses_and_empty_J():
     # no small catalog weight gives multiplicity > 1, so the contributions
     # are built by hand: two share (degree, mu_plus) and one has J = ()
@@ -222,3 +234,121 @@ def test_tabulate_orders_shared_witnesses_and_empty_J():
         assert table_to_json(X, table, (-6, 4), with_witnesses) == reference_json(
             X, table, (-6, 4), with_witnesses
         )
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_table_in_one_pass_equals_tabulated_contributions(name, data):
+    X = build_case(name)
+    _, lam = deep_weight(data, X)
+    for weight in (lam, serre_dual_weight(X, lam)):
+        conts = contributions(X, weight)
+        table = tabulate(X, weight, conts)
+        assert cohomology_table(X, weight) == table
+        assert tabulate(X, weight, data.draw(st.permutations(conts))) == table
+
+
+@pytest.mark.parametrize("name", ["group:A2", "PGL/PSp(3)", "E6/F4", "group:B2", "PSO/PSO(3)"])
+def test_contributions_are_the_sorted_naive_scan(name):
+    X = build_case(name)
+    for _, lam in pic_box(X, 2):
+        box = 0
+        for mu in enumerate_candidates(X, lam):
+            diff = tuple(a - b for a, b in zip(mu, lam))
+            box = max([box, *(abs(int(x)) for x in X.sigma_coords(diff))])
+        scan = naive_contribution_scan(X, lam, box)
+        assert contributions(X, lam) == sorted(scan, key=lambda t: (t.degree, t.mu))
+
+
+def test_table_groups_stretches_that_share_a_highest_weight(monkeypatch):
+    # two stretches of H^4 end in the same mu_plus; the second one yielded
+    # has the smaller J bitmask, so it is the first witness
+    X = build_case("group:A2")
+    lam = X.weight_from_pic_coords((-6, 4))
+    hw, other = (1, 0, 0, 1), (0, 2, 0, 0)
+    pair, other_pair = (2, 1, 1, 2, 3, 3), (1, 1, 3, 1, 2, 4)  # dims 36/4, 24/4
+    step = (0, 0, 0, 0)
+    stretches = [
+        ((1,), 3, 4, (-7, 2, 4, -8), hw, list(pair), step, 1),
+        ((), 4, 4, (0, 2, -4, 0), other, list(other_pair), step, 1),
+        ((0,), 3, 4, (5, -9, -3, 1), hw, list(pair), step, 1),
+    ]
+    monkeypatch.setattr(cohomology, "_stretches", lambda X, lam: iter(stretches))
+    first = Contribution((0,), (5, -9, -3, 1), 3, hw, 4, 9)
+    second = Contribution((1,), (-7, 2, 4, -8), 3, hw, 4, 9)
+    empty = Contribution((), (0, 2, -4, 0), 4, other, 4, 6)
+    assert contributions(X, lam) == [second, empty, first]  # by mu
+    table = cohomology_table(X, lam)
+    assert table == tabulate(X, lam, contributions(X, lam))
+    (group,) = table.groups
+    assert group.degree == 4 and group.dimension == 2 * 9 + 6
+    single, shared = group.constituents
+    assert (single.highest_weight, single.multiplicity, single.witnesses) == (other, 1, (empty,))
+    assert (shared.highest_weight, shared.multiplicity, shared.dimension) == (hw, 2, 9)
+    assert shared.witnesses == (first, second)
+
+
+def test_group_a3_shares_a_trivial_constituent():
+    # H^5 at (3, -6, 3) holds the trivial module twice, with one J and two mu
+    X = build_case("group:A3")
+    lam = X.weight_from_pic_coords((3, -6, 3))
+    table = cohomology_table(X, lam)
+    shared = [(g.degree, c) for g in table.groups for c in g.constituents if c.multiplicity > 1]
+    assert [(d, c.highest_weight, c.multiplicity, c.dimension) for d, c in shared] == [
+        (5, (0,) * 6, 2, 1)
+    ]
+    ((_, c),) = shared
+    assert [(t.J, t.mu) for t in c.witnesses] == [
+        ((1,), (0, -3, 2, 2, -3, 0)),
+        ((1,), (2, -3, 0, 0, -3, 2)),
+    ]
+    assert tabulate(X, lam, contributions(X, lam)[::-1]) == table
+
+# sha256 of each writer's output: json and text with and without witnesses,
+# then csv
+WRITER_PINS = {
+    ("group:A3", (-8, -8, -8)): (
+        "ed519c9a30ecf66d67a9906549dcf4739c63d4e1ae9467226aa406b0c3d738a7",
+        "2424451ae62dfc2b96d43e4ec801b149b69d645b77a900f4b207f721568c307f",
+        "3305be7074cb930b26ecb482cb417cdb9d96270daf13f9236406dc17891fae2b",
+        "3d7f4d2b7e8e09fdc513979e84d3bbf6879bdc0e8515224bba0bfb56562d874b",
+        "c68af617815398b77c7b56f9c4bc9663c56e47e366cc28d7e09322ecbcebc7a5",
+    ),
+    ("PGL/PSp(4)", (-8, -8, -8)): (
+        "1267d55cd17c39e7b743dd4a9e75ed69e61d30e50d6c19a6a4d2530b23d91bb2",
+        "354c33ae1dab4444faf5045afa3818efea803b15663b0eb8ccaa67d2ca36dc87",
+        "06484c097d6eac9a34cc145079f4bfadb8b2ff21c5c9f32b851112cbdfc6d440",
+        "00d0629545ecdd4d086ab749c22d76cb056c489abdec08bdf6aea7e2098c1b89",
+        "772cd52c84e1714e96ff25fd742e891cdc438606365eb4142777ec39c6e3b848",
+    ),
+    ("E6/F4", (-30, -30)): (
+        "20b5c5d94f7c1aa13a2c5683071e3188df8daebaf823ea6a13ea74071ec0911b",
+        "94ef03cd189dd2ee35683797192d0b88f9f641e093acee956622582b906e3c18",
+        "993db353d3ba4b24ae67f1e306417b32b7eb15be2ef36fbfc9ddbd4bc7973e44",
+        "41ed1884fe3aea1596cf622954e1b7b3169db908ce1e4c563150df364c48c42b",
+        "7839df54bbef777c6ccb4810f9acf668bbf615bc5ee18192b186a5136f6f7709",
+    ),
+    ("group:A2", (-60, -60)): (
+        "982f05395ce24da5bbd93a34d3f74eb022b8370a39bc709ee83322a11f97428d",
+        "b4a0331b5db1e35f0afa0517147dfa91fd0de2ab576811bef21f835d954cb9a2",
+        "15b03ede054adcb3cf849aff0ead77f999afe4226d69836dc2a698b3f6f3f384",
+        "597343a3a92d3bdad73d6c3d3f5aa4c9f3cdfbe9e4674e0aadc7e6c57859a0d4",
+        "da86168d92da46715f0130cad797c804a1a25248e479fa5f2a4efe3b2d38a83e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, coords", list(WRITER_PINS))
+def test_writer_bytes_are_pinned(name, coords):
+    X = build_case(name)
+    table = cohomology_table(X, X.weight_from_pic_coords(coords))
+    outputs = (
+        table_to_json(X, table, coords),
+        table_to_json(X, table, coords, False),
+        table_to_text(X, table, coords),
+        table_to_text(X, table, coords, False),
+        table_to_csv(X, table, coords),
+    )
+    digests = tuple(hashlib.sha256(out.encode()).hexdigest() for out in outputs)
+    assert digests == WRITER_PINS[name, coords]
