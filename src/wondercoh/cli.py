@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import degrees as degrees_mod
 from . import oracles
-from .cohomology import DegreeGroup, cohomology_table, contributions, tabulate
+from .cohomology import DegreeGroup, cohomology_table
 from .regions import region_plot
 from .roots import InvariantError
 from .serialize import table_to_csv, table_to_json, table_to_text
@@ -120,12 +120,12 @@ def cmd_cohomology(args) -> int:
     return 0
 
 
-def _serre_failure(X, rule, coords, lam, conts, table) -> Optional[str]:
-    res = oracles._serre_check(X, lam, conts, table)
+def _serre_failure(X, rule, coords, lam, table) -> Optional[str]:
+    res = oracles._serre_check(X, lam, table)
     return None if res else f"lambda={list(coords)}: {res.detail}"
 
 
-def _h0_failure(X, rule, coords, lam, conts, table) -> Optional[str]:
+def _h0_failure(X, rule, coords, lam, table) -> Optional[str]:
     got = sorted(c.highest_weight for c in table.constituents(0))
     expected = oracles.brion_h0(X, lam)
     if got != expected:
@@ -136,8 +136,8 @@ def _h0_failure(X, rule, coords, lam, conts, table) -> Optional[str]:
         return f"lambda={list(coords)}: dominant weight with higher cohomology"
 
 
-def _divisibility_failure(X, rule, coords, lam, conts, table) -> Optional[str]:
-    ok, detail = degrees_mod._check_lengths(lam, conts, rule)
+def _divisibility_failure(X, rule, coords, lam, table) -> Optional[str]:
+    ok, detail = degrees_mod._check_lengths(lam, table.witnesses(), rule)
     if ok:
         ok, detail = degrees_mod.check_table_against_rule(table, rule)
         detail = f"lambda={list(coords)}: {detail}"
@@ -175,11 +175,10 @@ def cmd_scan(args) -> int:
             oracles.capped_candidate_count(X, coords, lam)
         elif not running:
             break
-        conts = contributions(X, lam)
-        table = tabulate(X, lam, conts)
+        table = cohomology_table(X, lam)
         realized.update(table.nonzero_degrees())
         for name in running:
-            detail = _CHECKS[name][0](X, rule, coords, lam, conts, table)
+            detail = _CHECKS[name][0](X, rule, coords, lam, table)
             if detail is not None:
                 checks[name] = (False, detail)
     if "vanishing" in checks:

@@ -75,14 +75,14 @@ it.  The degree l(mu) + |J| is range-checked once per stretch (J is fixed
 for the whole run), and the divisibility of the pairing product once per
 witness.
 
-`cohomology_table` has the value of tabulate(X, lam, contributions(X, lam))
-but calls neither.  One pass expands the stretches into witnesses, kept in
-one list per degree, and each degree is sorted once by mu^+, so the
-witnesses of a constituent are adjacent.  Where every mu^+ of a degree is
-distinct, the usual case, its one-witness constituents are built by one
-`map`; otherwise the witnesses that share a mu^+ make one constituent,
-ordered by (J bitmask, mu).  `tabulate` runs the same per-degree step on
-contributions in any order, and `contributions` sorts each degree by mu.
+`cohomology_table` is the one result every check reads: the witnesses
+of each constituent are the local terms that sum to it.  One pass expands
+the stretches into witnesses, kept in one list per degree, and each degree
+is sorted once by mu^+, so the witnesses of a constituent are adjacent.
+Where every mu^+ of a degree is distinct, the usual case, its one-witness
+constituents are built by one `map`; otherwise the witnesses that share a
+mu^+ make one constituent, ordered by (J bitmask, mu).  `contributions`
+lists the same witnesses sorted by degree, then by mu.
 """
 
 from __future__ import annotations
@@ -154,6 +154,12 @@ class CohomologyTable:
 
     def dimensions_by_degree(self) -> dict[int, int]:
         return {g.degree: g.dimension for g in self.groups}
+
+    def witnesses(self) -> Iterator[Contribution]:
+        """Every witness, in table order: by degree, then by constituent."""
+        for g in self.groups:
+            for c in g.constituents:
+                yield from c.witnesses
 
 
 def _require_pic(X: WonderfulVariety, lam: Sequence[int]) -> Weight:
@@ -451,25 +457,11 @@ def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]
     """All certified pairs (J, mu) for lam, in canonical order: by degree,
     then by mu."""
     by_degree = _witnesses_by_degree(X, _require_pic(X, lam))
-    out: list[Contribution] = []
-    for degree in sorted(by_degree):
-        out += sorted(by_degree[degree], key=itemgetter(1))
-    return out
-
-
-def tabulate(
-    X: WonderfulVariety, lam: Sequence[int], conts: Sequence[Contribution]
-) -> CohomologyTable:
-    """Aggregate the contributions of lam, in any order, into per-degree
-    constituents; each constituent's dimension is that of its witnesses."""
-    by_degree = itertools.groupby(sorted(conts, key=itemgetter(4)), key=itemgetter(4))
-    groups = tuple(_degree_group(degree, list(ts)) for degree, ts in by_degree)
-    return CohomologyTable(X.group.check_weight(lam), groups)
+    return sorted(itertools.chain.from_iterable(by_degree.values()), key=itemgetter(4, 1))
 
 
 def cohomology_table(X: WonderfulVariety, lam: Sequence[int]) -> CohomologyTable:
-    """The cohomology decomposition of L_lam: the value of
-    tabulate(X, lam, contributions(X, lam)), built in one pass that sorts
+    """The cohomology decomposition of L_lam, built in one pass that sorts
     each degree once."""
     lam = _require_pic(X, lam)
     by_degree = _witnesses_by_degree(X, lam)

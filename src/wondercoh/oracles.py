@@ -23,11 +23,10 @@ from .cohomology import (
     DegreeGroup,
     _ball_lines,
     _require_pic,
+    _witnesses_by_degree,
     cohomology_table,
-    contributions,
     serre_dual_weight,
     serre_partner,
-    tabulate,
 )
 from .exactalg import translate
 from .roots import RootSystem, Weight
@@ -144,13 +143,13 @@ class SerreCheck:
 def serre_involution_check(X: WonderfulVariety, lam: Sequence[int]) -> SerreCheck:
     """Verify the witness bijection (J, mu) -> (J*, mu*) between lam and its
     Serre dual, including degree complementarity and dimension equality."""
-    left = contributions(X, lam)
-    return _serre_check(X, lam, left, tabulate(X, lam, left))
+    return _serre_check(X, lam, cohomology_table(X, lam))
 
 
-def _serre_check(X: WonderfulVariety, lam, left, table: CohomologyTable) -> SerreCheck:
-    dual = serre_dual_weight(X, lam)
-    right = contributions(X, dual)
+def _serre_check(X: WonderfulVariety, lam, table: CohomologyTable) -> SerreCheck:
+    dual = serre_dual_weight(X, lam)  # the one membership check of the dual
+    right = [t for ts in _witnesses_by_degree(X, dual).values() for t in ts]
+    left = list(table.witnesses())
     n = X.dimension_N
     index = {(t.J, t.mu): t for t in right}
     if len(index) != len(right):
@@ -159,14 +158,19 @@ def _serre_check(X: WonderfulVariety, lam, left, table: CohomologyTable) -> Serr
         return SerreCheck(False, f"{len(left)} witnesses vs {len(right)} dual ones")
     # the partners are all of `right`, so dual_dims[d] is dim H^{n - d} of the dual
     dual_dims: dict[int, int] = {}
+    failures = []  # (degree, mu, detail): the least is reported, whatever the table order
     for t in left:
         partner = index.get(serre_partner(X, t))
         if partner is None:
-            return SerreCheck(False, f"witness (J={t.J}, mu={list(t.mu)}) has no dual partner")
-        if partner.degree != n - t.degree:
+            detail = f"witness (J={t.J}, mu={list(t.mu)}) has no dual partner"
+        elif partner.degree != n - t.degree:
             detail = f"degree {t.degree} pairs with {partner.degree}, expected {n - t.degree}"
-            return SerreCheck(False, detail)
-        dual_dims[t.degree] = dual_dims.get(t.degree, 0) + partner.dimension
+        else:
+            dual_dims[t.degree] = dual_dims.get(t.degree, 0) + partner.dimension
+            continue
+        failures.append((t.degree, t.mu, detail))
+    if failures:
+        return SerreCheck(False, min(failures)[2])
     for d, value in table.dimensions_by_degree().items():
         if dual_dims.get(d, 0) != value:
             return SerreCheck(False, f"dim H^{d} = {value} but dual H^{n - d} differs")

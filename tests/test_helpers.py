@@ -1,7 +1,7 @@
 """Shared helpers (weight translation, Picard boxes, the build_case memo,
-lattice membership, a cold chamber table), the reference evaluation and JSON document the
-engine is compared with, and the number of evaluations each entry point
-makes."""
+lattice membership, a cold chamber table), the reference evaluation, table
+grouping and JSON document the engine is compared with, and the number of
+evaluations each entry point makes."""
 
 import functools
 import itertools
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from wondercoh import CATALOG_NAMES, CatalogError, WonderfulVariety, build_case
 from wondercoh import cohomology, oracles
-from wondercoh.cohomology import CohomologyTable, Contribution
+from wondercoh.cohomology import CohomologyTable, Constituent, Contribution, DegreeGroup
 from wondercoh.regions import region_plot
 from wondercoh.exactalg import mat_inverse, mat_vec, span_numerators, translate
 from wondercoh.roots import RootSystem
@@ -65,6 +65,26 @@ def naive_contribution_scan(
         )
     out.sort(key=lambda t: (t.degree, t.mu))
     return out
+
+
+def tabulate(
+    X: WonderfulVariety, lam: Sequence[int], conts: Sequence[Contribution]
+) -> CohomologyTable:
+    """The table of lam grouped from its contributions, in any order, by
+    plain dicts: degree, then highest weight, each constituent's witnesses
+    ordered by (J bitmask, mu)."""
+    by_degree: dict[int, dict[tuple[int, ...], list[Contribution]]] = {}
+    for t in conts:
+        by_degree.setdefault(t.degree, {}).setdefault(t.mu_plus, []).append(t)
+    groups = []
+    for degree in sorted(by_degree):
+        constituents = []
+        for hw, wits in sorted(by_degree[degree].items()):
+            wits = sorted(wits, key=lambda t: (t.j_bitmask(), t.mu))
+            constituents.append(Constituent(hw, len(wits), wits[0].dimension, tuple(wits)))
+        total = sum(c.multiplicity * c.dimension for c in constituents)
+        groups.append(DegreeGroup(degree, tuple(constituents), total))
+    return CohomologyTable(X.group.check_weight(lam), tuple(groups))
 
 
 def table_to_dict(
@@ -174,9 +194,10 @@ def count_calls(monkeypatch, holders, attr):
 
 @pytest.mark.parametrize("name, coords", [("E6/F4", (-7, 2)), ("group:A2", (-3, 1))])
 def test_serre_check_evaluates_twice(monkeypatch, name, coords):
+    # _witnesses_by_degree is the one walk under both the table and the dual
     X = build_case(name)
     lam = X.weight_from_pic_coords(coords)
-    calls = count_calls(monkeypatch, [cohomology, oracles], "contributions")
+    calls = count_calls(monkeypatch, [cohomology, oracles], "_witnesses_by_degree")
     assert oracles.serre_involution_check(X, lam)
     assert len(calls) == 2
 

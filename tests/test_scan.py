@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wondercoh import build_case, cli, cohomology, degrees, oracles
+from wondercoh import WonderfulVariety, build_case, cli, cohomology, degrees, oracles
 from wondercoh.varieties import pic_box
 from test_helpers import NAMES, count_calls, draw_weight
 
@@ -147,24 +147,78 @@ def test_failing_length_report_bytes(capsys, monkeypatch):
     )
 
 
+def test_failing_length_report_names_the_least_witness(capsys, monkeypatch):
+    # at (-6, -6) the table lists the witnesses of degree 8 by mu_plus, and
+    # mu=[-2, -2, -2, -2] comes first; the detail names the failing witness
+    # least in (degree, mu) order, the order of `contributions`
+    def rule_for(X):
+        return degrees.DivisibilityRule(X.name, 4, X.divisibility[1], X.rank, X.dimension_N)
+
+    monkeypatch.setattr(degrees, "rule_for", rule_for)
+    assert scan(capsys, "group:A2", 6, "divisibility") == (3, report(
+        "group:A2", 6,
+        ("divisibility", False,
+         "lambda=[-6, -6, -6, -6]: witness mu=[-6, -3, -3, -6] has length 6, "
+         "not a multiple of 4"),
+    ), "")
+
+
+@pytest.mark.parametrize(
+    "broken, detail",
+    [
+        ((-5, -2, -2, -5), "witness (J=(0, 1), mu=[-5, -2, -2, -5]) has no dual partner"),
+        (None, "witness (J=(0, 1), mu=[-6, -3, -3, -6]) has no dual partner"),
+    ],
+    ids=["one-witness", "every-witness"],
+)
+def test_failing_serre_report_bytes(capsys, monkeypatch, broken, detail):
+    # the partner keeps J instead of J* for the witness at mu=`broken`, or
+    # for every witness; the first weight of the box, (-6, -6), fails, and
+    # of its failing witnesses the least in (degree, mu) order is named
+    partner = oracles.serre_partner
+
+    def flipped(X, t):
+        jstar, mustar = partner(X, t)
+        return (t.J if broken in (None, t.mu) else jstar), mustar
+
+    monkeypatch.setattr(oracles, "serre_partner", flipped)
+    assert scan(capsys, "group:A2", 6, "serre") == (
+        3, report("group:A2", 6, ("serre", False, f"lambda=[-6, -6]: {detail}")), ""
+    )
+
+
 @pytest.mark.parametrize(
     "checks, per_weight, capped",
     [(ALL, 2, 1), ("vanishing,h0,divisibility", 1, 1), ("serre,h0", 2, 0)],
 )
 def test_scan_evaluates_each_weight_once(monkeypatch, capsys, checks, per_weight, capped):
-    # every module holding a reference to contributions shares one counter;
+    # every evaluation, the table's and the Serre dual's, walks the witnesses
+    # by _witnesses_by_degree, so every module holding it shares one counter;
     # serre evaluates the Serre dual weight on top of the box weight
-    holders = [m for m in (cohomology, oracles, degrees, cli) if hasattr(m, "contributions")]
-    calls = count_calls(monkeypatch, holders, "contributions")
+    holders = [m for m in (cohomology, oracles, degrees, cli) if hasattr(m, "_witnesses_by_degree")]
+    calls = count_calls(monkeypatch, holders, "_witnesses_by_degree")
+    holders = [m for m in (cohomology, oracles, degrees, cli) if hasattr(m, "cohomology_table")]
+    tables = count_calls(monkeypatch, holders, "cohomology_table")
     listed = count_calls(monkeypatch, [cohomology], "_ball_coefficients")
     counted = count_calls(monkeypatch, [oracles], "capped_candidate_count")
     X = build_case("group:A2")
     weights = len(list(pic_box(X, 2)))
     assert scan(capsys, "group:A2", 2, checks)[0] == 0
     assert len(calls) == per_weight * weights
+    assert len(tables) == weights
     assert len(counted) == capped * weights
     oracles.vanishing_profile(X, 2)
     assert listed == []
+
+
+def test_scan_checks_membership_four_times_per_weight(monkeypatch, capsys):
+    # the table, the Serre dual (lam, then the dual itself) and the H^0 scan
+    # each check one weight; the variety is built before counting
+    X = build_case("group:A3")
+    weights = len(list(pic_box(X, 2)))
+    calls = count_calls(monkeypatch, [WonderfulVariety], "pic_contains")
+    assert scan(capsys, "group:A3", 2, ALL)[0] == 0
+    assert len(calls) == 4 * weights
 
 
 @pytest.mark.parametrize("name", NAMES)

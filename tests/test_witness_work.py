@@ -3,10 +3,11 @@
 The chamber walk runs once per inversion set of mu + rho and variety, the
 variety's chamber table keeps only certified walks, the constituent
 dimension comes from the coroot pairings of mu + rho, `cohomology_table`
-builds in one pass the table that `tabulate` makes of the contributions,
-and `table_to_json` writes the bytes of `json.dumps(table_to_dict(...),
-indent=2)` from templates.  Each is checked against the reference it
-replaces, and the bytes of all three writers are pinned on four weights.
+builds in one pass the table that `test_helpers.tabulate` groups from the
+contributions with plain dicts, and `table_to_json` writes the bytes of
+`json.dumps(table_to_dict(...), indent=2)` from templates.  Each is
+checked against the reference it replaces, and the bytes of all three
+writers are pinned on four weights.
 """
 
 import hashlib
@@ -25,13 +26,19 @@ from wondercoh.cohomology import (
     contributions,
     enumerate_candidates,
     serre_dual_weight,
-    tabulate,
 )
 from wondercoh.roots import InvariantError, RootSystem
 from wondercoh.serialize import table_to_csv, table_to_json, table_to_text
 from wondercoh.varieties import pic_box
 
-from test_helpers import NAMES, cold_chambers, draw_weight, naive_contribution_scan, table_to_dict
+from test_helpers import (
+    NAMES,
+    cold_chambers,
+    draw_weight,
+    naive_contribution_scan,
+    table_to_dict,
+    tabulate,
+)
 
 
 def deep_weight(data, X):
