@@ -121,7 +121,7 @@ def cmd_cohomology(args) -> int:
 
 
 def _serre_failure(X, rule, coords, lam, table) -> Optional[str]:
-    res = oracles._serre_check(X, lam, table)
+    res = oracles._serre_check(X, table)
     return None if res else f"lambda={list(coords)}: {res.detail}"
 
 

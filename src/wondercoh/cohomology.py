@@ -82,7 +82,8 @@ is sorted once by mu^+, so the witnesses of a constituent are adjacent.
 Where every mu^+ of a degree is distinct, the usual case, its one-witness
 constituents are built by one `map`; otherwise the witnesses that share a
 mu^+ make one constituent, ordered by (J bitmask, mu).  `contributions`
-lists the same witnesses sorted by degree, then by mu.
+and `CohomologyTable.witnesses` list the same witnesses sorted by degree,
+then by mu, the order in which the checks name a failing witness.
 """
 
 from __future__ import annotations
@@ -155,11 +156,12 @@ class CohomologyTable:
     def dimensions_by_degree(self) -> dict[int, int]:
         return {g.degree: g.dimension for g in self.groups}
 
-    def witnesses(self) -> Iterator[Contribution]:
-        """Every witness, in table order: by degree, then by constituent."""
+    def witnesses(self) -> list[Contribution]:
+        """Every witness, in the order of `contributions`: by degree, then by mu."""
+        out: list[Contribution] = []
         for g in self.groups:
-            for c in g.constituents:
-                yield from c.witnesses
+            out += sorted((t for c in g.constituents for t in c.witnesses), key=itemgetter(1))
+        return out
 
 
 def _require_pic(X: WonderfulVariety, lam: Sequence[int]) -> Weight:
@@ -457,7 +459,10 @@ def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]
     """All certified pairs (J, mu) for lam, in canonical order: by degree,
     then by mu."""
     by_degree = _witnesses_by_degree(X, _require_pic(X, lam))
-    return sorted(itertools.chain.from_iterable(by_degree.values()), key=itemgetter(4, 1))
+    out: list[Contribution] = []
+    for degree in sorted(by_degree):
+        out += sorted(by_degree[degree], key=itemgetter(1))
+    return out
 
 
 def cohomology_table(X: WonderfulVariety, lam: Sequence[int]) -> CohomologyTable:
@@ -470,9 +475,12 @@ def cohomology_table(X: WonderfulVariety, lam: Sequence[int]) -> CohomologyTable
 
 def serre_dual_weight(X: WonderfulVariety, lam: Sequence[int]) -> Weight:
     """Weight of the Serre-dual line bundle; an involution on pic(X)."""
-    lam = _require_pic(X, lam)
-    twist = X.serre_twist()
-    dual = tuple(t - x for x, t in zip(lam, twist))
+    return _serre_dual(X, _require_pic(X, lam))
+
+
+def _serre_dual(X: WonderfulVariety, lam: Weight) -> Weight:
+    # lam is in pic(X); the dual is checked, since bad catalog data can move it out
+    dual = tuple(t - x for x, t in zip(lam, X.serre_twist()))
     if X.pic_contains(dual) is None:
         raise CatalogError(f"{X.name}: Serre dual of {list(lam)} left pic; bad catalog data")
     return dual

@@ -76,13 +76,11 @@ def check_lengths(X: WonderfulVariety, lam, rule: DivisibilityRule) -> tuple[boo
     return _check_lengths(lam, contributions(X, lam), rule)
 
 
-def _check_lengths(lam, witnesses, rule: DivisibilityRule) -> tuple[bool, str]:
-    # witnesses in any order; the failing one least in (degree, mu) order is named
-    bad = [(t.degree, t.mu, t.length) for t in witnesses if t.length % rule.modulus]
-    if not bad:
-        return True, ""
-    _, mu, length = min(bad)
-    return False, (
-        f"lambda={list(lam)}: witness mu={list(mu)} has length "
-        f"{length}, not a multiple of {rule.modulus}"
-    )
+def _check_lengths(lam, conts, rule: DivisibilityRule) -> tuple[bool, str]:
+    for t in conts:
+        if t.length % rule.modulus:
+            return False, (
+                f"lambda={list(lam)}: witness mu={list(t.mu)} has length "
+                f"{t.length}, not a multiple of {rule.modulus}"
+            )
+    return True, ""

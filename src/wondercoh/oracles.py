@@ -23,9 +23,9 @@ from .cohomology import (
     DegreeGroup,
     _ball_lines,
     _require_pic,
-    _witnesses_by_degree,
+    _serre_dual,
     cohomology_table,
-    serre_dual_weight,
+    contributions,
     serre_partner,
 )
 from .exactalg import translate
@@ -143,13 +143,12 @@ class SerreCheck:
 def serre_involution_check(X: WonderfulVariety, lam: Sequence[int]) -> SerreCheck:
     """Verify the witness bijection (J, mu) -> (J*, mu*) between lam and its
     Serre dual, including degree complementarity and dimension equality."""
-    return _serre_check(X, lam, cohomology_table(X, lam))
+    return _serre_check(X, cohomology_table(X, lam))
 
 
-def _serre_check(X: WonderfulVariety, lam, table: CohomologyTable) -> SerreCheck:
-    dual = serre_dual_weight(X, lam)  # the one membership check of the dual
-    right = [t for ts in _witnesses_by_degree(X, dual).values() for t in ts]
-    left = list(table.witnesses())
+def _serre_check(X: WonderfulVariety, table: CohomologyTable) -> SerreCheck:
+    left = table.witnesses()
+    right = contributions(X, _serre_dual(X, table.lam))
     n = X.dimension_N
     index = {(t.J, t.mu): t for t in right}
     if len(index) != len(right):
@@ -158,19 +157,14 @@ def _serre_check(X: WonderfulVariety, lam, table: CohomologyTable) -> SerreCheck
         return SerreCheck(False, f"{len(left)} witnesses vs {len(right)} dual ones")
     # the partners are all of `right`, so dual_dims[d] is dim H^{n - d} of the dual
     dual_dims: dict[int, int] = {}
-    failures = []  # (degree, mu, detail): the least is reported, whatever the table order
     for t in left:
         partner = index.get(serre_partner(X, t))
         if partner is None:
-            detail = f"witness (J={t.J}, mu={list(t.mu)}) has no dual partner"
-        elif partner.degree != n - t.degree:
+            return SerreCheck(False, f"witness (J={t.J}, mu={list(t.mu)}) has no dual partner")
+        if partner.degree != n - t.degree:
             detail = f"degree {t.degree} pairs with {partner.degree}, expected {n - t.degree}"
-        else:
-            dual_dims[t.degree] = dual_dims.get(t.degree, 0) + partner.dimension
-            continue
-        failures.append((t.degree, t.mu, detail))
-    if failures:
-        return SerreCheck(False, min(failures)[2])
+            return SerreCheck(False, detail)
+        dual_dims[t.degree] = dual_dims.get(t.degree, 0) + partner.dimension
     for d, value in table.dimensions_by_degree().items():
         if dual_dims.get(d, 0) != value:
             return SerreCheck(False, f"dim H^{d} = {value} but dual H^{n - d} differs")

@@ -197,7 +197,7 @@ def test_serre_check_evaluates_twice(monkeypatch, name, coords):
     # _witnesses_by_degree is the one walk under both the table and the dual
     X = build_case(name)
     lam = X.weight_from_pic_coords(coords)
-    calls = count_calls(monkeypatch, [cohomology, oracles], "_witnesses_by_degree")
+    calls = count_calls(monkeypatch, [cohomology], "_witnesses_by_degree")
     assert oracles.serre_involution_check(X, lam)
     assert len(calls) == 2
 

@@ -148,9 +148,9 @@ def test_failing_length_report_bytes(capsys, monkeypatch):
 
 
 def test_failing_length_report_names_the_least_witness(capsys, monkeypatch):
-    # at (-6, -6) the table lists the witnesses of degree 8 by mu_plus, and
-    # mu=[-2, -2, -2, -2] comes first; the detail names the failing witness
-    # least in (degree, mu) order, the order of `contributions`
+    # at (-6, -6) the table orders the witnesses of degree 8 by mu_plus, and
+    # mu=[-2, -2, -2, -2] comes first; table.witnesses() lists them by
+    # (degree, mu), the order of `contributions`, so the least is named
     def rule_for(X):
         return degrees.DivisibilityRule(X.name, 4, X.divisibility[1], X.rank, X.dimension_N)
 
@@ -174,7 +174,7 @@ def test_failing_length_report_names_the_least_witness(capsys, monkeypatch):
 def test_failing_serre_report_bytes(capsys, monkeypatch, broken, detail):
     # the partner keeps J instead of J* for the witness at mu=`broken`, or
     # for every witness; the first weight of the box, (-6, -6), fails, and
-    # of its failing witnesses the least in (degree, mu) order is named
+    # of its failing witnesses the first in (degree, mu) order is named
     partner = oracles.serre_partner
 
     def flipped(X, t):
@@ -212,8 +212,9 @@ def test_scan_evaluates_each_weight_once(monkeypatch, capsys, checks, per_weight
 
 
 def test_scan_checks_membership_four_times_per_weight(monkeypatch, capsys):
-    # the table, the Serre dual (lam, then the dual itself) and the H^0 scan
-    # each check one weight; the variety is built before counting
+    # the table and the H^0 scan check lam, the Serre dual weight is checked
+    # once for the catalog and once by its evaluation; the variety is built
+    # before counting
     X = build_case("group:A3")
     weights = len(list(pic_box(X, 2)))
     calls = count_calls(monkeypatch, [WonderfulVariety], "pic_contains")
