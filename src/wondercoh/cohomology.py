@@ -121,8 +121,10 @@ class Constituent(NamedTuple):
     witnesses: tuple[Contribution, ...]
 
 
-# a Constituent from the tuple of its fields, without the Python-level
-# NamedTuple.__new__, so that a `map` over a degree's records stays in C
+# a record from the tuple of its fields, without the Python-level
+# NamedTuple.__new__: `_witnesses_by_degree` makes one Contribution per
+# witness, and a `map` over a degree's records stays in C
+_new_contribution = functools.partial(tuple.__new__, Contribution)
 _new_constituent = functools.partial(tuple.__new__, Constituent)
 
 
@@ -432,7 +434,7 @@ def _witnesses_by_degree(X: WonderfulVariety, lam: Weight) -> dict[int, list[Con
             dimension, rem = divmod(abs(math.prod(pair)), den)
             if rem:
                 raise InvariantError("pairing product is not a Weyl dimension numerator")
-            append(Contribution(J, mu, length, mu_plus, degree, dimension))
+            append(_new_contribution((J, mu, length, mu_plus, degree, dimension)))
     return by_degree
 
 

@@ -9,24 +9,27 @@ identical bytes.
 templates, calling `json.dumps` only for the variety name: the bytes of
 `json.dumps(table_to_dict(...), indent=2, separators=(",", ": "))` plus a
 newline, with the test reference `tests/test_helpers.table_to_dict`.
-Witness and constituent objects have one `str.format` template per shape,
-that is per array length (|J| and the length of mu, or the length of the
-highest weight), built once and cached, so each object is one `format`
-call.  A constituent with exactly one witness, the usual case at depth,
-is one `format` call in all: its template is the constituent template
-with the witness template spliced in as its one-element array.  The
-weights of a degree group share one length, so each group binds the
-`format` methods it needs once (one per |J| for one-witness
-constituents) instead of looking a template up per constituent.  With an
-indent, `json.dumps` runs CPython's pure-Python encoder, about four times
-slower than the templates on deep weights.
+Witness and constituent objects have one `%` template per shape, that is
+per array length (|J| and the length of mu, or the length of the highest
+weight), built once and cached; JSON braces are literal in them.  Each
+object is one `%` on one tuple of its fields, which `%s` writes as
+`str(x)`.  Both operators read their template again on every call, but
+`str.format` parses each `{}` as a field (name, conversion, spec), which
+makes it nearly twice as slow as `%` on the same one-witness template.  A
+constituent with exactly one witness, the usual case at depth, is one `%`
+in all: its template is the constituent template with the witness
+template spliced in as its one-element array.  The weights of a degree
+group share one length, so each group looks up the templates it needs
+once (one per |J| for one-witness constituents) instead of per
+constituent.  With an indent, `json.dumps` runs CPython's pure-Python
+encoder, about four times slower than the templates on deep weights.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .cohomology import CohomologyTable, Constituent, DegreeGroup
 from .varieties import WonderfulVariety
@@ -51,63 +54,62 @@ def _ints(values: Sequence[int], indent: str) -> str:
 
 @functools.cache
 def _witness_template(nj: int, nmu: int) -> str:
-    """str.format template of a witness object with nj entries in J and nmu
-    in mu; its fields are J, then mu, then the length."""
+    """`%` template of a witness object with nj entries in J and nmu in mu;
+    its fields are J, then mu, then the length."""
     return (
-        "            {{\n"
-        f'              "J": {_ints(["{}"] * nj, _WITNESS)},\n'
-        f'              "mu": {_ints(["{}"] * nmu, _WITNESS)},\n'
-        '              "length": {}\n'
-        "            }}"
+        "            {\n"
+        f'              "J": {_ints(["%s"] * nj, _WITNESS)},\n'
+        f'              "mu": {_ints(["%s"] * nmu, _WITNESS)},\n'
+        '              "length": %s\n'
+        "            }"
     )
 
 
 @functools.cache
 def _constituent_template(nhw: int) -> str:
-    """str.format template of a constituent object with nhw entries in its
-    highest weight; its fields are the weight, the multiplicity and the
-    witness array."""
+    """`%` template of a constituent object with nhw entries in its highest
+    weight; its fields are the weight, the multiplicity and the witness
+    array."""
     return (
-        "        {{\n"
-        f'          "highest_weight": {_ints(["{}"] * nhw, _CONSTITUENT)},\n'
-        '          "multiplicity": {},\n'
-        '          "witnesses": {}\n'
-        "        }}"
+        "        {\n"
+        f'          "highest_weight": {_ints(["%s"] * nhw, _CONSTITUENT)},\n'
+        '          "multiplicity": %s,\n'
+        '          "witnesses": %s\n'
+        "        }"
     )
 
 
 @functools.cache
 def _single_witness_template(nhw: int, nj: int, nmu: int) -> str:
-    """str.format template of a constituent object with exactly one witness:
-    the constituent template with that witness's template as its array; its
+    """`%` template of a constituent object with exactly one witness: the
+    constituent template with that witness's template as its array; its
     fields are the weight, the multiplicity, J, mu and the length."""
-    head, tail = _constituent_template(nhw).rsplit("{}", 1)
+    head, tail = _constituent_template(nhw).rsplit("%s", 1)
     return head + _items([_witness_template(nj, nmu)], _CONSTITUENT) + tail
 
 
 def _constituents_json(constituents: Sequence[Constituent], with_witnesses: bool) -> list[str]:
-    """The constituent objects of one degree group, formatted with the
-    methods bound once per group (see the module docstring)."""
+    """The constituent objects of one degree group, each one `%` of its
+    template on one tuple of its fields; the group looks each template up
+    once (one-witness templates once per |J|; see the module docstring)."""
     if not constituents:
         return []
     n = len(constituents[0].highest_weight)
-    plain = _constituent_template(n).format
+    plain = _constituent_template(n)
     if not with_witnesses:
-        return [plain(*hw, multiplicity, "[]") for hw, multiplicity, _, _ in constituents]
-    single: dict[int, Callable[..., str]] = {}  # |J| -> one-witness constituent format
+        return [plain % (*hw, multiplicity, "[]") for hw, multiplicity, _, _ in constituents]
+    single: dict[int, str] = {}  # |J| -> one-witness constituent template
     out = []
     for hw, multiplicity, _, wits in constituents:
         if len(wits) == 1:
             (t,) = wits
             fmt = single.get(len(t.J))
             if fmt is None:
-                fmt = single[len(t.J)] = _single_witness_template(n, len(t.J), n).format
-            out.append(fmt(*hw, multiplicity, *t.J, *t.mu, t.length))
+                fmt = single[len(t.J)] = _single_witness_template(n, len(t.J), n)
+            out.append(fmt % (*hw, multiplicity, *t.J, *t.mu, t.length))
         else:
-            witnesses = [
-                _witness_template(len(t.J), n).format(*t.J, *t.mu, t.length) for t in wits
-            ]
-            out.append(plain(*hw, multiplicity, _items(witnesses, _CONSTITUENT)))
+            witnesses = [_witness_template(len(t.J), n) % (*t.J, *t.mu, t.length) for t in wits]
+            out.append(plain % (*hw, multiplicity, _items(witnesses, _CONSTITUENT)))
     return out
 
 

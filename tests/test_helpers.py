@@ -5,6 +5,7 @@ evaluations each entry point makes."""
 
 import functools
 import itertools
+import json
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -121,6 +122,12 @@ def table_to_dict(
         "N": X.dimension_N,
         "groups": groups,
     }
+
+
+def reference_json(X, table, coords, with_witnesses):
+    """The bytes table_to_json must write: json.dumps of table_to_dict."""
+    doc = table_to_dict(X, table, coords, with_witnesses)
+    return json.dumps(doc, indent=2, separators=(",", ": ")) + "\n"
 
 
 def draw_weight(data, X, lo, hi):

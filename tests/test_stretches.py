@@ -30,7 +30,7 @@ from wondercoh.cohomology import (
 )
 from wondercoh.serialize import table_to_json
 
-from test_helpers import NAMES, draw_weight, table_to_dict
+from test_helpers import NAMES, draw_weight, reference_json
 from test_line_cut import DEPTH, keys_along_runs, per_point_contributions
 
 
@@ -107,11 +107,6 @@ def test_records_are_named_tuples():
     assert t.j_bitmask() == 1
 
 
-def reference_json(X, table, coords, with_witnesses):
-    doc = table_to_dict(X, table, coords, with_witnesses)
-    return json.dumps(doc, indent=2, separators=(",", ": ")) + "\n"
-
-
 def test_json_writer_on_mixed_witness_counts():
     # each constituent of a catalog table has one witness, so one with two
     # (of different |J|) is added by hand to each degree
@@ -128,6 +123,32 @@ def test_json_writer_on_mixed_witness_counts():
     for with_witnesses in (True, False):
         assert table_to_json(X, mixed, coords, with_witnesses) == reference_json(
             X, mixed, coords, with_witnesses
+        )
+
+
+def test_json_writer_on_negative_and_long_fields():
+    # the writer's `%s` fields against json.dumps beyond small catalog ints:
+    # negative and 40-digit entries, |J| = 0 in and out of a multi-witness
+    # constituent, on a table built by hand
+    X = build_case("group:A2")
+    big = 10**39 + 7
+    assert len(str(big)) == 40
+    hw, far, near = (big, -big, 0, -1), (-3, 2 * big, -big, 5), (0, 0, 0, 0)
+    empty = Contribution((), (-big, big, -2, 0), big, hw, 5, big)
+    deep = Contribution((0, 1), (big, -9, -big, 3), 4, hw, 5, big)
+    lone = Contribution((), (-1, -big, 0, big), 7, far, 5, 1)
+    wide = Contribution((1,), (-big, -big, -big, -big), 2, near, 8, 1)
+    groups = (
+        DegreeGroup(
+            5, (Constituent(hw, 2, big, (empty, deep)), Constituent(far, 1, 1, (lone,))), 2 * big + 1
+        ),
+        DegreeGroup(8, (Constituent(near, 1, 1, (wide,)),), 1),
+    )
+    table = CohomologyTable((-big, big, 0, 0), groups)
+    coords = (-big, big)
+    for with_witnesses in (True, False):
+        assert table_to_json(X, table, coords, with_witnesses) == reference_json(
+            X, table, coords, with_witnesses
         )
 
 

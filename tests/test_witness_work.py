@@ -7,12 +7,11 @@ builds in one pass the table that `test_helpers.tabulate` groups from the
 contributions with plain dicts, and `table_to_json` writes the bytes of
 `json.dumps(table_to_dict(...), indent=2)` from templates.  Each is
 checked against the reference it replaces, and the bytes of all three
-writers are pinned on four weights.
+writers are pinned on five weights.
 """
 
 import hashlib
 import itertools
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +35,7 @@ from test_helpers import (
     cold_chambers,
     draw_weight,
     naive_contribution_scan,
-    table_to_dict,
+    reference_json,
     tabulate,
 )
 
@@ -154,11 +153,6 @@ def test_pair_product_dimension_is_weyl_dimension(name, data):
         mu_plus, length, _ = g.make_dominant_shifted(t.mu)
         assert (t.mu_plus, t.length) == (mu_plus, length)
         assert t.dimension == g.weyl_dimension(t.mu_plus)
-
-
-def reference_json(X, table, coords, with_witnesses):
-    doc = table_to_dict(X, table, coords, with_witnesses)
-    return json.dumps(doc, indent=2, separators=(",", ": ")) + "\n"
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -342,6 +336,14 @@ WRITER_PINS = {
         "15b03ede054adcb3cf849aff0ead77f999afe4226d69836dc2a698b3f6f3f384",
         "597343a3a92d3bdad73d6c3d3f5aa4c9f3cdfbe9e4674e0aadc7e6c57859a0d4",
         "da86168d92da46715f0130cad797c804a1a25248e479fa5f2a4efe3b2d38a83e",
+    ),
+    # L(0) twice in H^5: the multi-witness JSON path on a real table
+    ("group:A3", (3, -6, 3)): (
+        "dd68818b31c11604eef0c50e6fa57988ab8230857d6d080d61ab799179b375d4",
+        "42ce8518af7f507418ca343d89f546b5adf4617836a00a016aefd2802c037fb9",
+        "1633aa3364b877080d2b46780c7e09ba61cecae124af11dcc7a115331ddb61e6",
+        "295539bcf03094df3676128e01b5dbb087f749e43fcf4469a8ba3042f51209d6",
+        "74da9617128b10814d4ea71295ead1b6b39e68df3d449a55f6ecd9008d7c0269",
     ),
 }
 
