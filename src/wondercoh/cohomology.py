@@ -24,17 +24,29 @@ Adding |mu - lam|^2 >= 0 gives the weaker |mu + rho| <= |lam + rho|, i.e.
 c^T G c + 2 c^T b <= 0, a ball of twice the radius and about 2^r times the
 points; `enumerate_candidates` keeps returning that superset.
 
-The search runs line by line.  `_ball_lines` gives the ball as lines
-along c_0, one per fixed c_1..c_{r-1}, each with its range [lo, hi].  On
-such a line every D (mu + rho, gamma_i) is affine in c_0, s = a + c_0 G_0
-with G_0 row 0 of the integer sign Gram matrix, so each sign condition
-keeps a half-line, or all or nothing where G_0i = 0: one call of
-`exactalg.negative_interval` (`_cut_line`).  As G_00 > 0, the c_0
-condition can hold on c_0 >= 1 only if s_0 < 0 at c_0 = 1, and else only
-on c_0 <= 0.  What is left is one run of consecutive c_0 with one J;
-off the run, no point is visited at all.  `_sign_runs` yields the runs,
-each certified where it is cut.  With no spherical roots the sign cone is
-the one point c = (), and rank zero is its one-point run.
+The search walks the ball as lines along c_0.  `_ball_lines` peels
+c_{r-1}, ..., c_1 off by branch and bound and gives one line per fixed
+c_1..c_{r-1}, each with its range [lo, hi].  The descent carries the state
+of the walk: the sign pairings s_i = D (mu + rho, gamma_i) with D =
+X._gamma_den, the coroot pairings of mu + rho and mu are affine in c, so
+fixing c_i adds lo times a fixed row of `X._walk_rows` and each later c_i
+adds the row once more; no point is rebuilt from lam.  The integer sign
+Gram matrix G is sparse, and a sign condition can be decided above the
+line: when G_jk = 0 for every k < i, c_i fixes both s_j and c_j, and
+s_j < 0 iff c_j > 0 cuts the range of c_i to an interval, one call of
+`exactalg.negative_interval` per row of `X._decided_rows`.  A c_i cut off
+there heads only lines off the sign pattern, and its subtree is never
+walked.  The candidate ball of `enumerate_candidates` takes the same
+descent with nothing carried and nothing pruned.  On a line, s = a + c_0 G_0 with G_0 row 0 of G, so each sign
+condition keeps a half-line, or all or nothing where G_0i = 0: one
+`negative_interval` call per condition, and `_cut_line` tests all r of
+them, decided or not.  As G_00 > 0, the c_0 condition can hold on
+c_0 >= 1 only if s_0 < 0 at c_0 = 1, and else only on c_0 <= 0 (a c_i
+decided at its own level picks its side the same way).  What is left is
+one run of consecutive c_0 with one J; off the run, no point is visited at
+all.  `_sign_runs` yields the runs, each certified where it is cut.
+With no spherical roots the sign cone is the one point c = (), and rank
+zero is its one-point run.
 
 Along a run, mu, the spherical pairings s and the coroot pairings
 pair_k = <mu + rho, alpha_k^vee> move by fixed rows per step of c_0.
@@ -199,21 +211,39 @@ def in_translated_R(
 
 
 def _ball_lines(
-    X: WonderfulVariety, lam: Weight, k: int
-) -> list[tuple[tuple[int, ...], int, int]]:
+    X: WonderfulVariety,
+    lam: Weight,
+    k: int,
+    start: Sequence[int] = (),
+    rows: Sequence[Sequence[int]] | None = None,
+    decided: Sequence[Sequence[int]] | None = None,
+) -> list[tuple[tuple[int, ...], int, int, tuple[int, ...]]]:
     """The integer points of the ball c^T G c + k c^T b <= 0 of
-    `_ball_coefficients`, as lines along c_0: one (c_1..c_{r-1}, lo, hi) per
-    fixed c_1..c_{r-1} whose line meets the ball, holding exactly the points
-    with lo <= c_0 <= hi (lo <= hi).  Rank at least 1.
+    `_ball_coefficients`, as lines along c_0: one (c_1..c_{r-1}, lo, hi, v)
+    per fixed c_1..c_{r-1} whose line meets the ball, holding exactly the
+    points with lo <= c_0 <= hi (lo <= hi).  Rank at least 1.
+
+    v is `start` carried down the descent, start + sum_{i>=1} c_i rows[i]:
+    fixing c_i adds lo rows[i] once, and each later c_i adds rows[i].
+    `decided` prunes, and then v starts with the sign pairings s and
+    rows[i] with row i of the integer sign Gram matrix G, which is
+    symmetric.  decided[i] lists the rows j whose s_j = v_j + c_i G_ji is
+    fixed once c_i is (G_jk = 0 for k < i), and with it c_j (j >= i).  At
+    level i, [lo, hi] of c_i keeps the c_i with s_j < 0 iff c_j > 0, one
+    `exactalg.negative_interval` per row; for j = i, c_i itself picks the
+    side c_i >= 1 or c_i <= 0, as c_0 does in `_cut_line`.  A pruned
+    subtree holds only lines that `_cut_line` leaves empty, and the other
+    lines come in the same order.  With no rows (the default), v is
+    `start` on every line and nothing is pruned.
 
     Completing the square with z = (k/2) G^-1 b and G = L diag(d) L^T
     turns the quadric into sum_i d_i (c_i + o_i)^2 <= z^T G z with
     o_i = u_i + sum_{j>i} L_ji c_j and u = L^T z = k M s, where
     M = L^T G^-1 / (2 D) and s = D b = `_gamma_pairings`.  Once per variety
     `X._witness_form` fixes q_i, the least integer clearing row i of M and
-    column i of L, with rows_i = q_i M_i, A_ij = q_i L_ji and
+    column i of L, with form_i = q_i M_i, A_ij = q_i L_ji and
     e_i = S d_i / q_i^2 (S clears all d_i / q_i^2).  Per weight,
-    base_i = q_i u_i = k rows_i . s and t_i = q_i (c_i + o_i) =
+    base_i = q_i u_i = k form_i . s and t_i = q_i (c_i + o_i) =
     q_i c_i + base_i + sum_{j>i} A_ij c_j are integers, and as
     z^T G z = sum_i d_i u_i^2 the quadric reads
     sum_i e_i t_i^2 <= sum_i e_i base_i^2.  The branch and bound peels
@@ -222,29 +252,55 @@ def _ball_lines(
     points on the boundary are always kept.
     """
     r = X.rank
-    rows, q, A, e = X._witness_form
+    form, q, A, e = X._witness_form
     sig = _gamma_pairings(X, lam)
-    base = [k * sum(map(mul, row, sig)) for row in rows]
-    lines: list[tuple[tuple[int, ...], int, int]] = []
-    c = [0] * r
-
-    def descend(i: int, remaining: int) -> None:
-        # e_i t^2 <= remaining  <=>  |t| <= isqrt(remaining // e_i) for int t
-        qi, ei, row = q[i], e[i], A[i]
-        p = base[i] + sum(row[j] * c[j] for j in range(i + 1, r))
-        s = math.isqrt(remaining // ei)
-        lo, hi = -((s + p) // qi), (s - p) // qi
-        if i == 0:
-            if lo <= hi:
-                lines.append((tuple(c[1:]), lo, hi))
-            return
-        for ci in range(lo, hi + 1):
-            c[i] = ci
-            t = qi * ci + p
-            descend(i - 1, remaining - ei * t * t)
-
-    descend(r - 1, sum(ei * bi * bi for ei, bi in zip(e, base)))
+    base = [k * sum(map(mul, row, sig)) for row in form]
+    none = ((),) * r
+    lines: list[tuple[tuple[int, ...], int, int, tuple[int, ...]]] = []
+    walk = (lines, [0] * r, base, q, A, e, rows or none, decided or none)
+    _descend(walk, r - 1, sum(ei * bi * bi for ei, bi in zip(e, base)), tuple(start))
     return lines
+
+
+def _descend(walk: tuple, i: int, remaining: int, v: tuple[int, ...]) -> None:
+    """Level i of `_ball_lines`' branch and bound: c_{i+1}..c_{r-1} are
+    fixed in c, v is carried up to them, and e_i t_i^2 <= remaining bounds
+    c_i.  A plain function of its arguments, so a walk leaves no cycle for
+    the collector."""
+    lines, c, base, q, A, e, rows, decided = walk
+    # e_i t^2 <= remaining  <=>  |t| <= isqrt(remaining // e_i) for int t
+    qi, ei, a_row = q[i], e[i], A[i]
+    p = base[i] + sum(map(mul, a_row[i + 1:], c[i + 1:]))
+    s = math.isqrt(remaining // ei)
+    lo, hi = -((s + p) // qi), (s - p) // qi
+    if i == 0:
+        if lo <= hi:
+            lines.append((tuple(c[1:]), lo, hi, v))
+        return
+    row = rows[i]
+    for j in decided[i]:
+        if lo > hi:
+            return
+        x, d = v[j], row[j]
+        if j == i:  # G_ii > 0: as for c_0 in `_cut_line`
+            positive = x + d < 0
+            lo, hi = (max(lo, 1), hi) if positive else (lo, min(hi, 0))
+        else:
+            positive = c[j] > 0
+        if positive:  # s_j < 0
+            lo, hi = negative_interval(x, d, lo, hi)
+        else:  # s_j >= 0, that is -s_j - 1 < 0
+            lo, hi = negative_interval(-x - 1, -d, lo, hi)
+    if lo > hi:
+        return
+    # tuples, so that the candidate ball's empty vector is always the one ()
+    v = tuple([x + lo * y for x, y in zip(v, row)])
+    for ci in range(lo, hi + 1):
+        if ci > lo:
+            v = tuple(map(add, v, row))
+        c[i] = ci
+        t = qi * ci + p
+        _descend(walk, i - 1, remaining - ei * t * t, v)
 
 
 def _ball_coefficients(
@@ -262,7 +318,7 @@ def _ball_coefficients(
     if X.rank == 0:
         return [()]
     return sorted(
-        (c0, *rest) for rest, lo, hi in _ball_lines(X, lam, k) for c0 in range(lo, hi + 1)
+        (c0, *rest) for rest, lo, hi, _ in _ball_lines(X, lam, k) for c0 in range(lo, hi + 1)
     )
 
 
@@ -300,7 +356,8 @@ def _cut_line(
     """The c_0 in [lo, hi] at which c = (c_0, *rest) keeps the sign pattern
     (s_i < 0 iff c_i > 0), where s = a + c_0 row along the line: an interval
     (lo, hi) of consecutive c_0, empty when lo > hi.  Each s_i decides its
-    sign by one `negative_interval` call."""
+    sign by one `negative_interval` call.  Only the first r entries of `a`
+    are read, so a carried walk state can be passed whole."""
     # row[0] = D |gamma_0|^2 > 0, so the pattern can hold on c_0 >= 1 only if
     # s_0 < 0 at c_0 = 1, else only on c_0 <= 0; c0 is a c_0 on that side
     c0 = 1 if a[0] + row[0] < 0 else 0
@@ -320,20 +377,24 @@ def _sign_runs(
 ) -> Iterator[tuple[tuple[int, ...], int, list[int], tuple[int, ...], Weight]]:
     """Per line of the witness ball, its run of c_0 that keeps the sign
     pattern, certified at its ends: (c, n, sig, pair, mu) at the run's first
-    point c, n >= 1 points long.  At rank 0 the one run is the point c = ()."""
+    point c, n >= 1 points long, in the order of the unpruned walk.  The
+    walk prunes by decided sign rows and carries (sig, pair, mu) from
+    (`_gamma_pairings(lam)`, base_pair, lam).  At rank 0 the one run is the
+    point c = ()."""
     if not X.rank:
         yield (), 1, [], base_pair, lam
         return
-    sig_base = _gamma_pairings(X, lam)
-    row, rest_rows = X._gamma_sign_gram[0], X._gamma_sign_gram[1:]
-    for rest, lo, hi in _ball_lines(X, lam, 1):
-        a = translate(sig_base, rest, rest_rows) if rest else sig_base
+    r, m = X.rank, X.rank + len(base_pair)
+    row, walk_row = X._gamma_sign_gram[0], X._walk_rows[0]
+    start = (*_gamma_pairings(X, lam), *base_pair, *lam)
+    for rest, lo, hi, a in _ball_lines(X, lam, 1, start, X._walk_rows, X._decided_rows):
         lo, hi = _cut_line(a, row, rest, lo, hi)
         if lo > hi:
             continue
         c = (lo, *rest)
         n = hi - lo + 1
-        sig = [x + lo * y for x, y in zip(a, row)]
+        v = [x + lo * y for x, y in zip(a, walk_row)]
+        sig = v[:r]
         # the sign cone fixes J = {i : c_i > 0}; the omega signature must
         # equal it.  A run on one side of c_0 = 0 has one J, and each s_i is
         # affine along it, so the pattern holds on the run if it holds at
@@ -347,13 +408,7 @@ def _sign_runs(
             )
         ):
             raise InvariantError("the line cut kept a point off the sign pattern")
-        yield (
-            c,
-            n,
-            sig,
-            translate(base_pair, c, X._gamma_coroot_rows),
-            translate(lam, c, X.spherical_roots),
-        )
+        yield c, n, sig, tuple(v[r:m]), tuple(v[m:])
 
 
 def _stretches(

@@ -165,7 +165,7 @@ class WonderfulVariety:
         # integer D > 0, so W_i . v is exact and has the sign of (v, gamma_i)
         sigma_pairing = [mat_vec(g._fw_gram, gam) for gam in sigma]
         self._gamma_sign_rows, self._gamma_den = int_scaled(sigma_pairing)
-        # (rows, q, A, e) of cohomology._ball_lines, scaled to integers once
+        # (form, q, A, e) of cohomology._ball_lines, scaled to integers once
         self._witness_form = None
         if sigma_ldl is not None:
             L, d = sigma_ldl
@@ -202,6 +202,23 @@ class WonderfulVariety:
             tuple(sum(a * b for a, b in zip(w, gam)) for gam in sigma)
             for w in self._gamma_sign_rows
         )
+        # the descent of `cohomology._sign_runs` carries (s, coroot
+        # pairings, mu), and one unit of c_i adds row i to it; the sign
+        # Gram matrix is symmetric, so its row i is what c_i adds to s
+        self._walk_rows = tuple(
+            (*g_row, *pair_row, *gam)
+            for g_row, pair_row, gam in zip(self._gamma_sign_gram, self._gamma_coroot_rows, sigma)
+        )
+        # the sign rows j first decided at level i >= 1 of that descent: s_j
+        # moves with no c_k, k < i, and with c_i, so c_i fixes both s_j and
+        # c_j (j >= i, as G_jj > 0); rows that move with c_0 are left to
+        # the line cut, and so is a zero row, which validation rejects
+        decided: list[list[int]] = [[] for _ in sigma]
+        for j, g_row in enumerate(self._gamma_sign_gram):
+            first = next((k for k, x in enumerate(g_row) if x), 0)
+            if first:
+                decided[first].append(j)
+        self._decided_rows = tuple(map(tuple, decided))
         self._serre_twist: Weight = translate(
             [-x for x in self.two_rho_X], (-1,) * self.rank, sigma
         )

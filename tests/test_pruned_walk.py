@@ -1,0 +1,158 @@
+"""The pruned, state-carrying walk of `_sign_runs` against the walk it
+replaced, its work counts, and the cycles it leaves.
+
+`_sign_runs` descends the witness ball carrying (s, coroot pairings, mu)
+by row additions, and narrows each c_i by the sign rows that c_i decides.
+The reference below is the unpruned walk: every line of the witness ball,
+its state rebuilt by `translate`, cut and certified the same way.
+"""
+
+import gc
+import hashlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wondercoh import build_case, cohomology, oracles
+from wondercoh.cohomology import (
+    _ball_lines,
+    _cut_line,
+    _gamma_pairings,
+    _sign_runs,
+    cohomology_table,
+    enumerate_candidates,
+)
+from wondercoh.exactalg import translate
+from wondercoh.roots import InvariantError
+from wondercoh.serialize import table_to_json
+from wondercoh.varieties import variety_from_dict
+
+from test_helpers import NAMES, count_calls, draw_weight
+
+#: group:A1 x group:A2, spherical roots in that order: gamma_1 is orthogonal
+#: to gamma_0, so c_1 picks its own side (row j = i) and decides s_2 too.
+#: Among the group compactifications only type E has a spherical root
+#: orthogonal to all earlier ones, and group:E6 is too costly for the
+#: unpruned reference
+PRODUCT = {
+    "name": "group:A1 x group:A2",
+    "group": [["A", 1], ["A", 1], ["A", 2], ["A", 2]],
+    "spherical_roots": [[2, 2, 0, 0, 0, 0], [0, 0, 2, -1, -1, 2], [0, 0, -1, 2, 2, -1]],
+    "pic_basis": [[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 1], [0, 0, 0, 1, 1, 0]],
+    "sgamma": [
+        [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]],
+        [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1]],
+        [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]],
+    ],
+}
+
+
+def variety(name):
+    return variety_from_dict(PRODUCT) if name == PRODUCT["name"] else build_case(name)
+
+
+def unpruned_sign_runs(X, lam, base_pair):
+    """`_sign_runs` before the pruned walk: every line of the witness ball,
+    its sign pairings, coroot pairings and mu rebuilt by `translate`."""
+    if not X.rank:
+        yield (), 1, [], base_pair, lam
+        return
+    sig_base = _gamma_pairings(X, lam)
+    row, rest_rows = X._gamma_sign_gram[0], X._gamma_sign_gram[1:]
+    for rest, lo, hi, _ in _ball_lines(X, lam, 1):
+        a = translate(sig_base, rest, rest_rows) if rest else sig_base
+        lo, hi = _cut_line(a, row, rest, lo, hi)
+        if lo > hi:
+            continue
+        c = (lo, *rest)
+        n = hi - lo + 1
+        sig = [x + lo * y for x, y in zip(a, row)]
+        signs = [ci > 0 for ci in c]
+        if [s < 0 for s in sig] != signs or (
+            n > 1
+            and (
+                (c[0] + n - 1 > 0) != signs[0]
+                or [s + (n - 1) * e < 0 for s, e in zip(sig, row)] != signs
+            )
+        ):
+            raise InvariantError("the line cut kept a point off the sign pattern")
+        yield (
+            c,
+            n,
+            sig,
+            translate(base_pair, c, X._gamma_coroot_rows),
+            translate(lam, c, X.spherical_roots),
+        )
+
+
+#: Picard coordinates drawn per rank: the reference walks the whole witness
+#: ball, whose lines grow with |lam + rho|^(rank - 1)
+RANGE = {0: (-8, 4), 1: (-40, 8), 2: (-30, 8), 3: (-12, 6), 4: (-4, 2)}
+
+
+@pytest.mark.parametrize("name", NAMES + ("group:D4", "group:F4", PRODUCT["name"]))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pruned_walk_equals_unpruned_reference(name, data):
+    X = variety(name)
+    _, lam = draw_weight(data, X, *RANGE[X.rank])
+    base_pair = X.group.shifted_pairings(lam)
+    assert list(_sign_runs(X, lam, base_pair)) == list(unpruned_sign_runs(X, lam, base_pair))
+
+
+@pytest.mark.parametrize(
+    "name, coords, lines, runs",
+    [
+        # the unpruned walk cut 137, 104, 31, 2,945 and 236,517 lines
+        ("group:A3", (-8, -8, -8), 78, 45),
+        ("PGL/PSp(4)", (-8, -8, -8), 57, 31),
+        ("E6/F4", (-30, -30), 31, 25),
+        ("group:F4", (1, 1, 1, 1), 778, 234),
+        ("group:E6", (1, 1, 1, 1, 1, 1), 11003, 2096),
+    ],
+)
+def test_lines_cut_and_runs_are_pinned(monkeypatch, name, coords, lines, runs):
+    # machine-independent work counts: one _cut_line call per line walked
+    X = build_case(name)
+    lam = X.weight_from_pic_coords(coords)
+    calls = count_calls(monkeypatch, [cohomology], "_cut_line")
+    found = list(_sign_runs(X, lam, X.group.shifted_pairings(lam)))
+    assert (len(calls), len(found)) == (lines, runs)
+
+
+def test_group_e6_table_is_pinned():
+    # out of reach of the unpruned walk in tier-1 time; its table and bytes
+    # were recorded with it
+    X = build_case("group:E6")
+    coords = (1,) * 6
+    table = cohomology_table(X, X.weight_from_pic_coords(coords))
+    assert table.dimensions_by_degree() == {0: 9709927298494999652197}
+    assert sum(c.multiplicity for g in table.groups for c in g.constituents) == 226
+    digest = hashlib.sha256(table_to_json(X, table, coords).encode()).hexdigest()
+    assert digest == "3a80fdb5a6d8180c60a769b46ddee8b1e48db8869c237545c7b23d8396af8ce3"
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        cohomology_table,
+        enumerate_candidates,
+        lambda X, lam: oracles.capped_candidate_count(X, (-8, -8, -8), lam),
+    ],
+    ids=["cohomology_table", "enumerate_candidates", "capped_candidate_count"],
+)
+def test_walk_leaves_no_cycles(evaluate):
+    # a cycle outlives the call until the cyclic collector finds it; a
+    # recursive closure that names itself leaves one per walk
+    X = build_case("group:A3")
+    lam = X.weight_from_pic_coords((-8, -8, -8))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        evaluate(X, lam)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
