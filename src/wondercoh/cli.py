@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cohomology", parents=[variety],
                        help="decompose all cohomology groups of L_lambda")
-    p.add_argument("--lambda", dest="lam", type=int, nargs="+", required=True,
+    p.add_argument("--lambda", dest="lam", type=int, nargs="*", required=True,
                    help="coordinates in the pic basis")
     p.add_argument("--relative-lambda0", action="store_true",
                    help="interpret coordinates as offsets from lambda_0")

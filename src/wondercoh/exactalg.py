@@ -1,13 +1,15 @@
-"""Small exact helpers: linear algebra over the rationals, and signs on a line.
+"""Small exact helpers: integer linear algebra, and signs on a line.
 
 The matrices of this package are tiny (at most the rank of the ambient
-group), so Gauss-Jordan elimination and LDL^T with `fractions.Fraction`
-entries are exact and cheap for set-up work, done once per root system or
-variety.  `Fraction` is far too slow for per-call work, so each form is
-scaled to integers once (mostly by `int_scaled`): `RootSystem.inner_product`,
-the witness-ball quadric of the enumeration, the omega signature and lattice
-membership (integer left inverses of the Picard and spherical bases) run on
-`int` alone, and the inner product builds one Fraction, its value.
+group) and every one of them is integral or a `ScaledMatrix`: integer rows
+over one positive common denominator.  `int_inverse` inverts an integer
+matrix by fraction-free Gauss-Jordan elimination (Bareiss), so descriptor
+build stays in `int` from the Cartan matrix to the integer left inverses
+of the Picard and spherical bases; only the r x r spherical Gram matrix
+goes through `ldl` with `fractions.Fraction` entries, once per variety.
+`RootSystem.inner_product`, the witness-ball quadric of the enumeration,
+the omega signature and lattice membership run on `int` alone, and the
+inner product builds one Fraction, its value.
 """
 
 from __future__ import annotations
@@ -22,26 +24,44 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 ScaledMatrix = tuple[tuple[tuple[int, ...], ...], int]
 
 
-def frac_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+def row_products(rows: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
+    """The integer matrix `rows` applied to v: row . v for each row."""
+    return tuple([sum(map(mul, row, v)) for row in rows])
 
 
-def mat_inverse(m: Matrix) -> Matrix:
-    """Invert a square matrix of Fractions (Gauss-Jordan, exact)."""
+def least_scaled(rows: Sequence[Sequence[int]], den: int) -> ScaledMatrix:
+    """rows / den (den != 0) as (rows, den) with the least positive den."""
+    g = math.gcd(den, *itertools.chain.from_iterable(rows))
+    g = g if den > 0 else -g
+    return tuple(tuple(x // g for x in row) for row in rows), den // g
+
+
+def int_inverse(m: Sequence[Sequence[int]]) -> ScaledMatrix:
+    """The inverse of a square integer matrix as (rows, den), den least.
+
+    Fraction-free Gauss-Jordan elimination on [m | I] (Bareiss 1968):
+    each step scales every other row by the pivot and divides by the
+    previous pivot, and Sylvester's identity makes that division exact,
+    so the entries stay minors of [m | I].  At the end the left block is
+    the last pivot p = +-det m times I and the right block is p m^-1.
+    Raises ValueError on a singular matrix.
+    """
     n = len(m)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+    aug = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if aug[r][k]), None)
         if pivot is None:
             raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        pivot_row = aug[k]
+        p = pivot_row[k]
+        for i, row in enumerate(aug):
+            if i != k:
+                a = row[k]
+                aug[i] = [(p * x - a * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    return least_scaled([row[n:] for row in aug], prev)
 
 
 def int_scaled(m: Sequence[Sequence[Fraction]]) -> ScaledMatrix:
@@ -49,14 +69,6 @@ def int_scaled(m: Sequence[Sequence[Fraction]]) -> ScaledMatrix:
     of all entries (1 for an empty matrix)."""
     den = math.lcm(*(x.denominator for row in m for x in row))
     return tuple(tuple(int(x * den) for x in row) for row in m), den
-
-
-def mat_vec(m: Matrix, v: Sequence) -> tuple[Fraction, ...]:
-    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m)
-
-
-def dot(u: Sequence, v: Sequence) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def ldl(m: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:

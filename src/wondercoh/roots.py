@@ -8,13 +8,14 @@ never go through floating point.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .exactalg import Matrix, frac_matrix, int_scaled, mat_inverse, mat_vec
+from .exactalg import ScaledMatrix, int_inverse, least_scaled, row_products
 
 Weight = tuple[int, ...]
 
@@ -69,14 +70,6 @@ def _simple_edges(family: str, rank: int) -> list[tuple[int, int, int, int]]:
     return [(0, 1, -3, -1)]
 
 
-def _component_cartan(family: str, rank: int) -> list[list[int]]:
-    a = [[2 * int(i == j) for j in range(rank)] for i in range(rank)]
-    for i, j, aij, aji in _simple_edges(family, rank):
-        a[i][j] = aij
-        a[j][i] = aji
-    return a
-
-
 def _component_symmetrizer(family: str, rank: int) -> list[int]:
     """Positive integers d_i with d_i * A_ij symmetric, min d_i = 1."""
     if family == "B":
@@ -90,11 +83,66 @@ def _component_symmetrizer(family: str, rank: int) -> list[int]:
     return [1] * rank
 
 
+class _Component(NamedTuple):
+    """The data of one simple factor (family, rank), in its own coordinates."""
+
+    cartan: tuple[tuple[int, ...], ...]
+    symmetrizer: tuple[int, ...]
+    #: simple-root coordinates, in (height, lexicographic) order
+    positive_roots: tuple[tuple[int, ...], ...]
+    #: row k: integer vector p with <lam, alpha_k^vee> = p . lam
+    coroot_rows: tuple[tuple[int, ...], ...]
+    #: alpha_k in fundamental-weight coordinates, A alpha_k
+    root_weights: tuple[tuple[int, ...], ...]
+    cartan_inv: ScaledMatrix
+
+
+@functools.cache
+def _component(family: str, rank: int) -> _Component:
+    """The cached data of one simple factor; the positive roots come from
+    reflection closure of the simple roots."""
+    a = [[2 * int(i == j) for j in range(rank)] for i in range(rank)]
+    for i, j, aij, aji in _simple_edges(family, rank):
+        a[i][j] = aij
+        a[j][i] = aji
+    cartan = tuple(map(tuple, a))
+    d = tuple(_component_symmetrizer(family, rank))
+    simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    roots = set(simple)
+    frontier = simple
+    while frontier:
+        new = set()
+        for beta in frontier:
+            for i, p in enumerate(row_products(cartan, beta)):
+                img = list(beta)
+                img[i] -= p
+                if img[i] >= 0:
+                    new.add(tuple(img))
+        frontier = new - roots
+        roots |= frontier
+    positive = tuple(sorted(roots, key=lambda r: (sum(r), r)))
+    if len(positive) != _POSITIVE_ROOT_COUNT[family](rank):
+        raise InvariantError("positive root closure has the wrong size")
+    weights = tuple(row_products(cartan, alpha) for alpha in positive)
+    coroot_rows = []
+    for alpha, w in zip(positive, weights):
+        # (alpha, alpha) = sum_i alpha_i d_i (A alpha)_i, and the row is
+        # 2 d_i alpha_i / (alpha, alpha)
+        norm = sum(map(mul, alpha, map(mul, d, w)))
+        row = [2 * x * di for x, di in zip(alpha, d)]
+        if any(x % norm for x in row):
+            raise InvariantError("coroot pairing row is not integral")
+        coroot_rows.append(tuple(x // norm for x in row))
+    return _Component(cartan, d, positive, tuple(coroot_rows), weights, int_inverse(cartan))
+
+
 class RootSystem:
     """Cartan data of a product of simple root systems.
 
     Built once from a list of (family, rank) pairs; immutable afterwards.
-    Positive roots are generated by reflection closure and frozen in a
+    Each simple factor's Cartan block, positive roots, coroot rows and
+    integer Cartan inverse are computed once per process (`_component`)
+    and placed block-diagonally.  Positive roots are frozen in a
     deterministic order (height, then lexicographic), so scans over them
     are reproducible.
     """
@@ -103,75 +151,50 @@ class RootSystem:
         components = tuple((str(f).upper(), _integer(n)) for f, n in components)
         if not components:
             raise ValueError("empty component list")
-        counts = [_POSITIVE_ROOT_COUNT.get(f, lambda n: None)(n) for f, n in components]
-        for (family, rank), count in zip(components, counts):
-            if count is None:
+        for family, rank in components:
+            if _POSITIVE_ROOT_COUNT.get(family, lambda n: None)(rank) is None:
                 raise ValueError(f"invalid Dynkin type {family}{rank}")
         self.components = components
         self.rank = sum(n for _, n in components)
+        blocks = [_component(f, n) for f, n in components]
 
-        cartan = [[0] * self.rank for _ in range(self.rank)]
+        cartan: list[tuple[int, ...]] = []
         symmetrizer: list[int] = []
+        found = []  # (root, coroot row, root weight), embedded
+        inv_den = lcm(*(b.cartan_inv[1] for b in blocks))
+        inv_rows: list[tuple[int, ...]] = []
         offset = 0
-        for family, rank in components:
-            block = _component_cartan(family, rank)
-            for i in range(rank):
-                for j in range(rank):
-                    cartan[offset + i][offset + j] = block[i][j]
-            symmetrizer.extend(_component_symmetrizer(family, rank))
-            offset += rank
-        self.cartan = tuple(tuple(row) for row in cartan)
+        for b in blocks:
+            n = len(b.cartan)
+            left, right = (0,) * offset, (0,) * (self.rank - offset - n)
+            cartan += [(*left, *row, *right) for row in b.cartan]
+            symmetrizer += b.symmetrizer
+            rows, den = b.cartan_inv
+            inv_rows += [(*left, *(x * (inv_den // den) for x in row), *right) for row in rows]
+            found += [
+                tuple((*left, *v, *right) for v in t)
+                for t in zip(b.positive_roots, b.coroot_rows, b.root_weights)
+            ]
+            offset += n
+        self.cartan = tuple(cartan)
         self.symmetrizer = tuple(symmetrizer)
-
-        self.positive_roots = self._generate_positive_roots()
-        if len(self.positive_roots) != sum(counts):
-            raise InvariantError("positive root closure has the wrong size")
-
-        # (omega_i, omega_j) = d_i * (A^-1)_ij; short roots have length^2 = 2
-        self._cartan_inv = mat_inverse(frac_matrix(self.cartan))
-        # (rows, den): rows . lam is den times the simple-root coordinates of lam
-        self._cartan_inv_scaled = int_scaled(self._cartan_inv)
-        self._fw_gram: Matrix = tuple(
-            tuple(self.symmetrizer[i] * self._cartan_inv[i][j] for j in range(self.rank))
-            for i in range(self.rank)
+        found.sort(key=lambda t: (sum(t[0]), t[0]))
+        self.positive_roots, self._coroot_rows, self._root_weights = (
+            tuple(x) for x in zip(*found)
         )
-        self._fw_gram_scaled = int_scaled(self._fw_gram)
-        # row k: integer vector p with <lam, alpha_k^vee> = p . lam
-        self._coroot_rows = tuple(
-            self._coroot_pairing_row(alpha) for alpha in self.positive_roots
+        # (rows, den): rows . lam is den times the simple-root coordinates of lam
+        self._cartan_inv_scaled: ScaledMatrix = (tuple(inv_rows), inv_den)
+        # (omega_i, omega_j) = d_i * (A^-1)_ij; short roots have length^2 = 2
+        self._fw_gram_scaled = least_scaled(
+            [[di * x for x in row] for di, row in zip(self.symmetrizer, inv_rows)], inv_den
+        )
+        # positive and negative roots -> coroot pairing row
+        self._coroot_row_of = dict(zip(self.positive_roots, self._coroot_rows))
+        self._coroot_row_of.update(
+            (tuple(-x for x in a), tuple(-x for x in row))
+            for a, row in zip(self.positive_roots, self._coroot_rows)
         )
         self._weyl_den = prod(sum(row) for row in self._coroot_rows)  # prod <rho, alpha^vee>
-        self._root_weights = tuple(self.root_as_weight(a) for a in self.positive_roots)
-
-    # -- construction helpers -------------------------------------------
-
-    def _generate_positive_roots(self) -> tuple[tuple[int, ...], ...]:
-        simple = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
-        roots = set(simple)
-        frontier = set(simple)
-        while frontier:
-            new = set()
-            for beta in frontier:
-                pair = [sum(self.cartan[i][j] * beta[j] for j in range(self.rank))
-                        for i in range(self.rank)]
-                for i in range(self.rank):
-                    img = list(beta)
-                    img[i] -= pair[i]
-                    timg = tuple(img)
-                    if timg not in roots and all(x >= 0 for x in timg):
-                        new.add(timg)
-            roots |= new
-            frontier = new
-        return tuple(sorted(roots, key=lambda r: (sum(r), r)))
-
-    def _coroot_pairing_row(self, alpha: Sequence[int]) -> tuple[int, ...]:
-        n = range(self.rank)
-        d, a = self.symmetrizer, self.cartan
-        norm = sum(alpha[i] * alpha[j] * d[i] * a[i][j] for i in n for j in n)
-        row = [2 * x * di for x, di in zip(alpha, d)]
-        if any(x % norm for x in row):
-            raise InvariantError("coroot pairing row is not integral")
-        return tuple(x // norm for x in row)
 
     # -- basic operations ------------------------------------------------
 
@@ -186,8 +209,10 @@ class RootSystem:
 
     def pair_coroot(self, lam: Sequence[int], alpha: Sequence[int]) -> int:
         """<lam, alpha^vee> for a root alpha given in simple-root coordinates."""
-        row = self._coroot_pairing_row(alpha)
-        return sum(r * x for r, x in zip(row, lam))
+        row = self._coroot_row_of.get(tuple(alpha))
+        if row is None:
+            raise ValueError(f"{list(alpha)} is not a root")
+        return sum(map(mul, row, lam))
 
     def inner_product(self, lam: Sequence[int], mu: Sequence[int]) -> Fraction:
         """W-invariant scalar product (short roots of each component have norm 2)."""
@@ -196,14 +221,12 @@ class RootSystem:
 
     def root_as_weight(self, alpha: Sequence[int]) -> Weight:
         """Convert simple-root coordinates to fundamental-weight coordinates."""
-        return tuple(
-            sum(self.cartan[i][j] * alpha[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
+        return row_products(self.cartan, alpha)
 
     def simple_root_coords(self, lam: Sequence[int]) -> tuple[Fraction, ...]:
         """Expansion of a weight over the simple roots (rational in general)."""
-        return mat_vec(self._cartan_inv, self.check_weight(lam))
+        rows, den = self._cartan_inv_scaled
+        return tuple(Fraction(x, den) for x in row_products(rows, self.check_weight(lam)))
 
     def positive_root_weights(self) -> tuple[Weight, ...]:
         return self._root_weights

@@ -31,7 +31,7 @@ import functools
 import json
 from typing import Sequence
 
-from .cohomology import CohomologyTable, Constituent, DegreeGroup
+from .cohomology import CohomologyTable, Constituent
 from .varieties import WonderfulVariety
 
 
@@ -39,11 +39,22 @@ from .varieties import WonderfulVariety
 _GROUP, _CONSTITUENT, _WITNESS = " " * 6, " " * 10, " " * 14
 
 
-def _items(parts: list[str], indent: str) -> str:
-    """A JSON array of pre-indented parts, closed at `indent`."""
+def _array(out: list[str], parts: Sequence[str], indent: str) -> list[str]:
+    """Append a JSON array of pre-indented parts, closed at `indent`, to
+    out, and return out."""
     if not parts:
-        return "[]"
-    return "[\n" + ",\n".join(parts) + "\n" + indent + "]"
+        out.append("[]")
+        return out
+    out.append("[\n")
+    for part in parts:
+        out += (part, ",\n")
+    out[-1] = "\n" + indent + "]"
+    return out
+
+
+def _items(parts: Sequence[str], indent: str) -> str:
+    """A JSON array of pre-indented parts, closed at `indent`."""
+    return "".join(_array([], parts, indent))
 
 
 def _ints(values: Sequence[int], indent: str) -> str:
@@ -113,17 +124,6 @@ def _constituents_json(constituents: Sequence[Constituent], with_witnesses: bool
     return out
 
 
-def _group_json(g: DegreeGroup, with_witnesses: bool) -> str:
-    constituents = _constituents_json(g.constituents, with_witnesses)
-    return (
-        "    {\n"
-        f'      "degree": {g.degree},\n'
-        f'      "dimension": "{g.dimension}",\n'
-        f'      "constituents": {_items(constituents, _GROUP)}\n'
-        "    }"
-    )
-
-
 def table_to_json(
     X: WonderfulVariety,
     table: CohomologyTable,
@@ -131,16 +131,29 @@ def table_to_json(
     with_witnesses: bool = True,
 ) -> str:
     """json.dumps(table_to_dict(...), indent=2, separators=(",", ": ")) plus
-    a newline (the README's JSON schema; table_to_dict is in tests/test_helpers.py)."""
-    groups = [_group_json(g, with_witnesses) for g in table.groups]
-    return (
+    a newline (the README's JSON schema; table_to_dict is in tests/test_helpers.py),
+    built as one list of pieces and joined once."""
+    out = [
         "{\n"
         f'  "variety": {json.dumps(X.name)},\n'
         f'  "lambda": {_ints([int(x) for x in lam_coords], "  ")},\n'
         f'  "N": {X.dimension_N},\n'
-        f'  "groups": {_items(groups, "  ")}\n'
-        "}\n"
-    )
+        '  "groups": '
+    ]
+    sep = "[\n"
+    for g in table.groups:
+        out += (
+            sep,
+            "    {\n"
+            f'      "degree": {g.degree},\n'
+            f'      "dimension": "{g.dimension}",\n'
+            '      "constituents": ',
+        )
+        _array(out, _constituents_json(g.constituents, with_witnesses), _GROUP)
+        out.append("\n    }")
+        sep = ",\n"
+    out.append("\n  ]\n}\n" if table.groups else "[]\n}\n")
+    return "".join(out)
 
 
 def table_to_text(

@@ -34,13 +34,12 @@ from typing import Optional, Sequence
 from .exactalg import (
     Matrix,
     ScaledMatrix,
-    dot,
-    frac_matrix,
+    int_inverse,
     int_scaled,
     lattice_coords,
     ldl,
-    mat_inverse,
-    mat_vec,
+    least_scaled,
+    row_products,
     span_numerators,
     translate,
 )
@@ -79,16 +78,29 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _ldl_or_none(m: Matrix):
+def _inverse_or_none(m: Sequence[Sequence[int]]) -> Optional[ScaledMatrix]:
     try:
-        return ldl(m)
+        return int_inverse(m)
     except ValueError:
         return None
 
 
-def _left_inverse(gram_inv: Matrix, pairings: Sequence[Sequence[Fraction]]) -> ScaledMatrix:
-    """gram_inv . pairings as integer (rows, den), pairings[j] = (., b_j): a left inverse of b."""
-    return int_scaled([[dot(row, col) for col in zip(*pairings)] for row in gram_inv])
+def _fractions(rows: Sequence[Sequence[int]], den: int) -> Matrix:
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+
+def _left_inverse(
+    gram_inv: Optional[ScaledMatrix], pairings: Sequence[Sequence[int]]
+) -> ScaledMatrix:
+    """A left inverse of a basis b as integer (rows, den), ((), 1) when b is
+    dependent: with pairings[j] . v = D (v, b_j) for one integer D > 0 and
+    gram_inv the inverse of the integer Gram matrix (b_i . pairings[j]),
+    row i is sum_j gram_inv_ij pairings[j], and row i . b_k = den delta_ik."""
+    if gram_inv is None:
+        return (), 1
+    rows, den = gram_inv
+    columns = tuple(zip(*pairings))
+    return least_scaled([row_products(columns, row) for row in rows], den)
 
 
 def _support(alpha: Sequence[int]) -> frozenset[int]:
@@ -150,58 +162,58 @@ class WonderfulVariety:
         g = self.group
         sigma = self.spherical_roots
         pic = self.pic_basis
-        self.sigma_gram: Matrix = frac_matrix(
-            [[g.inner_product(a, b) for b in sigma] for a in sigma]
-        )
-        self.pic_gram: Matrix = frac_matrix(
-            [[g.inner_product(a, b) for b in pic] for a in pic]
-        )
-        # a Gram matrix is positive definite exactly when ldl succeeds
-        sigma_ldl = _ldl_or_none(self.sigma_gram)
-        self._sigma_pos_def = sigma_ldl is not None
-        self._pic_independent = _ldl_or_none(self.pic_gram) is not None
-        self.sigma_gram_inv = mat_inverse(self.sigma_gram) if self._sigma_pos_def else ()
+        # (u, v) = u . F v / fden; the pairing rows F b carry (., b) scaled
+        # by fden, and their products with the basis its Gram matrix
+        F, fden = g._fw_gram_scaled
+        sigma_pairing = [row_products(F, gam) for gam in sigma]
+        pic_pairing = [row_products(F, w) for w in pic]
+        sigma_gram = [row_products(sigma_pairing, gam) for gam in sigma]
+        pic_gram = [row_products(pic_pairing, w) for w in pic]
+        self.sigma_gram: Matrix = _fractions(sigma_gram, fden)
+        self.pic_gram: Matrix = _fractions(pic_gram, fden)
+        # both Gram matrices are of a positive definite form, so each is
+        # positive definite exactly when it is invertible
+        sigma_inv = _inverse_or_none(sigma_gram)
+        pic_inv = _inverse_or_none(pic_gram)
+        self._sigma_pos_def = sigma_inv is not None
+        self._pic_independent = pic_inv is not None
         # spherical pairing rows: (v, gamma_i) = W_i . v / D with one common
         # integer D > 0, so W_i . v is exact and has the sign of (v, gamma_i)
-        sigma_pairing = [mat_vec(g._fw_gram, gam) for gam in sigma]
-        self._gamma_sign_rows, self._gamma_den = int_scaled(sigma_pairing)
+        self._gamma_sign_rows, self._gamma_den = least_scaled(sigma_pairing, fden)
+        self.sigma_gram_inv: Matrix = ()
         # (form, q, A, e) of cohomology._ball_lines, scaled to integers once
         self._witness_form = None
-        if sigma_ldl is not None:
-            L, d = sigma_ldl
-            cols = list(zip(*L))
-            # M = L^T G^-1 / (2 D): row i is G^-1 . (column i of L), G^-1 being symmetric
-            M = [[x / 2 / self._gamma_den for x in mat_vec(self.sigma_gram_inv, c)] for c in cols]
-            q = tuple(math.lcm(*(x.denominator for x in (*m, *c))) for m, c in zip(M, cols))
+        if sigma_inv is not None:
+            rows, den = sigma_inv
+            # G^-1 = fden * rows / den for the Fraction Gram matrix G
+            self.sigma_gram_inv = _fractions([[fden * x for x in row] for row in rows], den)
+            L, d = ldl(self.sigma_gram)
+            form, q, A = [], [], []
+            for col in zip(*L):
+                # row i of M = L^T G^-1 / (2 D) is N / m, G^-1 being
+                # symmetric, with column i of L as C / l
+                (C,), l = int_scaled([col])
+                N = [fden * x for x in row_products(rows, C)]
+                m = 2 * self._gamma_den * den * l
+                qi = math.lcm(l, m // math.gcd(m, *N))
+                form.append(tuple(qi * x // m for x in N))
+                q.append(qi)
+                A.append(tuple(qi // l * x for x in C))
             e = [di / (qi * qi) for di, qi in zip(d, q)]
             S = math.lcm(*(x.denominator for x in e))
-            self._witness_form = (
-                tuple(tuple(int(qi * x) for x in m) for qi, m in zip(q, M)),
-                q,
-                tuple(tuple(int(qi * x) for x in c) for qi, c in zip(q, cols)),
-                tuple(int(S * x) for x in e),
-            )
+            self._witness_form = (tuple(form), tuple(q), tuple(A), tuple(int(S * x) for x in e))
         # integer left inverses of both bases, for lattice membership
-        self._sigma_left_inv = _left_inverse(self.sigma_gram_inv, sigma_pairing)
-        self._pic_left_inv = _left_inverse(
-            mat_inverse(self.pic_gram) if self._pic_independent else (),
-            [mat_vec(g._fw_gram, w) for w in pic],
-        )
+        self._sigma_left_inv = _left_inverse(sigma_inv, sigma_pairing)
+        self._pic_left_inv = _left_inverse(pic_inv, pic_pairing)
         # <gamma_i, alpha_k^vee> over the frozen positive root order
-        self._gamma_coroot_rows = tuple(
-            tuple(sum(r * x for r, x in zip(row, gam)) for row in g._coroot_rows)
-            for gam in sigma
-        )
+        self._gamma_coroot_rows = tuple(row_products(g._coroot_rows, gam) for gam in sigma)
         # one step along c_0: (gamma_0, <gamma_0, alpha_k^vee>_k), ((), ())
         # at rank 0; only the coroots k that move (d != 0) can end a chamber
         # stretch of `cohomology._stretches`
         self._gamma0_step = (sigma[0], self._gamma_coroot_rows[0]) if sigma else ((), ())
         self._gamma0_moving = tuple(k for k, d in enumerate(self._gamma0_step[1]) if d)
         # signature increments: dot(W_i, gamma_j)
-        self._gamma_sign_gram = tuple(
-            tuple(sum(a * b for a, b in zip(w, gam)) for gam in sigma)
-            for w in self._gamma_sign_rows
-        )
+        self._gamma_sign_gram = tuple(row_products(sigma, w) for w in self._gamma_sign_rows)
         # the descent of `cohomology._sign_runs` carries (s, coroot
         # pairings, mu), and one unit of c_i adds row i to it; the sign
         # Gram matrix is symmetric, so its row i is what c_i adds to s
@@ -353,11 +365,14 @@ def validate(X: WonderfulVariety) -> ValidationReport:
     )
 
     if X._sigma_pos_def and X.spherical_roots:
-        bad = None
-        for alpha_w in g.positive_root_weights():
-            if X.sigma_coords(alpha_w) is not None:
-                bad = alpha_w
-                break
+        bad = next(
+            (
+                alpha_w
+                for alpha_w in g.positive_root_weights()
+                if span_numerators(X.spherical_roots, X._sigma_left_inv, alpha_w) is not None
+            ),
+            None,
+        )
         add(
             "no root lies in the rational span of the spherical roots",
             bad is None,
@@ -374,10 +389,9 @@ def validate(X: WonderfulVariety) -> ValidationReport:
     )
 
     # needed for the degree-zero oracle bound: (mu, gamma) >= 0 for dominant mu
+    inv_rows = g._cartan_inv_scaled[0]
     neg_gamma = [
-        x
-        for x in X.spherical_roots
-        if any(c < 0 for c in g.simple_root_coords(x))
+        x for x in X.spherical_roots if any(c < 0 for c in row_products(inv_rows, x))
     ]
     add(
         "spherical roots are nonnegative combinations of simple roots",
@@ -478,20 +492,12 @@ def _validate_sgamma(X: WonderfulVariety, add) -> None:
 
 def _exact_multiple(v: Weight, w: Weight) -> Optional[Fraction]:
     """c with v = c*w, or None."""
-    ratio: Optional[Fraction] = None
-    for a, b in zip(v, w):
-        if b == 0:
-            if a != 0:
-                return None
-            continue
-        r = Fraction(a, b)
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            return None
-    if ratio is None:
-        ratio = Fraction(0)
-    return ratio
+    k = next((k for k, b in enumerate(w) if b), None)
+    if k is None:
+        return None if any(v) else Fraction(0)
+    if any(a * w[k] != v[k] * b for a, b in zip(v, w)):
+        return None
+    return Fraction(v[k], w[k])
 
 
 def _checked(X: WonderfulVariety) -> WonderfulVariety:

@@ -72,6 +72,28 @@ def test_cohomology_singular_ok(capsys):
 def test_cohomology_bad_coords(capsys):
     code, _, err = run(capsys, "cohomology", "E6/F4", "--lambda", "1")
     assert code == 2
+    assert err == "error: E6/F4 needs 2 pic coordinates, got 1\n"
+    code, _, err = run(capsys, "cohomology", "E6/F4", "--lambda")
+    assert code == 2
+    assert err == "error: E6/F4 needs 2 pic coordinates, got 0\n"
+
+
+def test_cohomology_zero_pic_coordinates(capsys):
+    # every simple root is in the Levi, so pic(X) = 0 and --lambda takes
+    # no coordinates: H^0 = L(0)
+    code, out, _ = run(capsys, "cohomology", "flag:A1:q=1", "--lambda", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["lambda"] == [] and doc["N"] == 0
+    assert [(g["degree"], g["dimension"]) for g in doc["groups"]] == [(0, "1")]
+    assert doc["groups"][0]["constituents"][0]["highest_weight"] == [0]
+
+
+def test_cohomology_lambda_is_required(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "flag:A1:q=1"])
+    assert exc.value.code == 2
+    assert "--lambda" in capsys.readouterr().err
 
 
 def test_cohomology_relative_lambda0(capsys):

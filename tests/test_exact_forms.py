@@ -11,15 +11,20 @@ from hypothesis import strategies as st
 
 from wondercoh import CATALOG_NAMES, build_case
 from wondercoh import cohomology
-from wondercoh.exactalg import dot, mat_vec, translate
+from wondercoh.exactalg import translate
 from wondercoh.varieties import pic_box
+
+from test_helpers import dot, frac_matrix, mat_inverse, mat_vec
 
 NAMES = CATALOG_NAMES + ("group:A3", "group:B2", "group:G2", "PSO/PSO(5)", "PGL/PSp(4)")
 
 
 def reference_inner_product(g, lam, mu):
-    """The Fraction matrix-vector form that the integer form replaces."""
-    return dot(lam, mat_vec(g._fw_gram, mu))
+    """(lam, mu) = lam . F mu with (omega_i, omega_j) = F_ij = d_i (A^-1)_ij,
+    from the Cartan matrix A and the symmetrizer d by the Fraction inverse."""
+    inverse = mat_inverse(frac_matrix(g.cartan))
+    form = [[d * x for x in row] for d, row in zip(g.symmetrizer, inverse)]
+    return dot(lam, mat_vec(form, mu))
 
 
 @pytest.mark.parametrize("name", NAMES)

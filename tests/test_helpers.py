@@ -1,7 +1,7 @@
 """Shared helpers (weight translation, Picard boxes, the build_case memo,
-lattice membership, a cold chamber table), the reference evaluation, table
-grouping and JSON document the engine is compared with, and the number of
-evaluations each entry point makes."""
+lattice membership, a cold chamber table), the Fraction linear algebra,
+reference evaluation, table grouping and JSON document the engine is
+compared with, and the number of evaluations each entry point makes."""
 
 import functools
 import itertools
@@ -18,11 +18,41 @@ from wondercoh import CATALOG_NAMES, CatalogError, WonderfulVariety, build_case
 from wondercoh import cohomology, oracles
 from wondercoh.cohomology import CohomologyTable, Constituent, Contribution, DegreeGroup
 from wondercoh.regions import region_plot
-from wondercoh.exactalg import mat_inverse, mat_vec, span_numerators, translate
+from wondercoh.exactalg import Matrix, span_numerators, translate
 from wondercoh.roots import RootSystem
 from wondercoh.varieties import pic_box
 
 NAMES = CATALOG_NAMES + ("group:A3", "group:B2", "group:G2", "PSO/PSO(5)", "PGL/PSp(4)")
+
+
+def frac_matrix(rows: Sequence[Sequence]) -> Matrix:
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def mat_inverse(m: Matrix) -> Matrix:
+    """Invert a square matrix of Fractions (Gauss-Jordan, exact)."""
+    n = len(m)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def mat_vec(m: Matrix, v: Sequence) -> tuple[Fraction, ...]:
+    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m)
+
+
+def dot(u: Sequence, v: Sequence) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def frac_isqrt_floor(x: Fraction) -> int:
