@@ -188,12 +188,7 @@ class RootSystem:
         self._fw_gram_scaled = least_scaled(
             [[di * x for x in row] for di, row in zip(self.symmetrizer, inv_rows)], inv_den
         )
-        # positive and negative roots -> coroot pairing row
         self._coroot_row_of = dict(zip(self.positive_roots, self._coroot_rows))
-        self._coroot_row_of.update(
-            (tuple(-x for x in a), tuple(-x for x in row))
-            for a, row in zip(self.positive_roots, self._coroot_rows)
-        )
         self._weyl_den = prod(sum(row) for row in self._coroot_rows)  # prod <rho, alpha^vee>
 
     # -- basic operations ------------------------------------------------
@@ -209,10 +204,14 @@ class RootSystem:
 
     def pair_coroot(self, lam: Sequence[int], alpha: Sequence[int]) -> int:
         """<lam, alpha^vee> for a root alpha given in simple-root coordinates."""
-        row = self._coroot_row_of.get(tuple(alpha))
+        alpha = tuple(alpha)
+        row = self._coroot_row_of.get(alpha)
+        if row is not None:
+            return sum(map(mul, row, lam))
+        row = self._coroot_row_of.get(tuple(-x for x in alpha))  # a negative root
         if row is None:
             raise ValueError(f"{list(alpha)} is not a root")
-        return sum(map(mul, row, lam))
+        return -sum(map(mul, row, lam))
 
     def inner_product(self, lam: Sequence[int], mu: Sequence[int]) -> Fraction:
         """W-invariant scalar product (short roots of each component have norm 2)."""
