@@ -66,7 +66,10 @@ floor division per such pairing.  Only the coroots with
 <gamma_0, alpha_k^vee> != 0 move, and one moves toward 0 when its pairing
 and its step have opposite signs.  A point where some pairing is 0 is
 singular and is skipped; the next regular point starts a new stretch, and
-so does a point where a pairing stepped across 0 without touching it.  As
+so does a point where a pairing stepped across 0 without touching it.  A
+coroot that does not move keeps its pairing over the whole run, so when
+such a pairing is 0 every point of the run is singular, and the run is
+dropped at once instead of being stepped through.  As
 w permutes the positive coroots up to sign, |prod_k pair_k| is the Weyl
 dimension numerator of mu^+, so
 dim L(mu^+) = |prod_k pair_k| / prod_k <rho, alpha_k^vee> needs no second
@@ -104,12 +107,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, eq, itemgetter, mul
+from operator import add, eq, itemgetter, mul, sub
 from typing import Iterator, NamedTuple, Sequence
 
 from .exactalg import lattice_coords, negative_interval, translate
 from .roots import InvariantError, RootSystem, Weight
-from .varieties import CatalogError, WonderfulVariety
+from .varieties import CatalogError, WonderfulVariety, _PicWeight
 
 
 class Contribution(NamedTuple):
@@ -179,7 +182,11 @@ class CohomologyTable:
 
 
 def _require_pic(X: WonderfulVariety, lam: Sequence[int]) -> Weight:
-    lam = X.group.check_weight(lam)
+    """lam as a weight of pic(X), or ValueError.  A weight X made from pic
+    coordinates is returned as it is, carrying them; any other is checked
+    and solved."""
+    if type(lam) is not _PicWeight or lam.variety is not X:
+        lam = X.group.check_weight(lam)
     if X.pic_contains(lam) is None:
         raise ValueError(f"{list(lam)} is not in pic({X.name})")
     return lam
@@ -421,9 +428,11 @@ def _stretches(
     <gamma_0, alpha_k^vee> and mu_plus by w_step = w(gamma_0)."""
     g = X.group
     mu_step, pair_step = X._gamma0_step
-    moving = X._gamma0_moving
+    moving, fixed = X._gamma0_moving, X._gamma0_fixed
     chambers = X._chambers
     for c, n, _, pair, mu in _sign_runs(X, lam, g.shifted_pairings(lam)):
+        if 0 in pair and 0 in [pair[k] for k in fixed]:
+            continue  # a coroot that does not move pairs to 0 all along the run
         J = tuple([i for i, ci in enumerate(c) if ci > 0])
         t = 0  # offset of the point at mu and pair from the run's start
         while True:
@@ -469,8 +478,12 @@ def _stretches(
             t += m
             if t >= n:
                 break
-            pair = [p + m * d for p, d in zip(pair, pair_step)]
-            mu = tuple([x + m * y for x, y in zip(mu, mu_step)])
+            if m == 1:  # a singular point or a one-witness stretch: one C-level add
+                pair = list(map(add, pair, pair_step))
+                mu = tuple(map(add, mu, mu_step))
+            else:
+                pair = [p + m * d for p, d in zip(pair, pair_step)]
+                mu = tuple([x + m * y for x, y in zip(mu, mu_step)])
 
 
 def _witnesses_by_degree(X: WonderfulVariety, lam: Weight) -> dict[int, list[Contribution]]:
@@ -531,13 +544,20 @@ def cohomology_table(X: WonderfulVariety, lam: Sequence[int]) -> CohomologyTable
 
 
 def serre_dual_weight(X: WonderfulVariety, lam: Sequence[int]) -> Weight:
-    """Weight of the Serre-dual line bundle; an involution on pic(X)."""
+    """Weight of the Serre-dual line bundle; an involution on pic(X).
+
+    When lam and the Serre twist both carry pic coordinates of X (lam made
+    by `X.weight_from_pic_coords`), the dual carries their difference and
+    its membership check solves nothing; any other dual is solved."""
     return _serre_dual(X, _require_pic(X, lam))
 
 
 def _serre_dual(X: WonderfulVariety, lam: Weight) -> Weight:
     # lam is in pic(X); the dual is checked, since bad catalog data can move it out
-    dual = tuple(t - x for x, t in zip(lam, X.serre_twist()))
+    twist = X.serre_twist()
+    dual = tuple([t - x for x, t in zip(lam, twist)])
+    if type(lam) is type(twist) is _PicWeight and lam.variety is twist.variety is X:
+        dual = _PicWeight(dual, X, tuple(map(sub, twist.coords, lam.coords)))
     if X.pic_contains(dual) is None:
         raise CatalogError(f"{X.name}: Serre dual of {list(lam)} left pic; bad catalog data")
     return dual

@@ -11,8 +11,9 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 from math import lcm, prod
-from operator import mul
+from operator import add, mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exactalg import ScaledMatrix, int_inverse, least_scaled, row_products
@@ -189,7 +190,11 @@ class RootSystem:
             [[di * x for x in row] for di, row in zip(self.symmetrizer, inv_rows)], inv_den
         )
         self._coroot_row_of = dict(zip(self.positive_roots, self._coroot_rows))
-        self._weyl_den = prod(sum(row) for row in self._coroot_rows)  # prod <rho, alpha^vee>
+        # <rho, alpha_k^vee> per positive root, and column j of the coroot
+        # rows: what one unit of lam_j adds to every pairing
+        self._rho_pairings = tuple(map(sum, self._coroot_rows))
+        self._coroot_columns = tuple(zip(*self._coroot_rows))
+        self._weyl_den = prod(self._rho_pairings)
 
     # -- basic operations ------------------------------------------------
 
@@ -234,9 +239,17 @@ class RootSystem:
         return all(x >= 0 for x in self.check_weight(lam))
 
     def shifted_pairings(self, lam: Sequence[int]) -> tuple[int, ...]:
-        """<lam + rho, alpha^vee> over all positive roots, in the frozen order."""
-        v = [x + 1 for x in lam]
-        return tuple(sum(map(mul, row, v)) for row in self._coroot_rows)
+        """<lam + rho, alpha^vee> over all positive roots, in the frozen order.
+
+        Column form: <rho, alpha^vee> plus lam_j times column j of the
+        coroot rows for each nonzero lam_j, one lazy `map` per column, so a
+        weight with few nonzero entries costs few passes and no Python-level
+        dot product runs per root."""
+        out = self._rho_pairings
+        for x, column in zip(lam, self._coroot_columns):
+            if x:
+                out = map(add, out, map(mul, column, repeat(x)))
+        return tuple(out)
 
     def is_regular_shifted(self, lam: Sequence[int]) -> bool:
         """Whether lam + rho pairs nonzero with every positive coroot."""

@@ -107,6 +107,23 @@ def _support(alpha: Sequence[int]) -> frozenset[int]:
     return frozenset(i for i, c in enumerate(alpha) if c)
 
 
+class _PicWeight(tuple):
+    """A weight of pic(X) that carries its variety and its integer pic
+    coordinates, so that `WonderfulVariety.pic_contains` of that variety
+    reads them instead of solving.  Made only from coordinates the library
+    holds: `weight_from_pic_coords`, the Serre twist when it lies in pic,
+    and `cohomology._serre_dual` on two such weights.  It compares and
+    hashes as the plain tuple of its entries, and anything that builds a
+    new tuple from it (arithmetic, slicing, `check_weight`) is a plain
+    weight, which is solved again."""
+
+    def __new__(cls, values: Sequence[int], variety: WonderfulVariety, coords: tuple[int, ...]):
+        lam = tuple.__new__(cls, values)
+        lam.variety = variety
+        lam.coords = coords
+        return lam
+
+
 class WonderfulVariety:
     """Immutable descriptor of a wonderful variety of minimal rank.
 
@@ -212,6 +229,9 @@ class WonderfulVariety:
         # stretch of `cohomology._stretches`
         self._gamma0_step = (sigma[0], self._gamma_coroot_rows[0]) if sigma else ((), ())
         self._gamma0_moving = tuple(k for k, d in enumerate(self._gamma0_step[1]) if d)
+        # the coroots that do not move: a 0 pairing among them stays 0 along
+        # a whole run, and `cohomology._stretches` drops the run at once
+        self._gamma0_fixed = tuple(k for k, d in enumerate(self._gamma0_step[1]) if not d)
         # signature increments: dot(W_i, gamma_j)
         self._gamma_sign_gram = tuple(row_products(sigma, w) for w in self._gamma_sign_rows)
         # the descent of `cohomology._sign_runs` carries (s, coroot
@@ -231,9 +251,9 @@ class WonderfulVariety:
             if first:
                 decided[first].append(j)
         self._decided_rows = tuple(map(tuple, decided))
-        self._serre_twist: Weight = translate(
-            [-x for x in self.two_rho_X], (-1,) * self.rank, sigma
-        )
+        twist = translate([-x for x in self.two_rho_X], (-1,) * self.rank, sigma)
+        coords = lattice_coords(pic, self._pic_left_inv, twist)
+        self._serre_twist: Weight = twist if coords is None else _PicWeight(twist, self, coords)
         # inversion set of mu + rho -> (length, matrix of w, w(gamma_0)) of
         # the Weyl element w making mu + rho dominant; filled by
         # `cohomology._stretches`, one chamber walk per entry per process
@@ -242,16 +262,26 @@ class WonderfulVariety:
     # -- lattice membership ----------------------------------------------
 
     def pic_contains(self, lam: Sequence[int]) -> Optional[tuple[int, ...]]:
-        """Integer coordinates of lam in the pic basis, or None."""
+        """Integer coordinates of lam in the pic basis, or None.
+
+        A weight this variety made from pic coordinates (see
+        `weight_from_pic_coords`) gives back the coordinates it carries.
+        Every other weight is solved: plain tuples and lists, a weight made
+        by another variety, even one built from the same data."""
+        if type(lam) is _PicWeight and lam.variety is self:
+            return lam.coords
         return lattice_coords(self.pic_basis, self._pic_left_inv, self.group.check_weight(lam))
 
     def weight_from_pic_coords(self, coords: Sequence[int]) -> Weight:
+        """sum_j coords[j] pic_j.  The weight is a tuple that carries this
+        variety and its coordinates, so checking it against pic(X) later
+        solves nothing; it compares, hashes and prints as a plain tuple."""
         if len(coords) != len(self.pic_basis):
             raise ValueError(
                 f"{self.name}: expected {len(self.pic_basis)} pic coordinates"
             )
-        coeffs = [_integer(c) for c in coords]
-        return translate((0,) * self.group.rank, coeffs, self.pic_basis)
+        coeffs = tuple([_integer(c) for c in coords])
+        return _PicWeight(translate((0,) * self.group.rank, coeffs, self.pic_basis), self, coeffs)
 
     def sigma_coords(self, v: Sequence[int]) -> Optional[tuple[Fraction, ...]]:
         """Rational coordinates of v in the spherical root basis, or None."""
@@ -269,8 +299,10 @@ class WonderfulVariety:
 
     def lambda_zero(self) -> Weight:
         """Base point of the paper-style region figures (rank 1 and 2 only):
-        integer pic coordinates, so always in pic(X)."""
-        return self.weight_from_pic_coords(self.lambda_zero_coords())
+        integer pic coordinates, so always in pic(X).  A plain weight:
+        `regions.region_plot` never checks its default base, so carrying the
+        coordinates would only cost time."""
+        return translate((0,) * self.group.rank, self.lambda_zero_coords(), self.pic_basis)
 
     def lambda_zero_coords(self) -> tuple[int, ...]:
         if self.rank not in (1, 2):
@@ -300,7 +332,10 @@ class WonderfulVariety:
         return tuple(coeffs)
 
     def serre_twist(self) -> Weight:
-        """-2 rho_X - sum of spherical roots (the dualising shift on pic)."""
+        """-2 rho_X - sum of spherical roots (the dualising shift on pic).
+
+        Solved once at build: when it lies in pic(X) it carries its pic
+        coordinates, as a weight of `weight_from_pic_coords` does."""
         return self._serre_twist
 
     def sgamma_shifted(self, index: int, lam: Sequence[int]) -> Weight:

@@ -3,8 +3,11 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wondercoh import build_root_system
 from wondercoh.roots import InvariantError
@@ -239,3 +242,28 @@ def test_walk_longer_than_positive_root_count_raises():
         g.dominant_representative((-1, -1))
     with pytest.raises(InvariantError):
         g.make_dominant_shifted((-2, -2))
+
+
+def row_form_pairings(g, lam):
+    """<lam + rho, alpha^vee> by one dot product per positive root: the row
+    form that the column form of `RootSystem.shifted_pairings` replaces."""
+    v = [x + 1 for x in lam]
+    return tuple(sum(map(mul, row, v)) for row in g._coroot_rows)
+
+
+@pytest.mark.parametrize(
+    "spec", [[("G", 2)], [("F", 4)], [("E", 6)], [("E", 8)], [("A", 2), ("B", 3)]]
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_shifted_pairings_equal_row_form(spec, data):
+    g = build_root_system(spec)
+    # zero entries skip their column; large ones leave the machine word
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**30), 10**30))
+    lam = data.draw(st.tuples(*(entry for _ in range(g.rank))))
+    got = g.shifted_pairings(lam)
+    assert type(got) is tuple and got == row_form_pairings(g, lam)
+    assert g.shifted_pairings(list(lam)) == got
+    zero, minus_rho = (0,) * g.rank, (-1,) * g.rank
+    assert g.shifted_pairings(zero) == row_form_pairings(g, zero) == g._rho_pairings
+    assert g.shifted_pairings(minus_rho) == (0,) * len(g.positive_roots)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wondercoh import WonderfulVariety, build_case, cli, cohomology, degrees, oracles
+from wondercoh import WonderfulVariety, build_case, cli, cohomology, degrees, oracles, varieties
 from wondercoh.varieties import pic_box
 from test_helpers import NAMES, count_calls, draw_weight
 
@@ -220,6 +220,18 @@ def test_scan_checks_membership_four_times_per_weight(monkeypatch, capsys):
     calls = count_calls(monkeypatch, [WonderfulVariety], "pic_contains")
     assert scan(capsys, "group:A3", 2, ALL)[0] == 0
     assert len(calls) == 4 * weights
+
+
+def test_scan_solves_no_lattice_membership(monkeypatch, capsys):
+    # every box weight carries its pic coordinates, and so does its Serre
+    # dual: the membership checks above read them and solve nothing
+    X = build_case("group:A2")
+    weights = len(list(pic_box(X, 2)))
+    checked = count_calls(monkeypatch, [WonderfulVariety], "pic_contains")
+    solves = count_calls(monkeypatch, [varieties, cohomology], "lattice_coords")
+    assert scan(capsys, "group:A2", 2, ALL)[0] == 0
+    assert len(checked) == 4 * weights
+    assert len(solves) / weights == 0
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -25,12 +25,13 @@ from wondercoh.cohomology import (
     Constituent,
     Contribution,
     DegreeGroup,
+    _sign_runs,
     cohomology_table,
     contributions,
 )
 from wondercoh.serialize import table_to_json
 
-from test_helpers import NAMES, draw_weight, reference_json
+from test_helpers import NAMES, draw_weight, inline_translate, reference_json
 from test_line_cut import DEPTH, keys_along_runs, per_point_contributions
 
 
@@ -88,6 +89,62 @@ def test_key_changes_between_regular_witnesses(monkeypatch):
     conts = contributions(X, lam)
     assert len(seen) == key_blocks(X, lam) and all(stretch[-1] == 1 for stretch in seen)
     assert conts == per_point_contributions(X, lam)
+
+
+def per_point_run_witnesses(X, lam):
+    """(J, mu) at every regular point of every run, each point's coroot
+    pairings rebuilt from the run's start: the loop whose singular points
+    `_stretches` skips in closed form."""
+    mu_step, pair_step = X._gamma0_step
+    out = []
+    for c, n, _, pair, mu in _sign_runs(X, lam, X.group.shifted_pairings(lam)):
+        J = tuple(i for i, ci in enumerate(c) if ci > 0)
+        for s in range(n):
+            if 0 not in inline_translate(pair, (s,), (pair_step,)):
+                out.append((J, inline_translate(mu, (s,), (mu_step,))))
+    return out
+
+
+def stretch_witnesses(X, lam):
+    """(J, mu) of every witness of the stretches, in their order."""
+    mu_step = X._gamma0_step[0]
+    return [
+        (J, inline_translate(mu, (s,), (mu_step,)))
+        for J, _, _, mu, _, _, _, m in cohomology._stretches(X, lam)
+        for s in range(m)
+    ]
+
+
+def fixed_zero_runs(X, lam):
+    """(first point's pairings, n) of each run where a coroot that does
+    not move along gamma_0 pairs to 0 at its start."""
+    return [
+        (pair, n)
+        for _, n, _, pair, _ in _sign_runs(X, lam, X.group.shifted_pairings(lam))
+        if 0 in [pair[k] for k in X._gamma0_fixed]
+    ]
+
+
+@pytest.mark.parametrize("name", NAMES + ("group:D4",))
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_dropped_runs_equal_per_point_loop(name, data):
+    X = build_case(name)
+    _, lam = draw_weight(data, X, DEPTH.get(X.rank, -8), 4)
+    assert stretch_witnesses(X, lam) == per_point_run_witnesses(X, lam)
+
+
+def test_run_with_a_fixed_zero_pairing_is_all_singular():
+    # PGL/PSp(4) at (-8, -8, -8): 18 of its 45 singular points lie in runs
+    # that a coroot with <gamma_0, alpha_k^vee> = 0 keeps singular throughout
+    X = build_case("PGL/PSp(4)")
+    lam = X.weight_from_pic_coords((-8, -8, -8))
+    dropped = fixed_zero_runs(X, lam)
+    assert sum(n for _, n in dropped) == 18
+    step = X._gamma0_step[1]
+    for pair, n in dropped:
+        assert all(0 in inline_translate(pair, (s,), (step,)) for s in range(n))
+    assert stretch_witnesses(X, lam) == per_point_run_witnesses(X, lam)
 
 
 def test_records_are_named_tuples():

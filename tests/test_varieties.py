@@ -18,6 +18,12 @@ from wondercoh import (
     validate,
     variety_from_dict,
 )
+from wondercoh import varieties
+from wondercoh.cohomology import cohomology_table, serre_dual_weight
+from wondercoh.serialize import table_to_json
+from wondercoh.varieties import pic_box
+
+from test_helpers import NAMES, count_calls
 
 
 def test_catalog_builds_and_validates():
@@ -408,3 +414,57 @@ def test_constructor_refuses_non_numbers_with_catalog_error(sigma, pic, q):
     g = build_root_system([("D", 2)])
     with pytest.raises(CatalogError):
         WonderfulVariety("x", g, sigma, pic, q_simple_roots=q)
+
+
+CARRYING_NAMES = NAMES + ("group:A4", "group:D4", "PGL/PSp(5)")
+
+
+@pytest.mark.parametrize("name", CARRYING_NAMES)
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_carried_coordinates_equal_the_solve(name, data):
+    # a weight made from pic coordinates carries them; its plain tuple is
+    # solved, and both give the same table, bytes and Serre dual
+    X = build_case(name)
+    coords, lam = data.draw(st.sampled_from(list(pic_box(X, 2))))
+    plain = tuple(lam)
+    assert type(plain) is tuple and plain == lam and hash(plain) == hash(lam)
+    assert X.pic_contains(lam) == X.pic_contains(plain) == coords
+    tables = [cohomology_table(X, v) for v in (lam, plain)]
+    assert tables[0] == tables[1]
+    assert table_to_json(X, tables[0], coords) == table_to_json(X, tables[1], coords)
+    duals = [serre_dual_weight(X, v) for v in (lam, plain)]
+    assert duals[0] == duals[1]
+    assert X.pic_contains(duals[0]) == X.pic_contains(duals[1]) is not None
+
+
+def test_weight_of_another_variety_is_solved(monkeypatch):
+    X = build_case("group:A2")
+    lam = X.weight_from_pic_coords((2, -1))
+    solves = count_calls(monkeypatch, [varieties], "lattice_coords")
+    assert X.pic_contains(lam) == (2, -1) and solves == []
+    # the same data, rebuilt: an equal variety, but not the one lam carries
+    Y = variety_from_dict(catalog_doc(X))
+    del solves[:]
+    assert Y.pic_contains(lam) == (2, -1) and len(solves) == 1
+    assert cohomology_table(Y, lam) == cohomology_table(X, lam)
+    # a Serre twist that carries nothing is solved too
+    monkeypatch.setattr(X, "serre_twist", lambda: tuple(X._serre_twist))
+    del solves[:]
+    assert serre_dual_weight(X, lam) == (-5, -2, -2, -5) and len(solves) == 1
+
+
+@pytest.mark.parametrize("coords, solved", [((1, 1), (1,)), ((3, 1), None)])
+def test_coordinates_of_another_variety_are_not_trusted(coords, solved):
+    # flag:A1xA1 and PSO/PSO(2) share the group A1 x A1 but not the lattice
+    flag, X = build_case("flag:A1xA1"), build_case("PSO/PSO(2)")
+    lam = flag.weight_from_pic_coords(coords)
+    assert flag.pic_contains(lam) == coords
+    assert X.pic_contains(lam) == X.pic_contains(tuple(lam)) == solved
+    if solved is None:
+        errors = []
+        for v in (lam, tuple(lam)):
+            with pytest.raises(ValueError) as exc:
+                cohomology_table(X, v)
+            errors.append(str(exc.value))
+        assert errors == [f"{list(lam)} is not in pic(PSO/PSO(2))"] * 2
