@@ -13,7 +13,6 @@ from .cohomology import (
     cohomology_table,
     contributions,
     enumerate_candidates,
-    in_translated_R,
     omega_signature,
     serre_dual_weight,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "enumerate_candidates",
     "flag_variety",
     "group_compactification",
-    "in_translated_R",
     "load_variety",
     "omega_signature",
     "parse_type",

@@ -159,6 +159,8 @@ def cmd_scan(args) -> int:
     if args.box < 0:
         raise CliError("box must be >= 0")
     names = [c.strip() for c in args.checks.split(",") if c.strip()]
+    if not names:
+        raise CliError("no checks given")
     unknown = [c for c in names if c != "vanishing" and c not in _CHECKS]
     if unknown:
         raise CliError(f"unknown checks: {', '.join(unknown)}")

@@ -106,11 +106,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from operator import add, eq, itemgetter, mul, sub
 from typing import Iterator, NamedTuple, Sequence
 
-from .exactalg import lattice_coords, negative_interval, translate
+from .exactalg import negative_interval, translate
 from .roots import InvariantError, RootSystem, Weight
 from .varieties import CatalogError, WonderfulVariety, _PicWeight
 
@@ -143,15 +142,13 @@ _new_contribution = functools.partial(tuple.__new__, Contribution)
 _new_constituent = functools.partial(tuple.__new__, Constituent)
 
 
-@dataclass(frozen=True)
-class DegreeGroup:
+class DegreeGroup(NamedTuple):
     degree: int
     constituents: tuple[Constituent, ...]
     dimension: int
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
+class CohomologyTable(NamedTuple):
     lam: Weight
     groups: tuple[DegreeGroup, ...]
 
@@ -201,20 +198,6 @@ def _gamma_pairings(X: WonderfulVariety, mu: Weight) -> list[int]:
 def omega_signature(X: WonderfulVariety, mu: Sequence[int]) -> tuple[int, ...]:
     """Indices i with (mu + rho, gamma_i) < 0; zero pairings stay out."""
     return tuple(i for i, s in enumerate(_gamma_pairings(X, _require_pic(X, mu))) if s < 0)
-
-
-def in_translated_R(
-    X: WonderfulVariety, lam: Sequence[int], mu: Sequence[int], J: Sequence[int]
-) -> bool:
-    """Whether mu - lam expands over the spherical roots with coefficients
-    >= 1 on J and <= 0 elsewhere (returns False outside the integer span)."""
-    lam = _require_pic(X, lam)
-    mu = _require_pic(X, mu)
-    n = lattice_coords(X.spherical_roots, X._sigma_left_inv, [a - b for a, b in zip(mu, lam)])
-    if n is None:
-        return False
-    jset = set(J)
-    return all((x > 0) == (i in jset) for i, x in enumerate(n))
 
 
 def _ball_lines(

@@ -14,15 +14,13 @@ why they live apart from the oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cohomology import CohomologyTable, contributions
 from .varieties import WonderfulVariety
 
 
-@dataclass(frozen=True)
-class DivisibilityRule:
+class DivisibilityRule(NamedTuple):
     family: str
     modulus: int
     restricted_count: int  # number of positive restricted roots

@@ -5,11 +5,12 @@ group) and every one of them is integral or a `ScaledMatrix`: integer rows
 over one positive common denominator.  `int_inverse` inverts an integer
 matrix by fraction-free Gauss-Jordan elimination (Bareiss), so descriptor
 build stays in `int` from the Cartan matrix to the integer left inverses
-of the Picard and spherical bases; only the r x r spherical Gram matrix
-goes through `ldl` with `fractions.Fraction` entries, once per variety.
-`RootSystem.inner_product`, the witness-ball quadric of the enumeration,
-the omega signature and lattice membership run on `int` alone, and the
-inner product builds one Fraction, its value.
+of the Picard and spherical bases.  No Gram matrix is stored with
+`fractions.Fraction` entries: only the LDL^T of the r x r spherical Gram
+matrix runs on Fractions, once per variety, and the build scales its
+result to integers.  `RootSystem.inner_product`, the witness-ball quadric
+of the enumeration, the omega signature and lattice membership run on
+`int` alone, and the inner product builds one Fraction, its value.
 """
 
 from __future__ import annotations

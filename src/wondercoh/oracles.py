@@ -11,10 +11,9 @@ tautology.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cohomology import (
     CohomologyTable,
@@ -131,8 +130,7 @@ def vanishing_profile(
     return degrees
 
 
-@dataclass(frozen=True)
-class SerreCheck:
+class SerreCheck(NamedTuple):
     ok: bool
     detail: str = ""
 

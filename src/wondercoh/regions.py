@@ -22,8 +22,7 @@ group.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .cohomology import _gamma_pairings, _require_pic
 from .exactalg import negative_interval, translate
@@ -37,8 +36,7 @@ _MARKERS_RANK2 = {0b11: "dot", 0b00: "circle", 0b01: "plus", 0b10: "tick"}
 _MARKERS_RANK1 = {0b1: "dot", 0b0: "circle"}
 
 
-@dataclass(frozen=True)
-class RegionPlot:
+class RegionPlot(NamedTuple):
     variety: str
     kind: str  # "Omega" | "R"
     base: Weight

@@ -9,7 +9,6 @@ never go through floating point.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 from math import lcm, prod
@@ -227,11 +226,6 @@ class RootSystem:
         """Convert simple-root coordinates to fundamental-weight coordinates."""
         return row_products(self.cartan, alpha)
 
-    def simple_root_coords(self, lam: Sequence[int]) -> tuple[Fraction, ...]:
-        """Expansion of a weight over the simple roots (rational in general)."""
-        rows, den = self._cartan_inv_scaled
-        return tuple(Fraction(x, den) for x in row_products(rows, self.check_weight(lam)))
-
     def positive_root_weights(self) -> tuple[Weight, ...]:
         return self._root_weights
 
@@ -250,11 +244,6 @@ class RootSystem:
             if x:
                 out = map(add, out, map(mul, column, repeat(x)))
         return tuple(out)
-
-    def is_regular_shifted(self, lam: Sequence[int]) -> bool:
-        """Whether lam + rho pairs nonzero with every positive coroot."""
-        self.check_weight(lam)
-        return all(p != 0 for p in self.shifted_pairings(lam))
 
     def make_dominant_shifted(
         self, lam: Sequence[int]
@@ -321,18 +310,6 @@ class RootSystem:
             raise InvariantError("Weyl dimension is not integral")
         return q
 
-    def weyl_order(self) -> int:
-        """|W| = prod (m + 1) over the exponents m (Kostant): h[k] positive
-        roots have height k, and h[k] - h[k + 1] exponents equal k."""
-        h = Counter(map(sum, self.positive_roots))
-        return prod((k + 1) ** (h[k] - h[k + 1]) for k in h)
-
-    def reflect_simple(self, i: int, lam: Sequence[int]) -> Weight:
-        """Image of a weight under the simple reflection s_i (unshifted)."""
-        lam = self.check_weight(lam)
-        c = lam[i]
-        return tuple(lam[j] - c * self.cartan[j][i] for j in range(self.rank))
-
     def describe(self) -> str:
         return " x ".join(f"{f}{n}" for f, n in self.components)
 
@@ -351,7 +328,8 @@ def parse_type(text: str) -> tuple[tuple[str, int], ...]:
     comps = []
     for part in parts:
         part = part.strip()
-        if len(part) < 2 or not part[0].isalpha():
+        family, rank = part[:1], part[1:]
+        if not family.isalpha() or not rank.isdecimal():
             raise ValueError(f"cannot parse Dynkin type {text!r}")
-        comps.append((part[0].upper(), int(part[1:])))
+        comps.append((family.upper(), int(rank)))
     return tuple(comps)

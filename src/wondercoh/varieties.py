@@ -26,13 +26,11 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exactalg import (
-    Matrix,
     ScaledMatrix,
     int_inverse,
     int_scaled,
@@ -50,15 +48,13 @@ class CatalogError(ValueError):
     """A variety descriptor failed validation or could not be built."""
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     variety: str
     checks: tuple[Check, ...]
 
@@ -83,10 +79,6 @@ def _inverse_or_none(m: Sequence[Sequence[int]]) -> Optional[ScaledMatrix]:
         return int_inverse(m)
     except ValueError:
         return None
-
-
-def _fractions(rows: Sequence[Sequence[int]], den: int) -> Matrix:
-    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
 
 def _left_inverse(
@@ -186,10 +178,8 @@ class WonderfulVariety:
         pic_pairing = [row_products(F, w) for w in pic]
         sigma_gram = [row_products(sigma_pairing, gam) for gam in sigma]
         pic_gram = [row_products(pic_pairing, w) for w in pic]
-        self.sigma_gram: Matrix = _fractions(sigma_gram, fden)
-        self.pic_gram: Matrix = _fractions(pic_gram, fden)
-        # both Gram matrices are of a positive definite form, so each is
-        # positive definite exactly when it is invertible
+        # both Gram matrices (scaled by fden) are of a positive definite
+        # form, so each is positive definite exactly when it is invertible
         sigma_inv = _inverse_or_none(sigma_gram)
         pic_inv = _inverse_or_none(pic_gram)
         self._sigma_pos_def = sigma_inv is not None
@@ -197,14 +187,13 @@ class WonderfulVariety:
         # spherical pairing rows: (v, gamma_i) = W_i . v / D with one common
         # integer D > 0, so W_i . v is exact and has the sign of (v, gamma_i)
         self._gamma_sign_rows, self._gamma_den = least_scaled(sigma_pairing, fden)
-        self.sigma_gram_inv: Matrix = ()
         # (form, q, A, e) of cohomology._ball_lines, scaled to integers once
         self._witness_form = None
         if sigma_inv is not None:
             rows, den = sigma_inv
-            # G^-1 = fden * rows / den for the Fraction Gram matrix G
-            self.sigma_gram_inv = _fractions([[fden * x for x in row] for row in rows], den)
-            L, d = ldl(self.sigma_gram)
+            # G = sigma_gram / fden, so G^-1 = fden * rows / den; only the
+            # LDL^T of G runs on Fractions
+            L, d = ldl([[Fraction(x, fden) for x in row] for row in sigma_gram])
             form, q, A = [], [], []
             for col in zip(*L):
                 # row i of M = L^T G^-1 / (2 D) is N / m, G^-1 being
@@ -283,13 +272,6 @@ class WonderfulVariety:
         coeffs = tuple([_integer(c) for c in coords])
         return _PicWeight(translate((0,) * self.group.rank, coeffs, self.pic_basis), self, coeffs)
 
-    def sigma_coords(self, v: Sequence[int]) -> Optional[tuple[Fraction, ...]]:
-        """Rational coordinates of v in the spherical root basis, or None."""
-        v = self.group.check_weight(v)
-        n = span_numerators(self.spherical_roots, self._sigma_left_inv, v)
-        den = self._sigma_left_inv[1]
-        return None if n is None else tuple(Fraction(x, den) for x in n)
-
     def _pic_pairings(self) -> list[list[int]]:
         """D (pic_j, gamma_i) in row j, column i, D = self._gamma_den: exact,
         sign-true ints."""
@@ -337,19 +319,6 @@ class WonderfulVariety:
         Solved once at build: when it lies in pic(X) it carries its pic
         coordinates, as a weight of `weight_from_pic_coords` does."""
         return self._serre_twist
-
-    def sgamma_shifted(self, index: int, lam: Sequence[int]) -> Weight:
-        """rho-shifted action of the spherical reflection s_gamma on lam."""
-        if self.sgamma_data is None:
-            raise CatalogError(f"{self.name} carries no sgamma data")
-        alpha, beta = self.sgamma_data[index]
-        g = self.group
-        v = [x + 1 for x in g.check_weight(lam)]
-        for root in (alpha, beta):  # orthogonal pair: order immaterial
-            c = g.pair_coroot(v, root)
-            w = g.root_as_weight(root)
-            v = [a - c * b for a, b in zip(v, w)]
-        return tuple(x - 1 for x in v)
 
     def describe_lines(self) -> list[str]:
         g = self.group
@@ -739,9 +708,10 @@ def build_case(name: str) -> WonderfulVariety:
         group = build_root_system(parse_type(parts[0]))
         q: tuple[int, ...] = ()
         if len(parts) > 1:
-            if not parts[1].startswith("q="):
+            indices = parts[1][2:].split(",")
+            if not parts[1].startswith("q=") or not all(i.isdecimal() for i in indices):
                 raise CatalogError(f"bad flag specifier {name!r}")
-            q = tuple(int(i) - 1 for i in parts[1][2:].split(","))
+            q = tuple(int(i) - 1 for i in indices)
         return flag_variety(group, q, name=text)
     raise CatalogError(f"unknown variety {name!r}")
 

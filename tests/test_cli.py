@@ -43,6 +43,19 @@ def test_describe_unknown(capsys):
     assert "nosuch" in err
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("flag:A2:q=", "bad flag specifier 'flag:A2:q='"),
+        ("flag:A2:q=1,", "bad flag specifier 'flag:A2:q=1,'"),
+        ("flag:A2:q=x", "bad flag specifier 'flag:A2:q=x'"),
+        ("group:Ab", "cannot parse Dynkin type 'Ab'"),
+    ],
+)
+def test_describe_malformed_name(capsys, name, message):
+    assert run(capsys, "describe", name) == (2, "", f"error: {message}\n")
+
+
 def test_cohomology_json_p3(capsys):
     code, out, _ = run(
         capsys, "cohomology", "PSO/PSO(2)", "--lambda", "-6", "--format", "json"

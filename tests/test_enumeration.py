@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from wondercoh import CATALOG_NAMES, build_case
 from wondercoh.cohomology import _ball_coefficients, contributions, enumerate_candidates
-from test_helpers import frac_isqrt_floor, naive_contribution_scan
+from test_helpers import (
+    frac_isqrt_floor,
+    gram,
+    mat_inverse,
+    naive_contribution_scan,
+    sigma_lattice_coords,
+)
 
 NAMES = CATALOG_NAMES + ("group:A3", "group:B2", "group:G2", "PSO/PSO(5)", "PGL/PSp(4)")
 PROPERTY = settings(max_examples=5, deadline=None, derandomize=True)
@@ -35,12 +41,13 @@ def quadric_box_scan(X, lam, k):
     g = X.group
     shifted = [x + 1 for x in lam]
     b = [g.inner_product(shifted, gam) for gam in X.spherical_roots]
-    G = X.sigma_gram
+    G = gram(g, X.spherical_roots)
+    G_inv = mat_inverse(G)
     r = X.rank
     # Cauchy-Schwarz: |c|_G <= 2 |lam + rho| on the k = 2 ball, which holds
     # the k = 1 ball, and |c_i| <= sqrt((G^-1)_ii) |c|_G
     norm = g.inner_product(shifted, shifted)
-    radii = [frac_isqrt_floor(4 * norm * X.sigma_gram_inv[i][i]) for i in range(r)]
+    radii = [frac_isqrt_floor(4 * norm * G_inv[i][i]) for i in range(r)]
     found = []
     for c in itertools.product(*(range(-R, R + 1) for R in radii)):
         quad = sum(c[i] * c[j] * G[i][j] for i in range(r) for j in range(r))
@@ -69,7 +76,7 @@ def test_contributions_in_witness_ball(name, data):
     ball = set(_ball_coefficients(X, lam, 1))
     for t in contributions(X, lam):
         diff = tuple(a - b for a, b in zip(t.mu, lam))
-        c = tuple(int(x) for x in X.sigma_coords(diff))
+        c = sigma_lattice_coords(X, diff)
         assert c in ball
         assert g.inner_product([x + 1 for x in t.mu], diff) <= 0
 
@@ -83,5 +90,5 @@ def test_contributions_equal_naive_scan(name, data):
     box = 0
     for mu in enumerate_candidates(X, lam):
         diff = tuple(a - b for a, b in zip(mu, lam))
-        box = max([box, *(abs(int(x)) for x in X.sigma_coords(diff))])
+        box = max([box, *map(abs, sigma_lattice_coords(X, diff))])
     assert contributions(X, lam) == naive_contribution_scan(X, lam, box)

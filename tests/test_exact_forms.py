@@ -2,7 +2,6 @@
 inner product against its Fraction reference, and no Fraction built while
 a weight is evaluated."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,8 +10,6 @@ from hypothesis import strategies as st
 
 from wondercoh import CATALOG_NAMES, build_case
 from wondercoh import cohomology
-from wondercoh.exactalg import translate
-from wondercoh.varieties import pic_box
 
 from test_helpers import dot, frac_matrix, mat_inverse, mat_vec
 
@@ -77,30 +74,3 @@ def test_no_fraction_work_per_weight(monkeypatch, name):
         cohomology.contributions(X, lam)
         assert cohomology.enumerate_candidates(X, lam)
     assert made == []
-
-
-def reference_in_translated_R(X, lam, mu, J):
-    """The Fraction form that the integer membership test replaces."""
-    coords = X.sigma_coords(tuple(a - b for a, b in zip(mu, lam)))
-    if coords is None or any(c.denominator != 1 for c in coords):
-        return False
-    return all((c >= 1) if i in J else (c <= 0) for i, c in enumerate(coords))
-
-
-@pytest.mark.parametrize("name", NAMES)
-def test_in_translated_R_builds_no_fraction(monkeypatch, name):
-    X = build_case(name)
-    r = X.rank
-    subsets = [J for k in range(r + 1) for J in itertools.combinations(range(r), k)]
-    cases = []
-    for lam in (X.weight_from_pic_coords((k,) * len(X.pic_basis)) for k in (0, -2)):
-        # Picard weights around the origin, and translates of lam inside the span
-        mus = [w for _, w in pic_box(X, 1)]
-        for c in itertools.product(range(-1, 3), repeat=r):
-            mus.append(translate(lam, c, X.spherical_roots))
-        cases += [(lam, mu, J) for mu in mus for J in subsets]
-    expected = [reference_in_translated_R(X, *case) for case in cases]
-    made = count_fractions(monkeypatch)
-    got = [cohomology.in_translated_R(X, *case) for case in cases]
-    assert made == []
-    assert got == expected

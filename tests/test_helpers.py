@@ -1,7 +1,8 @@
 """Shared helpers (weight translation, Picard boxes, the build_case memo,
 lattice membership, a cold chamber table), the Fraction linear algebra,
 reference evaluation, table grouping and JSON document the engine is
-compared with, and the number of evaluations each entry point makes."""
+compared with, test-side references for the sign cones R_J, spherical and
+simple reflections, and the number of evaluations each entry point makes."""
 
 import functools
 import itertools
@@ -18,7 +19,7 @@ from wondercoh import CATALOG_NAMES, CatalogError, WonderfulVariety, build_case
 from wondercoh import cohomology, oracles
 from wondercoh.cohomology import CohomologyTable, Constituent, Contribution, DegreeGroup
 from wondercoh.regions import region_plot
-from wondercoh.exactalg import Matrix, span_numerators, translate
+from wondercoh.exactalg import Matrix, lattice_coords, span_numerators, translate
 from wondercoh.roots import RootSystem
 from wondercoh.varieties import pic_box
 
@@ -55,6 +56,40 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
+def gram(g: RootSystem, basis: Sequence[Sequence[int]]) -> Matrix:
+    """The Fraction Gram matrix ((a, b)) of a basis, by `g.inner_product`."""
+    return tuple(tuple(g.inner_product(a, b) for b in basis) for a in basis)
+
+
+def sigma_lattice_coords(X: WonderfulVariety, v: Sequence[int]) -> tuple[int, ...] | None:
+    """Integer c with v = sum_i c_i gamma_i, or None off that lattice."""
+    return lattice_coords(X.spherical_roots, X._sigma_left_inv, v)
+
+
+def in_translated_R(X: WonderfulVariety, lam, mu, J) -> bool:
+    """Whether mu lies in lam + R_J: mu - lam = sum_i c_i gamma_i with
+    integer c, c_i >= 1 on J and c_i <= 0 off J."""
+    c = sigma_lattice_coords(X, [a - b for a, b in zip(mu, lam)])
+    return c is not None and all((x >= 1) if i in J else (x <= 0) for i, x in enumerate(c))
+
+
+def sgamma_shifted(X: WonderfulVariety, index: int, lam: Sequence[int]) -> tuple[int, ...]:
+    """s_gamma * lam = s_gamma(lam + rho) - rho for the spherical reflection
+    s_gamma = s_alpha s_beta of the sgamma pair `index`."""
+    g = X.group
+    v = [x + 1 for x in lam]
+    for root in X.sgamma_data[index]:  # orthogonal pair: order immaterial
+        c = g.pair_coroot(v, root)
+        v = [a - c * b for a, b in zip(v, g.root_as_weight(root))]
+    return tuple(x - 1 for x in v)
+
+
+def reflect_simple(g: RootSystem, i: int, lam: Sequence[int]) -> tuple[int, ...]:
+    """s_i(lam) = lam - <lam, alpha_i^vee> alpha_i, alpha_i being column i
+    of the Cartan matrix in fundamental-weight coordinates."""
+    return tuple(x - lam[i] * row[i] for x, row in zip(lam, g.cartan))
+
+
 def frac_isqrt_floor(x: Fraction) -> int:
     """Largest integer s with s*s <= x (x >= 0)."""
     if x < 0:
@@ -76,7 +111,7 @@ def naive_contribution_scan(
     out = []
     for c in itertools.product(range(-box, box + 1), repeat=r):
         mu = translate(lam, c, X.spherical_roots)
-        if not g.is_regular_shifted(mu):
+        if 0 in g.shifted_pairings(mu):
             continue
         shifted = [x + 1 for x in mu]
         jset = {
@@ -275,11 +310,14 @@ def solve_in_span(basis, gram_inv, gram_pair, target):
     return coords
 
 
-def reference_coords(X, basis, gram, v):
+def reference_coords(X, basis, v):
     if not basis:
         return () if not any(v) else None
     return solve_in_span(
-        basis, mat_inverse(gram), lambda u: [X.group.inner_product(u, b) for b in basis], v
+        basis,
+        mat_inverse(gram(X.group, basis)),
+        lambda u: [X.group.inner_product(u, b) for b in basis],
+        v,
     )
 
 
@@ -307,12 +345,14 @@ def test_membership_equals_fraction_solve(name, data):
     weights += [tuple(x // 2 for x in v) for v in weights if not any(x % 2 for x in v)]
     for Y in (X, doubled(name)):
         for v in weights:
-            pic = reference_coords(Y, Y.pic_basis, Y.pic_gram, v)
+            pic = reference_coords(Y, Y.pic_basis, v)
             if pic is not None and any(c.denominator != 1 for c in pic):
                 pic = None
             assert Y.pic_contains(v) == (None if pic is None else tuple(map(int, pic)))
-            sigma = reference_coords(Y, Y.spherical_roots, Y.sigma_gram, v)
-            assert Y.sigma_coords(v) == sigma
+            sigma = reference_coords(Y, Y.spherical_roots, v)
+            n = span_numerators(Y.spherical_roots, Y._sigma_left_inv, v)
+            den = Y._sigma_left_inv[1]
+            assert (None if n is None else tuple(Fraction(x, den) for x in n)) == sigma
 
 
 def reference_span_numerators(basis, left_inverse, v):

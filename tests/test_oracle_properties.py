@@ -18,7 +18,7 @@ from wondercoh.oracles import brion_h0, bwb_direct, serre_involution_check
 from wondercoh.roots import build_root_system
 from wondercoh.varieties import pic_box
 
-from test_helpers import NAMES, draw_weight, inline_translate
+from test_helpers import NAMES, draw_weight, gram, inline_translate, mat_inverse
 
 FLAGS = tuple(n for n in NAMES if build_case(n).rank == 0)
 GROUPS = tuple(n for n in NAMES if n.startswith("group:"))
@@ -58,7 +58,8 @@ def norm_bound_h0(X, lam):
     if X.rank == 0:
         return [lam] if X.group.is_dominant(lam) else []
     norm = X.group.inner_product(lam, lam)
-    bounds = [frac_isqrt_floor(4 * norm * X.sigma_gram_inv[i][i]) for i in range(X.rank)]
+    G_inv = mat_inverse(gram(X.group, X.spherical_roots))
+    bounds = [frac_isqrt_floor(4 * norm * G_inv[i][i]) for i in range(X.rank)]
     found = []
     for d in itertools.product(*(range(b + 1) for b in bounds)):
         mu = inline_translate(lam, [-x for x in d], X.spherical_roots)

@@ -12,7 +12,7 @@ from wondercoh import WonderfulVariety, build_case
 from wondercoh.regions import region_plot
 
 from test_exact_forms import count_fractions
-from test_helpers import NAMES, draw_weight, inline_translate
+from test_helpers import NAMES, draw_weight, in_translated_R, inline_translate
 
 FIGURE_CASES = ["PSO/PSO(3)", "SO7/G2", "group:A2", "PGL/PSp(3)", "E6/F4"]
 PLOTTED = [name for name in NAMES if build_case(name).rank in (1, 2)]
@@ -39,8 +39,6 @@ def test_r_classification():
 
 
 def test_r_classification_matches_engine_membership():
-    from wondercoh.cohomology import in_translated_R
-
     X = build_case("group:A2")
     base = X.weight_from_pic_coords((1, -2))
     plot = region_plot(X, "R", -3, 3, base=base)

@@ -81,6 +81,8 @@ CASES = [
      "error: flag:A2 carries no degree rule for the vanishing check\n"),
     ("flag:A2", 1, "h0,divisibility,vanishing", 2, "",
      "error: flag:A2 carries no divisibility rule\n"),
+    ("group:A1", 1, "", 2, "", "error: no checks given\n"),
+    ("group:A1", 1, ",,", 2, "", "error: no checks given\n"),
 ]
 
 
@@ -228,7 +230,7 @@ def test_scan_solves_no_lattice_membership(monkeypatch, capsys):
     X = build_case("group:A2")
     weights = len(list(pic_box(X, 2)))
     checked = count_calls(monkeypatch, [WonderfulVariety], "pic_contains")
-    solves = count_calls(monkeypatch, [varieties, cohomology], "lattice_coords")
+    solves = count_calls(monkeypatch, [varieties], "lattice_coords")
     assert scan(capsys, "group:A2", 2, ALL)[0] == 0
     assert len(checked) == 4 * weights
     assert len(solves) / weights == 0

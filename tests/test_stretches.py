@@ -5,9 +5,9 @@ them.
 blocks of consecutive witnesses with one inversion key, each ended in
 closed form and checked at its two ends.  The stretches are checked
 against the per-point keys of `test_line_cut.keys_along_runs` and the
-records against the per-point filter.  `Contribution` and `Constituent`
-are named tuples, and a constituent with one witness is written from one
-JSON template.
+records against the per-point filter.  Every result record of the package
+is an immutable named tuple, and a constituent with one witness is written
+from one JSON template.
 """
 
 import itertools
@@ -29,7 +29,11 @@ from wondercoh.cohomology import (
     cohomology_table,
     contributions,
 )
+from wondercoh.degrees import DivisibilityRule
+from wondercoh.oracles import SerreCheck
+from wondercoh.regions import RegionPlot
 from wondercoh.serialize import table_to_json
+from wondercoh.varieties import Check, ValidationReport, validate
 
 from test_helpers import NAMES, draw_weight, inline_translate, reference_json
 from test_line_cut import DEPTH, keys_along_runs, per_point_contributions
@@ -162,6 +166,43 @@ def test_records_are_named_tuples():
         " degree=4, dimension=9)"
     )
     assert t.j_bitmask() == 1
+
+    ok, bad = Check("a", True), Check("b", False, "why")
+    report = ValidationReport("v", (ok, bad))
+    group = DegreeGroup(4, (c,), 9)
+    records = {
+        ok: ("a", True, ""),
+        bad: ("b", False, "why"),
+        report: ("v", (ok, bad)),
+        group: (4, (c,), 9),
+        CohomologyTable((5, -9, -3, 1), (group,)): ((5, -9, -3, 1), (group,)),
+        SerreCheck(False, "x"): (False, "x"),
+        RegionPlot("v", "R", (0,), (-1, 1), (((0,), 1),)): ("v", "R", (0,), (-1, 1), (((0,), 1),)),
+        DivisibilityRule("v", 2, 1, 1, 3): ("v", 2, 1, 1, 3),
+    }
+    for record, fields in records.items():
+        assert isinstance(record, tuple) and len(record._fields) == len(fields)
+        assert record == fields
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+    assert repr(bad) == "Check(name='b', passed=False, detail='why')"
+    assert bool(SerreCheck(False, "x")) is False and bool(SerreCheck(True)) is True
+    assert not report.passed and report.failures() == (bad,)
+    assert str(report) == "validation of v:\n  [pass] a\n  [FAIL] b (why)"
+    X = build_case("flag:A1")
+    assert validate(X).passed
+    assert str(validate(X)) == "\n".join([
+        "validation of flag:A1:",
+        "  [pass] spherical root Gram matrix is positive definite",
+        "  [pass] pic basis is linearly independent",
+        "  [pass] spherical roots are pairwise distinct",
+        "  [pass] no root lies in the rational span of the spherical roots",
+        "  [pass] spherical roots lie in the pic lattice",
+        "  [pass] spherical roots are nonnegative combinations of simple roots",
+        "  [pass] pic basis weights are characters of Q",
+        "  [pass] two_rho_X vanishes on the Levi of Q",
+    ])
 
 
 def test_json_writer_on_mixed_witness_counts():

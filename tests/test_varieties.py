@@ -25,6 +25,28 @@ from wondercoh.varieties import pic_box
 
 from test_helpers import NAMES, count_calls
 
+#: wondercoh.__all__, sorted
+PUBLIC_API = (
+    "CATALOG_NAMES", "CatalogError", "CohomologyTable", "Contribution", "DivisibilityRule",
+    "InvariantError", "RootSystem", "Weight", "WonderfulVariety", "allowed_degrees",
+    "brion_h0", "build_case", "build_root_system", "bwb_direct", "catalog",
+    "check_table_against_rule", "cohomology_table", "contributions", "enumerate_candidates",
+    "flag_variety", "group_compactification", "load_variety", "omega_signature", "parse_type",
+    "projective_space_cohomology", "quadric_cohomology", "region_plot", "rule_for",
+    "serre_dual_weight", "serre_involution_check", "validate", "vanishing_profile",
+    "variety_from_dict", "weyl_group_bruteforce",
+)
+
+
+def test_public_api_is_pinned():
+    import wondercoh
+
+    assert PUBLIC_API == tuple(sorted(PUBLIC_API))
+    assert tuple(wondercoh.__all__) == PUBLIC_API
+    namespace: dict = {}
+    exec("from wondercoh import *", namespace)
+    assert all(name in namespace for name in PUBLIC_API)
+
 
 def test_catalog_builds_and_validates():
     for name in CATALOG_NAMES:
@@ -198,17 +220,6 @@ def test_corrupted_gamma_fails_validation():
     assert any("multiple of gamma" in c.name for c in report.failures())
 
 
-def test_sgamma_shifted_matches_table_multiple():
-    # s_gamma(rho) - rho = (1-n) gamma for the projective cases, (2-2n) for quadrics
-    for name, mult in [("PSO/PSO(3)", -2), ("Q(3)", -4), ("SO7/G2", -3), ("Q7", -6)]:
-        X = build_case(name)
-        rho = X.group.rho()
-        zero = tuple(0 for _ in rho)
-        moved = X.sgamma_shifted(0, zero)  # s_gamma * 0 = s_gamma(rho) - rho
-        gamma = X.spherical_roots[0]
-        assert moved == tuple(mult * x for x in gamma), name
-
-
 def test_descriptor_file_roundtrip(tmp_path):
     doc = {
         "name": "P3-from-file",
@@ -351,12 +362,6 @@ def test_descriptor_accepts_integral_floats():
     doc = {"group": [["D", 2.0]], "spherical_roots": [[2.0, 2]], "pic_basis": [[1.0, 1]]}
     X = variety_from_dict(doc)
     assert (X.spherical_roots, X.pic_basis) == (((2, 2),), ((1, 1),))
-
-
-@pytest.mark.parametrize("v", [(2,), (2, 2, 0), (2, 2, 1)])
-def test_sigma_coords_checks_length(v):
-    with pytest.raises(ValueError):
-        build_case("PSO/PSO(2)").sigma_coords(v)
 
 
 @pytest.mark.parametrize(

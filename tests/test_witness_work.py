@@ -36,6 +36,7 @@ from test_helpers import (
     draw_weight,
     naive_contribution_scan,
     reference_json,
+    sigma_lattice_coords,
     tabulate,
 )
 
@@ -257,7 +258,7 @@ def test_contributions_are_the_sorted_naive_scan(name):
         box = 0
         for mu in enumerate_candidates(X, lam):
             diff = tuple(a - b for a, b in zip(mu, lam))
-            box = max([box, *(abs(int(x)) for x in X.sigma_coords(diff))])
+            box = max([box, *map(abs, sigma_lattice_coords(X, diff))])
         scan = naive_contribution_scan(X, lam, box)
         assert contributions(X, lam) == sorted(scan, key=lambda t: (t.degree, t.mu))
 
