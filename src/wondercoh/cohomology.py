@@ -26,25 +26,23 @@ points; `enumerate_candidates` keeps returning that superset.
 
 The search walks the ball as lines along c_0.  `_ball_lines` peels
 c_{r-1}, ..., c_1 off by branch and bound and gives one line per fixed
-c_1..c_{r-1}, each with its range [lo, hi].  The descent carries the state
-of the walk: the sign pairings s_i = D (mu + rho, gamma_i) with D =
-X._gamma_den, the coroot pairings of mu + rho and mu are affine in c, so
-fixing c_i adds lo times a fixed row of `X._walk_rows` and each later c_i
-adds the row once more; no point is rebuilt from lam.  The integer sign
-Gram matrix G is sparse, and a sign condition can be decided above the
-line: when G_jk = 0 for every k < i, c_i fixes both s_j and c_j, and
-s_j < 0 iff c_j > 0 cuts the range of c_i to an interval, one call of
-`exactalg.negative_interval` per row of `X._decided_rows`.  A c_i cut off
-there heads only lines off the sign pattern, and its subtree is never
-walked.  The candidate ball of `enumerate_candidates` takes the same
-descent with nothing carried and nothing pruned.  On a line, s = a + c_0 G_0 with G_0 row 0 of G, so each sign
-condition keeps a half-line, or all or nothing where G_0i = 0: one
-`negative_interval` call per condition, and `_cut_line` tests all r of
-them, decided or not.  As G_00 > 0, the c_0 condition can hold on
-c_0 >= 1 only if s_0 < 0 at c_0 = 1, and else only on c_0 <= 0 (a c_i
-decided at its own level picks its side the same way).  What is left is
-one run of consecutive c_0 with one J; off the run, no point is visited at
-all.  `_sign_runs` yields the runs, each certified where it is cut.
+c_1..c_{r-1}, each with its range [lo, hi] of c_0.  The descent carries
+the state of the walk: the sign pairings s_i = D (mu + rho, gamma_i) with
+D = X._gamma_den, the coroot pairings of mu + rho and mu are affine in c,
+so fixing c_i adds lo times a fixed row of `X._walk_rows` and each later
+c_i adds the row once more; no point is rebuilt from lam.  The sign
+conditions are cut in the same descent, each at one level: when G_jk = 0
+for every k < i, with G the integer sign Gram matrix, c_i fixes both s_j
+and c_j, and s_j < 0 iff c_j > 0 cuts the range of c_i to an interval, one
+call of `exactalg.negative_interval` per row of `X._decided_rows`.  As
+G_ii > 0, the condition on c_i itself can hold on c_i >= 1 only if
+s_i < 0 at c_i = 1, and else only on c_i <= 0.  A c_i cut off above the
+line heads only lines off the sign pattern, and its subtree is never
+walked; level 0 cuts c_0 by the rows that move with it, so each line
+keeps one run of consecutive c_0 with one J, and off the run no point is
+visited at all.  The candidate ball of `enumerate_candidates` takes the
+same descent with nothing carried and nothing cut.  `_sign_runs` yields
+the runs, each certified at its ends.
 With no spherical roots the sign cone is the one point c = (), and rank
 zero is its one-point run.
 
@@ -213,18 +211,19 @@ def _ball_lines(
     per fixed c_1..c_{r-1} whose line meets the ball, holding exactly the
     points with lo <= c_0 <= hi (lo <= hi).  Rank at least 1.
 
-    v is `start` carried down the descent, start + sum_{i>=1} c_i rows[i]:
-    fixing c_i adds lo rows[i] once, and each later c_i adds rows[i].
-    `decided` prunes, and then v starts with the sign pairings s and
-    rows[i] with row i of the integer sign Gram matrix G, which is
-    symmetric.  decided[i] lists the rows j whose s_j = v_j + c_i G_ji is
-    fixed once c_i is (G_jk = 0 for k < i), and with it c_j (j >= i).  At
-    level i, [lo, hi] of c_i keeps the c_i with s_j < 0 iff c_j > 0, one
-    `exactalg.negative_interval` per row; for j = i, c_i itself picks the
-    side c_i >= 1 or c_i <= 0, as c_0 does in `_cut_line`.  A pruned
-    subtree holds only lines that `_cut_line` leaves empty, and the other
-    lines come in the same order.  With no rows (the default), v is
-    `start` on every line and nothing is pruned.
+    v is `start` carried down the descent to the line's first point,
+    start + lo rows[0] + sum_{i>=1} c_i rows[i]: fixing c_i adds lo rows[i]
+    once, and each later c_i adds rows[i].  `decided` cuts the sign
+    pattern, and then v starts with the sign pairings s and rows[i] with
+    row i of the integer sign Gram matrix G, which is symmetric.
+    decided[i] lists the rows j whose s_j = v_j + c_i G_ji is fixed once
+    c_i is (G_jk = 0 for k < i), and with it c_j (j >= i); every row is
+    in exactly one list.  At level i, [lo, hi] of c_i keeps the c_i with
+    s_j < 0 iff c_j > 0, one `exactalg.negative_interval` per row; for
+    j = i, c_i itself picks the side c_i >= 1 or c_i <= 0.  A line is then
+    the run of c_0 that keeps the whole sign pattern, and a line or
+    subtree cut empty is not returned.  With no rows (the default), v is
+    `start` on every line and nothing is cut.
 
     Completing the square with z = (k/2) G^-1 b and G = L diag(d) L^T
     turns the quadric into sum_i d_i (c_i + o_i)^2 <= z^T G z with
@@ -255,24 +254,23 @@ def _ball_lines(
 def _descend(walk: tuple, i: int, remaining: int, v: tuple[int, ...]) -> None:
     """Level i of `_ball_lines`' branch and bound: c_{i+1}..c_{r-1} are
     fixed in c, v is carried up to them, and e_i t_i^2 <= remaining bounds
-    c_i.  A plain function of its arguments, so a walk leaves no cycle for
-    the collector."""
+    c_i, which decided[i] then cuts; level 0 records the cut line.  A plain
+    function of its arguments, so a walk leaves no cycle for the
+    collector."""
     lines, c, base, q, A, e, rows, decided = walk
     # e_i t^2 <= remaining  <=>  |t| <= isqrt(remaining // e_i) for int t
     qi, ei, a_row = q[i], e[i], A[i]
     p = base[i] + sum(map(mul, a_row[i + 1:], c[i + 1:]))
     s = math.isqrt(remaining // ei)
     lo, hi = -((s + p) // qi), (s - p) // qi
-    if i == 0:
-        if lo <= hi:
-            lines.append((tuple(c[1:]), lo, hi, v))
-        return
     row = rows[i]
     for j in decided[i]:
         if lo > hi:
             return
         x, d = v[j], row[j]
-        if j == i:  # G_ii > 0: as for c_0 in `_cut_line`
+        if j == i:
+            # G_ii > 0, so s_i < 0 can hold on c_i >= 1 only if it holds at
+            # c_i = 1, and else s_i >= 0 only on c_i <= 0
             positive = x + d < 0
             lo, hi = (max(lo, 1), hi) if positive else (lo, min(hi, 0))
         else:
@@ -285,6 +283,9 @@ def _descend(walk: tuple, i: int, remaining: int, v: tuple[int, ...]) -> None:
         return
     # tuples, so that the candidate ball's empty vector is always the one ()
     v = tuple([x + lo * y for x, y in zip(v, row)])
+    if i == 0:
+        lines.append((tuple(c[1:]), lo, hi, v))
+        return
     for ci in range(lo, hi + 1):
         if ci > lo:
             v = tuple(map(add, v, row))
@@ -340,51 +341,26 @@ def _chamber(g: RootSystem, mu: Weight, inversions: int) -> tuple[int, tuple[Wei
     return length, tuple(zip(*cols))
 
 
-def _cut_line(
-    a: Sequence[int], row: Sequence[int], rest: tuple[int, ...], lo: int, hi: int
-) -> tuple[int, int]:
-    """The c_0 in [lo, hi] at which c = (c_0, *rest) keeps the sign pattern
-    (s_i < 0 iff c_i > 0), where s = a + c_0 row along the line: an interval
-    (lo, hi) of consecutive c_0, empty when lo > hi.  Each s_i decides its
-    sign by one `negative_interval` call.  Only the first r entries of `a`
-    are read, so a carried walk state can be passed whole."""
-    # row[0] = D |gamma_0|^2 > 0, so the pattern can hold on c_0 >= 1 only if
-    # s_0 < 0 at c_0 = 1, else only on c_0 <= 0; c0 is a c_0 on that side
-    c0 = 1 if a[0] + row[0] < 0 else 0
-    lo, hi = (max(lo, 1), hi) if c0 else (lo, min(hi, 0))
-    for ai, gi, ci in zip(a, row, (c0, *rest)):
-        if lo > hi:
-            break
-        if ci > 0:  # s_i < 0
-            lo, hi = negative_interval(ai, gi, lo, hi)
-        else:  # s_i >= 0, that is -s_i - 1 < 0
-            lo, hi = negative_interval(-ai - 1, -gi, lo, hi)
-    return lo, hi
-
-
 def _sign_runs(
     X: WonderfulVariety, lam: Weight, base_pair: tuple[int, ...]
 ) -> Iterator[tuple[tuple[int, ...], int, list[int], tuple[int, ...], Weight]]:
     """Per line of the witness ball, its run of c_0 that keeps the sign
     pattern, certified at its ends: (c, n, sig, pair, mu) at the run's first
     point c, n >= 1 points long, in the order of the unpruned walk.  The
-    walk prunes by decided sign rows and carries (sig, pair, mu) from
-    (`_gamma_pairings(lam)`, base_pair, lam).  At rank 0 the one run is the
-    point c = ()."""
+    runs are the lines of `_ball_lines`, cut by the decided sign rows and
+    carrying (sig, pair, mu) from (`_gamma_pairings(lam)`, base_pair, lam);
+    each is checked again here against every sign row.  At rank 0 the one
+    run is the point c = ()."""
     if not X.rank:
         yield (), 1, [], base_pair, lam
         return
     r, m = X.rank, X.rank + len(base_pair)
-    row, walk_row = X._gamma_sign_gram[0], X._walk_rows[0]
+    row = X._gamma_sign_gram[0]
     start = (*_gamma_pairings(X, lam), *base_pair, *lam)
-    for rest, lo, hi, a in _ball_lines(X, lam, 1, start, X._walk_rows, X._decided_rows):
-        lo, hi = _cut_line(a, row, rest, lo, hi)
-        if lo > hi:
-            continue
+    for rest, lo, hi, v in _ball_lines(X, lam, 1, start, X._walk_rows, X._decided_rows):
         c = (lo, *rest)
         n = hi - lo + 1
-        v = [x + lo * y for x, y in zip(a, walk_row)]
-        sig = v[:r]
+        sig = list(v[:r])
         # the sign cone fixes J = {i : c_i > 0}; the omega signature must
         # equal it.  A run on one side of c_0 = 0 has one J, and each s_i is
         # affine along it, so the pattern holds on the run if it holds at
@@ -397,7 +373,7 @@ def _sign_runs(
                 or [s + (n - 1) * e < 0 for s, e in zip(sig, row)] != signs
             )
         ):
-            raise InvariantError("the line cut kept a point off the sign pattern")
+            raise InvariantError("the sign cut kept a point off the sign pattern")
         yield c, n, sig, tuple(v[r:m]), tuple(v[m:])
 
 

@@ -230,15 +230,14 @@ class WonderfulVariety:
             (*g_row, *pair_row, *gam)
             for g_row, pair_row, gam in zip(self._gamma_sign_gram, self._gamma_coroot_rows, sigma)
         )
-        # the sign rows j first decided at level i >= 1 of that descent: s_j
-        # moves with no c_k, k < i, and with c_i, so c_i fixes both s_j and
-        # c_j (j >= i, as G_jj > 0); rows that move with c_0 are left to
-        # the line cut, and so is a zero row, which validation rejects
+        # the sign rows j decided at level i of that descent, each at
+        # exactly one level: s_j moves with no c_k, k < i, and with c_i, so
+        # c_i fixes both s_j and c_j (j >= i, as G_jj > 0).  Level 0 holds
+        # the rows that move with c_0, and a zero row, which validation
+        # rejects
         decided: list[list[int]] = [[] for _ in sigma]
         for j, g_row in enumerate(self._gamma_sign_gram):
-            first = next((k for k, x in enumerate(g_row) if x), 0)
-            if first:
-                decided[first].append(j)
+            decided[next((k for k, x in enumerate(g_row) if x), 0)].append(j)
         self._decided_rows = tuple(map(tuple, decided))
         twist = translate([-x for x in self.two_rho_X], (-1,) * self.rank, sigma)
         coords = lattice_coords(pic, self._pic_left_inv, twist)
@@ -704,7 +703,8 @@ def build_case(name: str) -> WonderfulVariety:
             raise CatalogError("group compactification expects a simple type")
         return group_compactification(*comps[0])
     if text.startswith("flag:"):
-        parts = text[len("flag:"):].split(":")
+        # a second ':' stays in the specifier, which then fails to parse
+        parts = text[len("flag:"):].split(":", 1)
         group = build_root_system(parse_type(parts[0]))
         q: tuple[int, ...] = ()
         if len(parts) > 1:

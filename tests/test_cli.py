@@ -49,6 +49,8 @@ def test_describe_unknown(capsys):
         ("flag:A2:q=", "bad flag specifier 'flag:A2:q='"),
         ("flag:A2:q=1,", "bad flag specifier 'flag:A2:q=1,'"),
         ("flag:A2:q=x", "bad flag specifier 'flag:A2:q=x'"),
+        ("flag:A2:q=1:q=2", "bad flag specifier 'flag:A2:q=1:q=2'"),
+        ("flag:A2:q=1:", "bad flag specifier 'flag:A2:q=1:'"),
         ("group:Ab", "cannot parse Dynkin type 'Ab'"),
     ],
 )

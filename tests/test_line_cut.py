@@ -10,6 +10,7 @@ fresh chamber walk per point.
 import os
 import subprocess
 import sys
+from operator import sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -70,22 +71,30 @@ def test_deep_weights_equal_per_point_filter(name, data):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_cut_line_equals_pointwise_signs(data):
-    # the catalog's Gram rows are never positive off the diagonal, so small
-    # integers stand in for a line with every sign of G_0i
+    # level 0 of the descent cuts the line c = (c_0, *rest) by every sign
+    # row; the catalog's Gram rows are never positive off the diagonal, so
+    # small integers stand in for a line with every sign of G_0i
     r = data.draw(st.integers(1, 4))
     row = [data.draw(st.integers(1, 6))] + [data.draw(st.integers(-4, 4)) for _ in range(r - 1)]
     # s_i = a_i + c_0 row_i changes sign near c_0 = z, and is 0 there when e = 0
-    a = [-data.draw(st.integers(-10, 10)) * g + data.draw(st.integers(-2, 2)) for g in row]
+    a = tuple(-data.draw(st.integers(-10, 10)) * g + data.draw(st.integers(-2, 2)) for g in row)
     rest = tuple(data.draw(st.integers(-2, 2)) for _ in range(r - 1))
-    lo = data.draw(st.integers(-12, 4))
-    hi = lo + data.draw(st.integers(0, 16))
+    centre, s = data.draw(st.integers(-8, 6)), data.draw(st.integers(0, 8))
+    # q_0 = e_0 = 1, a zero A row and base_0 = -centre bound c_0 by
+    # (c_0 - centre)^2 <= s^2, the window [centre - s, centre + s]
+    lines = []
+    walk = (lines, [0, *rest], [-centre], [1], [(0,) * r], [1], [row], [tuple(range(r))])
+    cohomology._descend(walk, 0, s * s, a)
     kept = [
         c0
-        for c0 in range(lo, hi + 1)
+        for c0 in range(centre - s, centre + s + 1)
         if all((ai + c0 * gi < 0) == (ci > 0) for ai, gi, ci in zip(a, row, (c0, *rest)))
     ]
-    start, end = cohomology._cut_line(a, row, rest, lo, hi)
-    assert kept == list(range(start, end + 1))
+    if not kept:
+        assert lines == []
+    else:
+        v = tuple(ai + kept[0] * gi for ai, gi in zip(a, row))
+        assert lines == [(rest, kept[0], kept[-1], v)]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -187,15 +196,16 @@ def test_singular_point_mid_run(name, coords):
     assert contributions(X, lam) == per_point_contributions(X, lam)
 
 
-def widened(cut, side):
-    """A line cut that keeps one point too many at the `side` end of every
-    run (0: below, 1: above)."""
+def widened(ball_lines, side):
+    """`_ball_lines` with one point too many at the `side` end of every
+    line it returns (0: below, 1: above), its carried state moved with it."""
 
-    def patched(a, row, rest, lo, hi):
-        lo, hi = cut(a, row, rest, lo, hi)
-        if lo > hi:
-            return lo, hi
-        return (lo - 1, hi) if side == 0 else (lo, hi + 1)
+    def patched(X, *args):
+        lines = ball_lines(X, *args)
+        if side == 1:
+            return [(rest, lo, hi + 1, v) for rest, lo, hi, v in lines]
+        step = X._walk_rows[0]
+        return [(rest, lo - 1, hi, tuple(map(sub, v, step))) for rest, lo, hi, v in lines]
 
     return patched
 
@@ -203,7 +213,7 @@ def widened(cut, side):
 @pytest.mark.parametrize("side", [0, 1])
 @pytest.mark.parametrize("name, coords", [("PSO/PSO(2)", (-6,)), ("E6/F4", (-7, 2))])
 def test_sign_recheck_catches_a_wide_cut(capsys, monkeypatch, side, name, coords):
-    monkeypatch.setattr(cohomology, "_cut_line", widened(cohomology._cut_line, side))
+    monkeypatch.setattr(cohomology, "_ball_lines", widened(cohomology._ball_lines, side))
     X = build_case(name)
     with pytest.raises(InvariantError, match="sign pattern"):
         contributions(X, X.weight_from_pic_coords(coords))
@@ -215,13 +225,14 @@ def test_sign_recheck_catches_a_wide_cut(capsys, monkeypatch, side, name, coords
 def test_sign_recheck_catches_a_run_across_zero(monkeypatch):
     # a run [m, 0] let on to c_0 = 1: that point breaks the c_0 rule, which a
     # check against the J of the run's first point alone would miss
-    cut = cohomology._cut_line
+    ball_lines = cohomology._ball_lines
 
-    def across_zero(a, row, rest, lo, hi):
-        lo, hi = cut(a, row, rest, lo, hi)
-        return (lo, 1) if lo <= hi == 0 else (lo, hi)
+    def across_zero(*args):
+        return [
+            (rest, lo, 1 if hi == 0 else hi, v) for rest, lo, hi, v in ball_lines(*args)
+        ]
 
-    monkeypatch.setattr(cohomology, "_cut_line", across_zero)
+    monkeypatch.setattr(cohomology, "_ball_lines", across_zero)
     X = build_case("PSO/PSO(2)")
     with pytest.raises(InvariantError, match="sign pattern"):
         contributions(X, X.weight_from_pic_coords((4,)))  # its one run is [-2, 0]
@@ -235,7 +246,7 @@ def test_sign_recheck_fires_under_optimize():
         "from wondercoh.cli import main",
         "from tests.test_line_cut import widened",
         "print(sys.flags.optimize)",
-        "cohomology._cut_line = widened(cohomology._cut_line, 1)",
+        "cohomology._ball_lines = widened(cohomology._ball_lines, 1)",
         "sys.exit(main(['cohomology', 'PSO/PSO(2)', '--lambda', '-6']))",
     ])
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -2,9 +2,10 @@
 replaced, its work counts, and the cycles it leaves.
 
 `_sign_runs` descends the witness ball carrying (s, coroot pairings, mu)
-by row additions, and narrows each c_i by the sign rows that c_i decides.
-The reference below is the unpruned walk: every line of the witness ball,
-its state rebuilt by `translate`, cut and certified the same way.
+by row additions, and narrows each c_i, c_0 included, by the sign rows
+that c_i decides.  The reference below is the unpruned walk: every line of
+the witness ball, filtered point by point, its state rebuilt by
+`translate`.
 """
 
 import gc
@@ -17,14 +18,12 @@ from hypothesis import strategies as st
 from wondercoh import build_case, cohomology, oracles
 from wondercoh.cohomology import (
     _ball_lines,
-    _cut_line,
     _gamma_pairings,
     _sign_runs,
     cohomology_table,
     enumerate_candidates,
 )
 from wondercoh.exactalg import translate
-from wondercoh.roots import InvariantError
 from wondercoh.serialize import table_to_json
 from wondercoh.varieties import variety_from_dict
 
@@ -54,36 +53,46 @@ def variety(name):
 
 def unpruned_sign_runs(X, lam, base_pair):
     """`_sign_runs` before the pruned walk: every line of the witness ball,
-    its sign pairings, coroot pairings and mu rebuilt by `translate`."""
+    filtered point by point by the sign pattern, with its sign pairings,
+    coroot pairings and mu rebuilt by `translate`."""
     if not X.rank:
         yield (), 1, [], base_pair, lam
         return
     sig_base = _gamma_pairings(X, lam)
-    row, rest_rows = X._gamma_sign_gram[0], X._gamma_sign_gram[1:]
     for rest, lo, hi, _ in _ball_lines(X, lam, 1):
-        a = translate(sig_base, rest, rest_rows) if rest else sig_base
-        lo, hi = _cut_line(a, row, rest, lo, hi)
-        if lo > hi:
+        kept = []
+        for c0 in range(lo, hi + 1):
+            c = (c0, *rest)
+            sig = translate(sig_base, c, X._gamma_sign_gram)
+            if all((s < 0) == (ci > 0) for s, ci in zip(sig, c)):
+                kept.append(c0)
+        if not kept:
             continue
-        c = (lo, *rest)
-        n = hi - lo + 1
-        sig = [x + lo * y for x, y in zip(a, row)]
-        signs = [ci > 0 for ci in c]
-        if [s < 0 for s in sig] != signs or (
-            n > 1
-            and (
-                (c[0] + n - 1 > 0) != signs[0]
-                or [s + (n - 1) * e < 0 for s, e in zip(sig, row)] != signs
-            )
-        ):
-            raise InvariantError("the line cut kept a point off the sign pattern")
+        # each sign condition keeps an interval of c_0, so their meet is one run
+        assert kept == list(range(kept[0], kept[-1] + 1))
+        c = (kept[0], *rest)
         yield (
             c,
-            n,
-            sig,
+            len(kept),
+            list(translate(sig_base, c, X._gamma_sign_gram)),
             translate(base_pair, c, X._gamma_coroot_rows),
             translate(lam, c, X.spherical_roots),
         )
+
+
+@pytest.mark.parametrize(
+    "name", NAMES + ("group:D4", "group:F4", "group:E6", PRODUCT["name"])
+)
+def test_each_sign_row_is_decided_at_one_level(name):
+    # row j is decided at level i when s_j moves with no c_k, k < i, and,
+    # above level 0, with c_i; level 0 holds the rows that move with c_0
+    X = variety(name)
+    G = X._gamma_sign_gram
+    for i, rows in enumerate(X._decided_rows):
+        for j in rows:
+            assert not any(G[j][:i])
+            assert i == 0 or G[j][i]
+    assert sorted(j for rows in X._decided_rows for j in rows) == list(range(X.rank))
 
 
 #: Picard coordinates drawn per rank: the reference walks the whole witness
@@ -113,12 +122,13 @@ def test_pruned_walk_equals_unpruned_reference(name, data):
     ],
 )
 def test_lines_cut_and_runs_are_pinned(monkeypatch, name, coords, lines, runs):
-    # machine-independent work counts: one _cut_line call per line walked
+    # machine-independent work counts: one level-0 `_descend` call per line
+    # walked, whether or not the sign rows of c_0 leave it a run
     X = build_case(name)
     lam = X.weight_from_pic_coords(coords)
-    calls = count_calls(monkeypatch, [cohomology], "_cut_line")
+    calls = count_calls(monkeypatch, [cohomology], "_descend")
     found = list(_sign_runs(X, lam, X.group.shifted_pairings(lam)))
-    assert (len(calls), len(found)) == (lines, runs)
+    assert (sum(args[1] == 0 for args in calls), len(found)) == (lines, runs)
 
 
 def test_group_e6_table_is_pinned():
