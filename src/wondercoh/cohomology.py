@@ -26,25 +26,25 @@ points; `enumerate_candidates` keeps returning that superset.
 
 The search walks the ball as lines along c_0.  `_ball_lines` peels
 c_{r-1}, ..., c_1 off by branch and bound and gives one line per fixed
-c_1..c_{r-1}, each with its range [lo, hi] of c_0.  The descent carries
-the state of the walk: the sign pairings s_i = D (mu + rho, gamma_i) with
-D = X._gamma_den, the coroot pairings of mu + rho and mu are affine in c,
-so fixing c_i adds lo times a fixed row of `X._walk_rows` and each later
-c_i adds the row once more; no point is rebuilt from lam.  The sign
-conditions are cut in the same descent, each at one level: when G_jk = 0
-for every k < i, with G the integer sign Gram matrix, c_i fixes both s_j
-and c_j, and s_j < 0 iff c_j > 0 cuts the range of c_i to an interval, one
-call of `exactalg.negative_interval` per row of `X._decided_rows`.  As
-G_ii > 0, the condition on c_i itself can hold on c_i >= 1 only if
-s_i < 0 at c_i = 1, and else only on c_i <= 0.  A c_i cut off above the
-line heads only lines off the sign pattern, and its subtree is never
-walked; level 0 cuts c_0 by the rows that move with it, so each line
-keeps one run of consecutive c_0 with one J, and off the run no point is
-visited at all.  The candidate ball of `enumerate_candidates` takes the
-same descent with nothing carried and nothing cut.  `_sign_runs` yields
-the runs, each certified at its ends.
-With no spherical roots the sign cone is the one point c = (), and rank
-zero is its one-point run.
+c_1..c_{r-1}: its first point c and its number n of points along c_0.
+The descent carries the state of the walk: the sign pairings
+s_i = D (mu + rho, gamma_i) with D = X._gamma_den, the coroot pairings of
+mu + rho and mu are affine in c, so fixing c_i adds c_i times a fixed row
+of `_walk`, built once per variety, and each later c_i adds the row once
+more; no point is rebuilt from lam.  The sign conditions are cut in the
+same descent, each at one level: when G_jk = 0 for every k < i, with G
+the integer sign Gram matrix, c_i fixes both s_j and c_j, and s_j < 0 iff
+c_j > 0 cuts the range of c_i to an interval, one call of
+`exactalg.negative_interval` per row decided at level i.  As G_ii > 0,
+the condition on c_i itself can hold on c_i >= 1 only if s_i < 0 at
+c_i = 1, and else only on c_i <= 0.  A c_i cut off above the line heads
+only lines off the sign pattern, and its subtree is never walked; level 0
+cuts c_0 by the rows that move with it, so each line keeps one run of
+consecutive c_0 with one J, and off the run no point is visited at all.
+The candidate ball of `enumerate_candidates` takes the same descent with
+nothing carried and nothing cut.  `_sign_runs` yields the runs, each
+certified at its ends.  With no spherical roots the sign cone is the one
+point c = (), and rank zero is the walk's one line, of one point.
 
 Along a run, mu, the spherical pairings s and the coroot pairings
 pair_k = <mu + rho, alpha_k^vee> move by fixed rows per step of c_0.
@@ -53,7 +53,7 @@ mu + rho, and it fixes the Weyl element w with w(mu + rho) dominant.  So
 the chamber walk runs once per distinct key and variety in a process; its
 word, replayed on the identity, gives the integer matrix of w, kept with
 l(mu) = the number of negative pairings and the vector w(gamma_0) in the
-variety's chamber table `X._chambers`.  An entry joins the table only
+chamber table of the variety's walk.  An entry joins the table only
 after the first stretch that used it passed the checks below, and later
 evaluations of that variety reuse it.  Along a run the key holds over
 stretches of consecutive witnesses, and `_stretches` yields one record
@@ -107,7 +107,7 @@ import math
 from operator import add, eq, itemgetter, mul, sub
 from typing import Iterator, NamedTuple, Sequence
 
-from .exactalg import negative_interval, translate
+from .exactalg import negative_interval, row_products, translate
 from .roots import InvariantError, RootSystem, Weight
 from .varieties import CatalogError, WonderfulVariety, _PicWeight
 
@@ -200,25 +200,26 @@ def omega_signature(X: WonderfulVariety, mu: Sequence[int]) -> tuple[int, ...]:
 
 def _ball_lines(
     X: WonderfulVariety,
-    lam: Weight,
+    sig: Sequence[int],
     k: int,
     start: Sequence[int] = (),
     rows: Sequence[Sequence[int]] | None = None,
     decided: Sequence[Sequence[int]] | None = None,
-) -> list[tuple[tuple[int, ...], int, int, tuple[int, ...]]]:
+) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
     """The integer points of the ball c^T G c + k c^T b <= 0 of
-    `_ball_coefficients`, as lines along c_0: one (c_1..c_{r-1}, lo, hi, v)
-    per fixed c_1..c_{r-1} whose line meets the ball, holding exactly the
-    points with lo <= c_0 <= hi (lo <= hi).  Rank at least 1.
+    `_ball_coefficients`, as lines along c_0: one (c, n, v) per fixed
+    c_1..c_{r-1} whose line meets the ball, holding exactly the n >= 1
+    points from its first point c on along c_0.  sig is s = D b, the
+    `_gamma_pairings` of lam.  Rank 0 has one line, ((), 1, start).
 
     v is `start` carried down the descent to the line's first point,
-    start + lo rows[0] + sum_{i>=1} c_i rows[i]: fixing c_i adds lo rows[i]
-    once, and each later c_i adds rows[i].  `decided` cuts the sign
+    start + sum_i c_i rows[i]: fixing c_i adds c_i rows[i] at the first c_i
+    and rows[i] once more for each later one.  `decided` cuts the sign
     pattern, and then v starts with the sign pairings s and rows[i] with
     row i of the integer sign Gram matrix G, which is symmetric.
     decided[i] lists the rows j whose s_j = v_j + c_i G_ji is fixed once
     c_i is (G_jk = 0 for k < i), and with it c_j (j >= i); every row is
-    in exactly one list.  At level i, [lo, hi] of c_i keeps the c_i with
+    in exactly one list.  At level i, the range of c_i keeps the c_i with
     s_j < 0 iff c_j > 0, one `exactalg.negative_interval` per row; for
     j = i, c_i itself picks the side c_i >= 1 or c_i <= 0.  A line is then
     the run of c_0 that keeps the whole sign pattern, and a line or
@@ -228,7 +229,7 @@ def _ball_lines(
     Completing the square with z = (k/2) G^-1 b and G = L diag(d) L^T
     turns the quadric into sum_i d_i (c_i + o_i)^2 <= z^T G z with
     o_i = u_i + sum_{j>i} L_ji c_j and u = L^T z = k M s, where
-    M = L^T G^-1 / (2 D) and s = D b = `_gamma_pairings`.  Once per variety
+    M = L^T G^-1 / (2 D).  Once per variety
     `X._witness_form` fixes q_i, the least integer clearing row i of M and
     column i of L, with form_i = q_i M_i, A_ij = q_i L_ji and
     e_i = S d_i / q_i^2 (S clears all d_i / q_i^2).  Per weight,
@@ -237,15 +238,16 @@ def _ball_lines(
     z^T G z = sum_i d_i u_i^2 the quadric reads
     sum_i e_i t_i^2 <= sum_i e_i base_i^2.  The branch and bound peels
     c_{r-1}, ..., c_1 off with int arithmetic and math.isqrt only, and the
-    same bound at c_0 is the line's [lo, hi]; every bound is exact, so
-    points on the boundary are always kept.
+    same bound at c_0 is the line's first point and length; every bound is
+    exact, so points on the boundary are always kept.
     """
     r = X.rank
+    if not r:
+        return [((), 1, tuple(start))]
     form, q, A, e = X._witness_form
-    sig = _gamma_pairings(X, lam)
     base = [k * sum(map(mul, row, sig)) for row in form]
     none = ((),) * r
-    lines: list[tuple[tuple[int, ...], int, int, tuple[int, ...]]] = []
+    lines: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
     walk = (lines, [0] * r, base, q, A, e, rows or none, decided or none)
     _descend(walk, r - 1, sum(ei * bi * bi for ei, bi in zip(e, base)), tuple(start))
     return lines
@@ -284,7 +286,8 @@ def _descend(walk: tuple, i: int, remaining: int, v: tuple[int, ...]) -> None:
     # tuples, so that the candidate ball's empty vector is always the one ()
     v = tuple([x + lo * y for x, y in zip(v, row)])
     if i == 0:
-        lines.append((tuple(c[1:]), lo, hi, v))
+        c[0] = lo
+        lines.append((tuple(c), hi - lo + 1, v))
         return
     for ci in range(lo, hi + 1):
         if ci > lo:
@@ -308,9 +311,8 @@ def _ball_coefficients(
     """
     if X.rank == 0:
         return [()]
-    return sorted(
-        (c0, *rest) for rest, lo, hi, _ in _ball_lines(X, lam, k) for c0 in range(lo, hi + 1)
-    )
+    lines = _ball_lines(X, _gamma_pairings(X, lam), k)
+    return sorted((c0, *rest) for (lo, *rest), n, _ in lines for c0 in range(lo, lo + n))
 
 
 def enumerate_candidates(X: WonderfulVariety, lam: Sequence[int]) -> list[Weight]:
@@ -341,40 +343,64 @@ def _chamber(g: RootSystem, mu: Weight, inversions: int) -> tuple[int, tuple[Wei
     return length, tuple(zip(*cols))
 
 
+def _walk(X: WonderfulVariety) -> tuple:
+    """The tables of X's witness walk, (rows, decided, step, moving, fixed,
+    chambers), built in integers on X's first evaluation into `X._walk`.
+    One unit of c_i adds rows[i] = (G_i, <gamma_i, alpha_k^vee>_k, gamma_i)
+    to the state (s, pairings, mu) of `_ball_lines`, G being the symmetric
+    integer sign Gram matrix.  decided[i] lists the sign rows j that c_i
+    moves first (G_jk = 0 for k < i), so c_i fixes s_j and c_j (j >= i, as
+    G_jj > 0); a zero row, which validation rejects, goes to level 0.  step
+    is one step of c_0, (gamma_0, <gamma_0, alpha_k^vee>_k), ((), ()) at
+    rank 0; only the coroots in `moving`, whose pairings it moves, can end
+    a stretch of `_stretches`, and `fixed` holds the rest.  chambers maps
+    an inversion set of mu + rho to (length, matrix of w, w(gamma_0)) for
+    the w making mu + rho dominant; `_stretches` fills it."""
+    walk = X._walk
+    if walk is None:
+        sigma = X.spherical_roots
+        gram = [row_products(sigma, w) for w in X._gamma_sign_rows]
+        coroot = [row_products(X.group._coroot_rows, gam) for gam in sigma]
+        decided: list[list[int]] = [[] for _ in sigma]
+        for j, g_row in enumerate(gram):
+            decided[next((k for k, x in enumerate(g_row) if x), 0)].append(j)
+        step = next(zip(sigma, coroot), ((), ()))
+        rows = tuple((*g_row, *pair_row, *gam) for g_row, pair_row, gam in zip(gram, coroot, sigma))
+        moving = tuple(k for k, d in enumerate(step[1]) if d)
+        fixed = tuple(k for k, d in enumerate(step[1]) if not d)
+        walk = X._walk = (rows, tuple(map(tuple, decided)), step, moving, fixed, {})
+    return walk
+
+
 def _sign_runs(
     X: WonderfulVariety, lam: Weight, base_pair: tuple[int, ...]
 ) -> Iterator[tuple[tuple[int, ...], int, list[int], tuple[int, ...], Weight]]:
     """Per line of the witness ball, its run of c_0 that keeps the sign
     pattern, certified at its ends: (c, n, sig, pair, mu) at the run's first
     point c, n >= 1 points long, in the order of the unpruned walk.  The
-    runs are the lines of `_ball_lines`, cut by the decided sign rows and
-    carrying (sig, pair, mu) from (`_gamma_pairings(lam)`, base_pair, lam);
-    each is checked again here against every sign row.  At rank 0 the one
-    run is the point c = ()."""
-    if not X.rank:
-        yield (), 1, [], base_pair, lam
-        return
+    runs are the lines of `_ball_lines`, cut by the decided rows of `_walk`
+    and carrying (sig, pair, mu) from (sig, base_pair, lam), sig being
+    `_gamma_pairings(lam)`, computed once; each is checked again here
+    against every sign row.  Rank 0 has one run, the point c = ()."""
     r, m = X.rank, X.rank + len(base_pair)
-    row = X._gamma_sign_gram[0]
-    start = (*_gamma_pairings(X, lam), *base_pair, *lam)
-    for rest, lo, hi, v in _ball_lines(X, lam, 1, start, X._walk_rows, X._decided_rows):
-        c = (lo, *rest)
-        n = hi - lo + 1
-        sig = list(v[:r])
+    rows, decided = _walk(X)[:2]
+    sig = _gamma_pairings(X, lam)
+    for c, n, v in _ball_lines(X, sig, 1, (*sig, *base_pair, *lam), rows, decided):
+        s = list(v[:r])
         # the sign cone fixes J = {i : c_i > 0}; the omega signature must
         # equal it.  A run on one side of c_0 = 0 has one J, and each s_i is
-        # affine along it, so the pattern holds on the run if it holds at
-        # both ends
+        # affine along it, by G_0i, the head of rows[0], per step; so the
+        # pattern holds on the run if it holds at both ends
         signs = [ci > 0 for ci in c]
-        if [s < 0 for s in sig] != signs or (
+        if [x < 0 for x in s] != signs or (
             n > 1
             and (
                 (c[0] + n - 1 > 0) != signs[0]
-                or [s + (n - 1) * e < 0 for s, e in zip(sig, row)] != signs
+                or [x + (n - 1) * y < 0 for x, y in zip(s, rows[0])] != signs
             )
         ):
             raise InvariantError("the sign cut kept a point off the sign pattern")
-        yield c, n, sig, tuple(v[r:m]), tuple(v[m:])
+        yield c, n, s, tuple(v[r:m]), tuple(v[m:])
 
 
 def _stretches(
@@ -386,9 +412,7 @@ def _stretches(
     them.  Along the stretch mu moves by gamma_0, the coroot pairings by
     <gamma_0, alpha_k^vee> and mu_plus by w_step = w(gamma_0)."""
     g = X.group
-    mu_step, pair_step = X._gamma0_step
-    moving, fixed = X._gamma0_moving, X._gamma0_fixed
-    chambers = X._chambers
+    _, _, (mu_step, pair_step), moving, fixed, chambers = _walk(X)
     for c, n, _, pair, mu in _sign_runs(X, lam, g.shifted_pairings(lam)):
         if 0 in pair and 0 in [pair[k] for k in fixed]:
             continue  # a coroot that does not move pairs to 0 all along the run
@@ -449,7 +473,7 @@ def _witnesses_by_degree(X: WonderfulVariety, lam: Weight) -> dict[int, list[Con
     """The certified pairs (J, mu) of lam, a weight of pic(X), per degree, in
     the order `_stretches` yields them."""
     den = X.group._weyl_den
-    mu_step, pair_step = X._gamma0_step
+    mu_step, pair_step = _walk(X)[2]
     by_degree: dict[int, list[Contribution]] = {}
     for J, length, degree, mu, mu_plus, pair, w_step, m in _stretches(X, lam):
         append = by_degree.setdefault(degree, []).append

@@ -21,6 +21,7 @@ from .cohomology import (
     Contribution,
     DegreeGroup,
     _ball_lines,
+    _gamma_pairings,
     _require_pic,
     _serre_dual,
     cohomology_table,
@@ -109,7 +110,7 @@ def capped_candidate_count(X: WonderfulVariety, coords, lam, cap: int = 200_000)
     """How many weights `enumerate_candidates(X, lam)` lists, counted from
     the lines of its ball without listing them; raises OracleBudgetError
     when the count exceeds `cap` (lam has pic coordinates `coords`)."""
-    n = sum(hi - lo + 1 for _, lo, hi, _ in _ball_lines(X, lam, 2)) if X.rank else 1
+    n = sum(points for _, points, _ in _ball_lines(X, _gamma_pairings(X, lam), 2))
     if n > cap:
         raise OracleBudgetError(
             f"{X.name}, lambda={list(coords)}: {n} candidates exceed the cap {cap}"

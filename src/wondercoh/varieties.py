@@ -165,7 +165,7 @@ class WonderfulVariety:
 
         self._init_lattice_caches()
 
-    # -- construction-time caches (only the chamber table changes later) -
+    # -- construction-time caches (only the witness walk's slot fills later)
 
     def _init_lattice_caches(self) -> None:
         g = self.group
@@ -211,41 +211,11 @@ class WonderfulVariety:
         # integer left inverses of both bases, for lattice membership
         self._sigma_left_inv = _left_inverse(sigma_inv, sigma_pairing)
         self._pic_left_inv = _left_inverse(pic_inv, pic_pairing)
-        # <gamma_i, alpha_k^vee> over the frozen positive root order
-        self._gamma_coroot_rows = tuple(row_products(g._coroot_rows, gam) for gam in sigma)
-        # one step along c_0: (gamma_0, <gamma_0, alpha_k^vee>_k), ((), ())
-        # at rank 0; only the coroots k that move (d != 0) can end a chamber
-        # stretch of `cohomology._stretches`
-        self._gamma0_step = (sigma[0], self._gamma_coroot_rows[0]) if sigma else ((), ())
-        self._gamma0_moving = tuple(k for k, d in enumerate(self._gamma0_step[1]) if d)
-        # the coroots that do not move: a 0 pairing among them stays 0 along
-        # a whole run, and `cohomology._stretches` drops the run at once
-        self._gamma0_fixed = tuple(k for k, d in enumerate(self._gamma0_step[1]) if not d)
-        # signature increments: dot(W_i, gamma_j)
-        self._gamma_sign_gram = tuple(row_products(sigma, w) for w in self._gamma_sign_rows)
-        # the descent of `cohomology._sign_runs` carries (s, coroot
-        # pairings, mu), and one unit of c_i adds row i to it; the sign
-        # Gram matrix is symmetric, so its row i is what c_i adds to s
-        self._walk_rows = tuple(
-            (*g_row, *pair_row, *gam)
-            for g_row, pair_row, gam in zip(self._gamma_sign_gram, self._gamma_coroot_rows, sigma)
-        )
-        # the sign rows j decided at level i of that descent, each at
-        # exactly one level: s_j moves with no c_k, k < i, and with c_i, so
-        # c_i fixes both s_j and c_j (j >= i, as G_jj > 0).  Level 0 holds
-        # the rows that move with c_0, and a zero row, which validation
-        # rejects
-        decided: list[list[int]] = [[] for _ in sigma]
-        for j, g_row in enumerate(self._gamma_sign_gram):
-            decided[next((k for k, x in enumerate(g_row) if x), 0)].append(j)
-        self._decided_rows = tuple(map(tuple, decided))
         twist = translate([-x for x in self.two_rho_X], (-1,) * self.rank, sigma)
         coords = lattice_coords(pic, self._pic_left_inv, twist)
         self._serre_twist: Weight = twist if coords is None else _PicWeight(twist, self, coords)
-        # inversion set of mu + rho -> (length, matrix of w, w(gamma_0)) of
-        # the Weyl element w making mu + rho dominant; filled by
-        # `cohomology._stretches`, one chamber walk per entry per process
-        self._chambers: dict[tuple[bool, ...], tuple[int, tuple[Weight, ...], Weight]] = {}
+        # the witness walk's tables, which `cohomology._walk` builds on first use
+        self._walk: Optional[tuple] = None
 
     # -- lattice membership ----------------------------------------------
 
@@ -661,10 +631,11 @@ def _pgl_psp(n: int) -> WonderfulVariety:
 def build_case(name: str) -> WonderfulVariety:
     """Build a named catalog case, once per name.
 
-    Descriptors are immutable but for one memo, the chamber table
-    `_chambers` that `cohomology._stretches` fills: one entry per Weyl
-    chamber its witnesses reach, so it never outgrows |W| entries of one
-    small integer matrix each, and it only saves repeated chamber walks.
+    Descriptors are immutable but for one memo, the witness walk's slot
+    `_walk` that `cohomology._walk` fills on the first evaluation.  Its
+    chamber table, which `cohomology._stretches` fills, holds one entry per
+    Weyl chamber the witnesses reach, so it never outgrows |W| entries of
+    one small integer matrix each, and it only saves repeated chamber walks.
 
     Accepted names: ``PSO/PSO(n)``, ``Q(n)`` (the quadric of dimension
     2n-1, n >= 2), ``SO7/G2``, ``Q7``, ``PGL/PSp(n)`` (n >= 2, meaning
@@ -765,6 +736,8 @@ def variety_from_dict(doc: dict, name: str = "") -> WonderfulVariety:
                 (tuple(_integer(x) for x in a), tuple(_integer(x) for x in b))
                 for a, b in doc["sgamma"]
             ]
+        if type(doc.get("name", "")) is not str:
+            raise TypeError(f"name must be a string, got {doc['name']!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise CatalogError(f"malformed variety descriptor: {exc}")
     label = name or doc.get("name") or "custom"

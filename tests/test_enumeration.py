@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wondercoh import CATALOG_NAMES, build_case
+from wondercoh import build_case
 from wondercoh.cohomology import _ball_coefficients, contributions, enumerate_candidates
 from test_helpers import (
+    NAMES,
     frac_isqrt_floor,
     gram,
     mat_inverse,
@@ -22,7 +23,6 @@ from test_helpers import (
     sigma_lattice_coords,
 )
 
-NAMES = CATALOG_NAMES + ("group:A3", "group:B2", "group:G2", "PSO/PSO(5)", "PGL/PSp(4)")
 PROPERTY = settings(max_examples=5, deadline=None, derandomize=True)
 variety = functools.cache(build_case)
 

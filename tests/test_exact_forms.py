@@ -8,12 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wondercoh import CATALOG_NAMES, build_case
+from wondercoh import build_case
 from wondercoh import cohomology
 
-from test_helpers import dot, frac_matrix, mat_inverse, mat_vec
-
-NAMES = CATALOG_NAMES + ("group:A3", "group:B2", "group:G2", "PSO/PSO(5)", "PGL/PSp(4)")
+from test_helpers import NAMES, dot, frac_matrix, mat_inverse, mat_vec
 
 
 def reference_inner_product(g, lam, mu):

@@ -1,8 +1,9 @@
 """Shared helpers (weight translation, Picard boxes, the build_case memo,
-lattice membership, a cold chamber table), the Fraction linear algebra,
-reference evaluation, table grouping and JSON document the engine is
-compared with, test-side references for the sign cones R_J, spherical and
-simple reflections, and the number of evaluations each entry point makes."""
+lattice membership, a cold chamber table, product descriptors), the
+Fraction linear algebra, reference evaluation, table grouping and JSON
+document the engine is compared with, test-side references for the sign
+cones R_J, spherical and simple reflections, and the number of
+evaluations each entry point makes."""
 
 import functools
 import itertools
@@ -21,7 +22,7 @@ from wondercoh.cohomology import CohomologyTable, Constituent, Contribution, Deg
 from wondercoh.regions import region_plot
 from wondercoh.exactalg import Matrix, lattice_coords, span_numerators, translate
 from wondercoh.roots import RootSystem
-from wondercoh.varieties import pic_box
+from wondercoh.varieties import pic_box, variety_from_dict
 
 NAMES = CATALOG_NAMES + ("group:A3", "group:B2", "group:G2", "PSO/PSO(5)", "PGL/PSp(4)")
 
@@ -242,12 +243,33 @@ def test_build_case_is_memoised():
 
 
 def cold_chambers(monkeypatch, X):
-    """Give X an empty chamber table for this test, so every inversion set
-    its evaluations meet is walked afresh; the shared table comes back
-    after the test."""
+    """Give X's witness walk an empty chamber table for this test, so every
+    inversion set its evaluations meet is walked afresh; the shared table
+    comes back after the test."""
     table: dict = {}
-    monkeypatch.setattr(X, "_chambers", table)
+    monkeypatch.setattr(X, "_walk", (*cohomology._walk(X)[:5], table))
     return table
+
+
+def product_variety(*names):
+    """The product of catalog varieties as one descriptor: groups, bases
+    and sgamma pairs placed block-diagonally."""
+    parts = [build_case(n) for n in names]
+    total = sum(X.group.rank for X in parts)
+    doc = {"name": " x ".join(names), "group": [], "spherical_roots": [], "pic_basis": [],
+           "q_simple_roots": [], "sgamma": []}
+    offset = 0
+    for X in parts:
+        def pad(v, offset=offset, n=X.group.rank):
+            return [0] * offset + list(v) + [0] * (total - offset - n)
+
+        doc["group"] += [list(c) for c in X.group.components]
+        doc["spherical_roots"] += [pad(v) for v in X.spherical_roots]
+        doc["pic_basis"] += [pad(v) for v in X.pic_basis]
+        doc["q_simple_roots"] += [offset + i + 1 for i in sorted(X.q_simple_roots)]
+        doc["sgamma"] += [[pad(a), pad(b)] for a, b in X.sgamma_data or ()]
+        offset += X.group.rank
+    return variety_from_dict(doc)
 
 
 def count_calls(monkeypatch, holders, attr):

@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wondercoh import CATALOG_NAMES, CatalogError, WonderfulVariety, build_case
+from wondercoh.cohomology import _walk
 from wondercoh.exactalg import int_inverse, int_scaled, ldl
 from wondercoh.roots import build_root_system
 from wondercoh.varieties import validate, variety_from_dict
 
-from test_helpers import doubled, dot, frac_matrix, mat_inverse, mat_vec
+from test_helpers import doubled, dot, frac_matrix, mat_inverse, mat_vec, product_variety
 
 EXTRA = (
     "group:A4", "group:D4", "group:F4", "group:E6", "group:E7", "group:E8",
@@ -160,25 +161,13 @@ def reference_variety_tables(X, form):
     }
 
 
-def product_variety(*names):
-    """The product of catalog varieties as one descriptor: groups, bases
-    and sgamma pairs placed block-diagonally."""
-    parts = [build_case(n) for n in names]
-    total = sum(X.group.rank for X in parts)
-    doc = {"name": " x ".join(names), "group": [], "spherical_roots": [], "pic_basis": [],
-           "q_simple_roots": [], "sgamma": []}
-    offset = 0
-    for X in parts:
-        def pad(v, offset=offset, n=X.group.rank):
-            return [0] * offset + list(v) + [0] * (total - offset - n)
-
-        doc["group"] += [list(c) for c in X.group.components]
-        doc["spherical_roots"] += [pad(v) for v in X.spherical_roots]
-        doc["pic_basis"] += [pad(v) for v in X.pic_basis]
-        doc["q_simple_roots"] += [offset + i + 1 for i in sorted(X.q_simple_roots)]
-        doc["sgamma"] += [[pad(a), pad(b)] for a, b in X.sgamma_data or ()]
-        offset += X.group.rank
-    return variety_from_dict(doc)
+def assert_tables_equal(X, tables):
+    """X's tables equal the reference `tables`; the sign Gram matrix is the
+    first r columns of the witness walk's rows."""
+    gram = tables.pop("_gamma_sign_gram")
+    for key, value in tables.items():
+        assert getattr(X, key) == value, key
+    assert tuple(row[:X.rank] for row in _walk(X)[0]) == gram
 
 
 PRODUCT = ("group:B2", "group:G2", "PSO/PSO(3)")
@@ -216,8 +205,7 @@ def test_tables_equal_the_fraction_build(name):
     tables, form = reference_root_tables(g.cartan, g.symmetrizer)
     for key, value in tables.items():
         assert getattr(g, key) == value, key
-    for key, value in reference_variety_tables(X, form).items():
-        assert getattr(X, key) == value, key
+    assert_tables_equal(X, reference_variety_tables(X, form))
     lam = tuple(k - g.rank // 2 for k in range(g.rank))
     for alpha, row in zip(tables["positive_roots"], tables["_coroot_rows"]):
         assert g.pair_coroot(lam, alpha) == sum(r * x for r, x in zip(row, lam))
@@ -236,8 +224,7 @@ def test_tables_of_drawn_descriptors_equal_the_fraction_build(data):
     pic = data.draw(st.lists(weight, max_size=g.rank))
     X = WonderfulVariety("drawn", g, sigma, pic)
     _, form = reference_root_tables(g.cartan, g.symmetrizer)
-    for key, value in reference_variety_tables(X, form).items():
-        assert getattr(X, key) == value, key
+    assert_tables_equal(X, reference_variety_tables(X, form))
 
 
 def test_pair_coroot_refuses_a_non_root():

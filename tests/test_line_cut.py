@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 
 import wondercoh
 from wondercoh import build_case
-from wondercoh import cohomology
+from wondercoh import cohomology, oracles
 from wondercoh.cli import main
 from wondercoh.cohomology import (
     Contribution,
     _ball_coefficients,
     _gamma_pairings,
     _sign_runs,
+    _walk,
     contributions,
 )
 from wondercoh.exactalg import negative_interval
@@ -94,7 +95,7 @@ def test_cut_line_equals_pointwise_signs(data):
         assert lines == []
     else:
         v = tuple(ai + kept[0] * gi for ai, gi in zip(a, row))
-        assert lines == [(rest, kept[0], kept[-1], v)]
+        assert lines == [((kept[0], *rest), len(kept), v)]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -129,13 +130,19 @@ def test_rank_zero_is_one_point_run(name):
         lam = X.weight_from_pic_coords(coords)
         base_pair = X.group.shifted_pairings(lam)
         assert list(_sign_runs(X, lam, base_pair)) == [((), 1, [], base_pair, lam)]
+        # the walk's one line, of one point, for either ball
+        start = (*base_pair, *lam)
+        sig = _gamma_pairings(X, lam)
+        for k in (1, 2):
+            assert cohomology._ball_lines(X, sig, k, start) == [((), 1, start)]
+        assert oracles.capped_candidate_count(X, coords, lam) == 1
 
 
 def zero_endpoints(X, lam):
     """(c, i, J) for each end c of a run at which s_i = 0: a cut endpoint
     that is an exact division."""
     found = []
-    row = X._gamma_sign_gram[0]
+    row = _walk(X)[0][0][:X.rank]
     for c, n, sig, _, _ in _sign_runs(X, lam, X.group.shifted_pairings(lam)):
         J = tuple(i for i, ci in enumerate(c) if ci > 0)
         for end in {0, n - 1}:
@@ -169,7 +176,7 @@ def test_exact_division_endpoints(name, coords, zero_at):
 def keys_along_runs(X, lam):
     """Per run, the inversion key of each point, None where mu + rho is
     singular."""
-    row = X._gamma_coroot_rows[0]
+    row = _walk(X)[2][1]
     runs = []
     for _, n, _, pair, _ in _sign_runs(X, lam, X.group.shifted_pairings(lam)):
         points = ([p + step * y for p, y in zip(pair, row)] for step in range(n))
@@ -203,9 +210,11 @@ def widened(ball_lines, side):
     def patched(X, *args):
         lines = ball_lines(X, *args)
         if side == 1:
-            return [(rest, lo, hi + 1, v) for rest, lo, hi, v in lines]
-        step = X._walk_rows[0]
-        return [(rest, lo - 1, hi, tuple(map(sub, v, step))) for rest, lo, hi, v in lines]
+            return [(c, n + 1, v) for c, n, v in lines]
+        step = _walk(X)[0][0]
+        return [
+            ((c0 - 1, *rest), n + 1, tuple(map(sub, v, step))) for (c0, *rest), n, v in lines
+        ]
 
     return patched
 
@@ -228,9 +237,7 @@ def test_sign_recheck_catches_a_run_across_zero(monkeypatch):
     ball_lines = cohomology._ball_lines
 
     def across_zero(*args):
-        return [
-            (rest, lo, 1 if hi == 0 else hi, v) for rest, lo, hi, v in ball_lines(*args)
-        ]
+        return [(c, n + 1 if c[0] + n == 1 else n, v) for c, n, v in ball_lines(*args)]
 
     monkeypatch.setattr(cohomology, "_ball_lines", across_zero)
     X = build_case("PSO/PSO(2)")

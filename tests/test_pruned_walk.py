@@ -15,40 +15,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wondercoh import build_case, cohomology, oracles
+from wondercoh import WonderfulVariety, build_case, build_root_system, cohomology, oracles
 from wondercoh.cohomology import (
     _ball_lines,
     _gamma_pairings,
     _sign_runs,
+    _walk,
     cohomology_table,
     enumerate_candidates,
 )
 from wondercoh.exactalg import translate
 from wondercoh.serialize import table_to_json
-from wondercoh.varieties import variety_from_dict
 
-from test_helpers import NAMES, count_calls, draw_weight
+from test_helpers import NAMES, count_calls, draw_weight, product_variety
 
 #: group:A1 x group:A2, spherical roots in that order: gamma_1 is orthogonal
 #: to gamma_0, so c_1 picks its own side (row j = i) and decides s_2 too.
 #: Among the group compactifications only type E has a spherical root
 #: orthogonal to all earlier ones, and group:E6 is too costly for the
 #: unpruned reference
-PRODUCT = {
-    "name": "group:A1 x group:A2",
-    "group": [["A", 1], ["A", 1], ["A", 2], ["A", 2]],
-    "spherical_roots": [[2, 2, 0, 0, 0, 0], [0, 0, 2, -1, -1, 2], [0, 0, -1, 2, 2, -1]],
-    "pic_basis": [[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 1], [0, 0, 0, 1, 1, 0]],
-    "sgamma": [
-        [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]],
-        [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1]],
-        [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]],
-    ],
-}
+PRODUCT = "group:A1 x group:A2"
 
 
 def variety(name):
-    return variety_from_dict(PRODUCT) if name == PRODUCT["name"] else build_case(name)
+    return product_variety(*name.split(" x ")) if name == PRODUCT else build_case(name)
 
 
 def unpruned_sign_runs(X, lam, base_pair):
@@ -58,12 +48,15 @@ def unpruned_sign_runs(X, lam, base_pair):
     if not X.rank:
         yield (), 1, [], base_pair, lam
         return
+    rows = _walk(X)[0]
+    gram = [row[:X.rank] for row in rows]
+    coroot = [row[X.rank:X.rank + len(base_pair)] for row in rows]
     sig_base = _gamma_pairings(X, lam)
-    for rest, lo, hi, _ in _ball_lines(X, lam, 1):
+    for (lo, *rest), n, _ in _ball_lines(X, sig_base, 1):
         kept = []
-        for c0 in range(lo, hi + 1):
+        for c0 in range(lo, lo + n):
             c = (c0, *rest)
-            sig = translate(sig_base, c, X._gamma_sign_gram)
+            sig = translate(sig_base, c, gram)
             if all((s < 0) == (ci > 0) for s, ci in zip(sig, c)):
                 kept.append(c0)
         if not kept:
@@ -74,25 +67,52 @@ def unpruned_sign_runs(X, lam, base_pair):
         yield (
             c,
             len(kept),
-            list(translate(sig_base, c, X._gamma_sign_gram)),
-            translate(base_pair, c, X._gamma_coroot_rows),
+            list(translate(sig_base, c, gram)),
+            translate(base_pair, c, coroot),
             translate(lam, c, X.spherical_roots),
         )
 
 
 @pytest.mark.parametrize(
-    "name", NAMES + ("group:D4", "group:F4", "group:E6", PRODUCT["name"])
+    "name", NAMES + ("group:D4", "group:F4", "group:E6", PRODUCT)
 )
 def test_each_sign_row_is_decided_at_one_level(name):
     # row j is decided at level i when s_j moves with no c_k, k < i, and,
     # above level 0, with c_i; level 0 holds the rows that move with c_0
     X = variety(name)
-    G = X._gamma_sign_gram
-    for i, rows in enumerate(X._decided_rows):
+    all_rows, decided = _walk(X)[:2]
+    G = [row[:X.rank] for row in all_rows]
+    for i, rows in enumerate(decided):
         for j in rows:
             assert not any(G[j][:i])
             assert i == 0 or G[j][i]
-    assert sorted(j for rows in X._decided_rows for j in rows) == list(range(X.rank))
+    assert sorted(j for rows in decided for j in rows) == list(range(X.rank))
+
+
+@pytest.mark.parametrize("name", ["flag:A2", "PSO/PSO(2)", "E6/F4", PRODUCT])
+def test_walk_slot_fills_on_the_first_evaluation(name):
+    # a fresh, validated descriptor, not the build_case memo
+    X = product_variety(*name.split(" x ")) if name == PRODUCT else build_case.__wrapped__(name)
+    assert X._walk is None
+    cohomology_table(X, X.weight_from_pic_coords((-3,) * len(X.pic_basis)))
+    walk = X._walk
+    assert walk is not None and _walk(X) is walk
+    cohomology_table(X, X.weight_from_pic_coords((1,) * len(X.pic_basis)))
+    assert X._walk is walk
+
+
+def test_walk_builds_on_a_gram_that_is_not_positive_definite():
+    # drawn and unvalidated: gamma_1 = 2 gamma_0, so G = a [[1, 2], [2, 4]]
+    X = WonderfulVariety("drawn", build_root_system([("A", 2)]), [(1, 1), (2, 2)], [(1, 0)])
+    assert not X._sigma_pos_def and X._witness_form is None
+    rows, decided, step, moving, fixed, chambers = _walk(X)
+    a = rows[0][0]
+    assert a > 0 and [row[:2] for row in rows] == [(a, 2 * a), (2 * a, 4 * a)]
+    # <gamma_i, alpha_k^vee> over alpha_1, alpha_2, alpha_1 + alpha_2, then gamma_i
+    assert [row[2:] for row in rows] == [(1, 1, 2, 1, 1), (2, 2, 4, 2, 2)]
+    assert decided == ((0, 1), ())
+    assert step == ((1, 1), (1, 1, 2)) and moving == (0, 1, 2) and fixed == ()
+    assert chambers == {}
 
 
 #: Picard coordinates drawn per rank: the reference walks the whole witness
@@ -100,7 +120,7 @@ def test_each_sign_row_is_decided_at_one_level(name):
 RANGE = {0: (-8, 4), 1: (-40, 8), 2: (-30, 8), 3: (-12, 6), 4: (-4, 2)}
 
 
-@pytest.mark.parametrize("name", NAMES + ("group:D4", "group:F4", PRODUCT["name"]))
+@pytest.mark.parametrize("name", NAMES + ("group:D4", "group:F4", PRODUCT))
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_pruned_walk_equals_unpruned_reference(name, data):

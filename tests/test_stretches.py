@@ -99,7 +99,7 @@ def per_point_run_witnesses(X, lam):
     """(J, mu) at every regular point of every run, each point's coroot
     pairings rebuilt from the run's start: the loop whose singular points
     `_stretches` skips in closed form."""
-    mu_step, pair_step = X._gamma0_step
+    mu_step, pair_step = cohomology._walk(X)[2]
     out = []
     for c, n, _, pair, mu in _sign_runs(X, lam, X.group.shifted_pairings(lam)):
         J = tuple(i for i, ci in enumerate(c) if ci > 0)
@@ -111,7 +111,7 @@ def per_point_run_witnesses(X, lam):
 
 def stretch_witnesses(X, lam):
     """(J, mu) of every witness of the stretches, in their order."""
-    mu_step = X._gamma0_step[0]
+    mu_step = cohomology._walk(X)[2][0]
     return [
         (J, inline_translate(mu, (s,), (mu_step,)))
         for J, _, _, mu, _, _, _, m in cohomology._stretches(X, lam)
@@ -122,10 +122,11 @@ def stretch_witnesses(X, lam):
 def fixed_zero_runs(X, lam):
     """(first point's pairings, n) of each run where a coroot that does
     not move along gamma_0 pairs to 0 at its start."""
+    fixed = cohomology._walk(X)[4]
     return [
         (pair, n)
         for _, n, _, pair, _ in _sign_runs(X, lam, X.group.shifted_pairings(lam))
-        if 0 in [pair[k] for k in X._gamma0_fixed]
+        if 0 in [pair[k] for k in fixed]
     ]
 
 
@@ -145,7 +146,7 @@ def test_run_with_a_fixed_zero_pairing_is_all_singular():
     lam = X.weight_from_pic_coords((-8, -8, -8))
     dropped = fixed_zero_runs(X, lam)
     assert sum(n for _, n in dropped) == 18
-    step = X._gamma0_step[1]
+    step = cohomology._walk(X)[2][1]
     for pair, n in dropped:
         assert all(0 in inline_translate(pair, (s,), (step,)) for s in range(n))
     assert stretch_witnesses(X, lam) == per_point_run_witnesses(X, lam)

@@ -19,6 +19,7 @@ from wondercoh import (
     variety_from_dict,
 )
 from wondercoh import varieties
+from wondercoh.cli import main
 from wondercoh.cohomology import cohomology_table, serre_dual_weight
 from wondercoh.serialize import table_to_json
 from wondercoh.varieties import pic_box
@@ -262,6 +263,22 @@ def test_descriptor_file_rejects_bad_data(tmp_path):
 
     with pytest.raises(CatalogError):
         load_variety(str(path))
+
+
+@pytest.mark.parametrize("name", [["x"], 7, None])
+def test_descriptor_refuses_a_name_that_is_not_a_string(name):
+    # the JSON output writes the name as "variety": str
+    doc = {"name": name, "group": [["A", 1]], "pic_basis": [[1]]}
+    with pytest.raises(CatalogError, match="malformed variety descriptor: name"):
+        variety_from_dict(doc)
+
+
+def test_describe_refuses_a_name_that_is_not_a_string(tmp_path, capsys):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"name": ["x"], "group": [["A", 1]], "pic_basis": [[1]]}))
+    assert main(["describe", "--variety-file", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "malformed variety descriptor: name" in out.err
 
 
 def test_two_rho_x_values():
