@@ -1,12 +1,11 @@
 """Command line front end.
 
-`scan` evaluates each weight of its box once and feeds that evaluation
-to every selected check; with the vanishing check, a weight is first
-refused if its candidates, counted from the ball's lines and not listed,
-exceed the cap.  Exit codes: 0 success, 2 usage error (unknown variety,
-malformed coordinates, a scan weight over that cap, an output file that
-cannot be written, a stdout whose reader is gone), 3 internal validation
-failure (a descriptor or a paper-derived invariant did not hold).
+`scan` validates its arguments, runs `oracles.scan` and writes its
+report.  Exit codes: 0 success, 2 usage error (unknown variety,
+malformed coordinates, a scan weight over the candidate cap, an output
+file that cannot be written, a stdout whose reader is gone, a region-plot
+SVG that its sidecar would overwrite), 3 internal validation failure (a
+descriptor or a paper-derived invariant did not hold).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .varieties import (
     WonderfulVariety,
     build_case,
     load_variety,
-    pic_box,
     validate,
 )
 
@@ -120,37 +118,6 @@ def cmd_cohomology(args) -> int:
     return 0
 
 
-def _serre_failure(X, rule, coords, lam, table) -> Optional[str]:
-    res = oracles._serre_check(X, table)
-    return None if res else f"lambda={list(coords)}: {res.detail}"
-
-
-def _h0_failure(X, rule, coords, lam, table) -> Optional[str]:
-    got = sorted(c.highest_weight for c in table.constituents(0))
-    expected = oracles.brion_h0(X, lam)
-    if got != expected:
-        return f"lambda={list(coords)}: H^0 is {got}, oracle says {expected}"
-    if any(c.multiplicity != 1 for c in table.constituents(0)):
-        return f"lambda={list(coords)}: H^0 multiplicity above 1"
-    if X.group.is_dominant(lam) and any(d > 0 for d in table.nonzero_degrees()):
-        return f"lambda={list(coords)}: dominant weight with higher cohomology"
-
-
-def _divisibility_failure(X, rule, coords, lam, table) -> Optional[str]:
-    ok, detail = degrees_mod._check_lengths(lam, table.witnesses(), rule)
-    if ok:
-        ok, detail = degrees_mod.check_table_against_rule(table, rule)
-        detail = f"lambda={list(coords)}: {detail}"
-    return None if ok else detail
-
-
-#: per-weight checks, each with its detail for a box that passes; a check
-#: returns its failure detail or None and stops after its first failure
-_CHECKS = {
-    "serre": (_serre_failure, "witness bijection and dimension pairing hold on the box"),
-    "h0": (_h0_failure, "degree zero matches the independent scan on the box"),
-    "divisibility": (_divisibility_failure, "all witness lengths divisible by {rule.modulus}"),
-}
 _NO_RULE = {"vanishing": "degree rule for the vanishing check", "divisibility": "divisibility rule"}
 
 
@@ -161,32 +128,14 @@ def cmd_scan(args) -> int:
     names = [c.strip() for c in args.checks.split(",") if c.strip()]
     if not names:
         raise CliError("no checks given")
-    unknown = [c for c in names if c != "vanishing" and c not in _CHECKS]
+    unknown = [c for c in names if c not in oracles.SCAN_CHECKS]
     if unknown:
         raise CliError(f"unknown checks: {', '.join(unknown)}")
     rule = degrees_mod.rule_for(X)
     needs = [_NO_RULE[c] for c in names if c in _NO_RULE]
     if rule is None and needs:
         raise CliError(f"{X.name} carries no {needs[0]}")
-    # (passed, detail) per check, in the order given; vanishing is decided last
-    checks = {c: (True, _CHECKS[c][1].format(rule=rule)) if c in _CHECKS else None for c in names}
-    realized: set[int] = set()
-    for coords, lam in pic_box(X, args.box):
-        running = [c for c, res in checks.items() if c in _CHECKS and res[0]]
-        if "vanishing" in checks:  # refuse an over-cap weight before any work on it
-            oracles.capped_candidate_count(X, coords, lam)
-        elif not running:
-            break
-        table = cohomology_table(X, lam)
-        realized.update(table.nonzero_degrees())
-        for name in running:
-            detail = _CHECKS[name][0](X, rule, coords, lam, table)
-            if detail is not None:
-                checks[name] = (False, detail)
-    if "vanishing" in checks:
-        allowed = rule.allowed()
-        detail = f"realized degrees {sorted(realized)}, allowed {sorted(allowed)}"
-        checks["vanishing"] = (realized <= allowed, detail)
+    checks = oracles.scan(X, args.box, names, rule).checks
     report = {"variety": X.name, "box": args.box, "checks": {}}
     for name, (ok, detail) in checks.items():
         report["checks"][name] = {"passed": ok, "detail": detail}
@@ -199,14 +148,16 @@ def cmd_region_plot(args) -> int:
     X = _resolve_variety(args)
     if X.rank not in (1, 2):
         raise CliError("region plots need a variety of rank 1 or 2")
+    out = args.out
+    sidecar = os.path.splitext(out)[0] + ".cls"
+    if sidecar == out:
+        raise CliError(f"--out {out} is the sidecar's own path; give the SVG another name")
     base = None
     if args.base is not None:
         if len(args.base) != len(X.pic_basis):
             raise CliError("base point has the wrong number of coordinates")
         base = X.weight_from_pic_coords(tuple(args.base))
     plot = region_plot(X, args.kind, args.range[0], args.range[1], base=base)
-    out = args.out
-    sidecar = os.path.splitext(out)[0] + ".cls"
     _emit(plot.svg(), out)
     _emit(plot.sidecar(), sidecar)
     print(f"wrote {out} and {sidecar}")

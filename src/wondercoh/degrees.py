@@ -14,6 +14,7 @@ why they live apart from the oracles.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Optional
 
 from .cohomology import CohomologyTable, contributions
@@ -31,21 +32,19 @@ class DivisibilityRule(NamedTuple):
         return allowed_degrees(self.modulus, self.restricted_count, self.rank)
 
 
+@functools.cache  # a scan asks once per weight; the result is a frozenset
 def allowed_degrees(modulus: int, restricted_count: int, rank: int) -> frozenset[int]:
-    """All degrees c*lt + j compatible with the four restricted-length constraints."""
-    out = set()
-    for lt in range(restricted_count + 1):
-        for j in range(rank + 1):
-            if lt < j:
-                continue
-            if restricted_count - lt < rank - j:
-                continue
-            if (lt == 0) != (j == 0):
-                continue
-            if (lt == restricted_count) != (j == rank):
-                continue
-            out.add(modulus * lt + j)
-    return frozenset(out)
+    """All degrees c*lt + j compatible with the four restricted-length
+    constraints: lt >= j, |restricted positives| - lt >= rank - j,
+    lt = 0 <=> j = 0 and lt = max <=> j = rank."""
+    return frozenset(
+        modulus * lt + j
+        for lt in range(restricted_count + 1)
+        for j in range(min(lt, rank) + 1)
+        if restricted_count - lt >= rank - j
+        and (lt == 0) == (j == 0)
+        and (lt == restricted_count) == (j == rank)
+    )
 
 
 def rule_for(X: WonderfulVariety) -> Optional[DivisibilityRule]:

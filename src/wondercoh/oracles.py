@@ -6,6 +6,13 @@ dimensions are binomial closed forms, the degree-zero description scans a
 plain coordinate box, and the Weyl group oracle lists group elements
 outright.  Agreement between these and the engine is evidence, not a
 tautology.
+
+`scan` runs these oracles against the engine over a box of Picard
+coordinates, for the CLI's `scan` and for `vanishing_profile`: it
+evaluates each weight of the box once and feeds that evaluation to every
+selected check; with the vanishing check, a weight is first refused if
+its candidates, counted from the ball's lines and not listed, exceed the
+cap.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .cohomology import (
     contributions,
     serre_partner,
 )
+from .degrees import _check_lengths, check_table_against_rule
 from .exactalg import translate
 from .roots import RootSystem, Weight
 from .varieties import WonderfulVariety, pic_box
@@ -118,19 +126,6 @@ def capped_candidate_count(X: WonderfulVariety, coords, lam, cap: int = 200_000)
     return n
 
 
-def vanishing_profile(
-    X: WonderfulVariety, box: int, candidate_cap: int = 200_000
-) -> set[int]:
-    """Union of nonzero cohomology degrees over all pic weights with
-    coordinates in [-box, box].  Each weight's candidates are counted, not
-    listed, and one over `candidate_cap` raises before it is evaluated."""
-    degrees: set[int] = set()
-    for coords, lam in pic_box(X, box):
-        capped_candidate_count(X, coords, lam, candidate_cap)
-        degrees.update(cohomology_table(X, lam).nonzero_degrees())
-    return degrees
-
-
 class SerreCheck(NamedTuple):
     ok: bool
     detail: str = ""
@@ -168,6 +163,82 @@ def _serre_check(X: WonderfulVariety, table: CohomologyTable) -> SerreCheck:
         if dual_dims.get(d, 0) != value:
             return SerreCheck(False, f"dim H^{d} = {value} but dual H^{n - d} differs")
     return SerreCheck(True)
+
+
+#: the checks `scan` runs, each with its detail for a box that passes;
+#: vanishing's detail is written once the whole box is scanned, if a rule is given
+SCAN_CHECKS = {
+    "vanishing": "",
+    "serre": "witness bijection and dimension pairing hold on the box",
+    "h0": "degree zero matches the independent scan on the box",
+    "divisibility": "all witness lengths divisible by {rule.modulus}",
+}
+
+
+class ScanResult(NamedTuple):
+    checks: dict[str, tuple[bool, str]]  # (passed, detail) per check, in the order given
+    realized: set[int]  # nonzero degrees over the evaluated weights
+
+
+def scan(X: WonderfulVariety, box: int, checks, rule=None, candidate_cap=200_000) -> ScanResult:
+    """Run the named `SCAN_CHECKS` over every pic weight with coordinates
+    in [-box, box], evaluating each weight once.
+
+    `vanishing` counts each weight's candidates first and raises
+    OracleBudgetError for one over `candidate_cap` before any work on it;
+    once the box is done it compares the union of realized degrees with
+    `rule.allowed()` (with no rule it only collects them and stays
+    `(True, "")`).  Every other
+    check stops at its first failing weight, and the walk stops once no
+    check is left running; `divisibility` needs `rule`.
+    """
+    results = {c: (True, SCAN_CHECKS[c].format(rule=rule)) for c in checks}
+    realized: set[int] = set()
+    for coords, lam in pic_box(X, box):
+        running = [c for c, (ok, _) in results.items() if ok and c != "vanishing"]
+        if "vanishing" in results:  # refuse an over-cap weight before any work on it
+            capped_candidate_count(X, coords, lam, candidate_cap)
+        elif not running:
+            break
+        table = cohomology_table(X, lam)
+        realized.update(table.nonzero_degrees())
+        for name in running:
+            detail = _scan_failure(name, X, rule, coords, lam, table)
+            if detail is not None:
+                results[name] = (False, detail)
+    if "vanishing" in results and rule is not None:
+        allowed = rule.allowed()
+        detail = f"realized degrees {sorted(realized)}, allowed {sorted(allowed)}"
+        results["vanishing"] = (realized <= allowed, detail)
+    return ScanResult(results, realized)
+
+
+def _scan_failure(name, X, rule, coords, lam, table) -> Optional[str]:
+    """The failure detail of check `name` at one box weight, or None."""
+    if name == "serre":
+        res = _serre_check(X, table)
+        return None if res else f"lambda={list(coords)}: {res.detail}"
+    if name == "divisibility":
+        ok, detail = _check_lengths(lam, table.witnesses(), rule)  # names the weight itself
+        if ok:
+            ok, detail = check_table_against_rule(table, rule)
+            detail = f"lambda={list(coords)}: {detail}"
+        return None if ok else detail
+    got = sorted(c.highest_weight for c in table.constituents(0))
+    expected = brion_h0(X, lam)
+    if got != expected:
+        return f"lambda={list(coords)}: H^0 is {got}, oracle says {expected}"
+    if any(c.multiplicity != 1 for c in table.constituents(0)):
+        return f"lambda={list(coords)}: H^0 multiplicity above 1"
+    if X.group.is_dominant(lam) and any(d > 0 for d in table.nonzero_degrees()):
+        return f"lambda={list(coords)}: dominant weight with higher cohomology"
+
+
+def vanishing_profile(X: WonderfulVariety, box: int, candidate_cap: int = 200_000) -> set[int]:
+    """Union of nonzero cohomology degrees over all pic weights with
+    coordinates in [-box, box]: `scan` with only `vanishing` selected, so
+    a weight over `candidate_cap` raises before it is evaluated."""
+    return scan(X, box, ("vanishing",), candidate_cap=candidate_cap).realized
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +295,14 @@ class BruteWeylGroup:
     def make_dominant_shifted(
         self, lam: Sequence[int]
     ) -> Optional[tuple[Weight, int]]:
-        """Minimise over the whole group: the oracle for the chamber walk."""
+        """The shortest element, in the length order of the whole group, that
+        makes lam + rho dominant: the oracle for the chamber walk."""
         v = tuple(x + 1 for x in self.system.check_weight(lam))
-        best = None
         for m in self.elements:
             image = self.apply(m, v)
             if all(x > 0 for x in image):
-                cand = (tuple(x - 1 for x in image), self.lengths[m])
-                if best is None or cand[1] < best[1]:
-                    best = cand
-        return best  # None exactly when lam + rho is singular
+                return tuple(x - 1 for x in image), self.lengths[m]
+        return None  # exactly when lam + rho is singular
 
 
 def weyl_group_bruteforce(system: RootSystem) -> BruteWeylGroup:

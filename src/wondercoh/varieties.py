@@ -736,8 +736,8 @@ def variety_from_dict(doc: dict, name: str = "") -> WonderfulVariety:
                 (tuple(_integer(x) for x in a), tuple(_integer(x) for x in b))
                 for a, b in doc["sgamma"]
             ]
-        if type(doc.get("name", "")) is not str:
-            raise TypeError(f"name must be a string, got {doc['name']!r}")
+        if type(doc.get("name", "")) is not str or not doc.get("name", "").isprintable():
+            raise TypeError(f"name must be a printable string, got {doc['name']!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise CatalogError(f"malformed variety descriptor: {exc}")
     label = name or doc.get("name") or "custom"

@@ -381,3 +381,27 @@ def test_closed_stdout_is_one_error_line(argv, unbuffered):
         os.close(write_end)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def test_region_plot_refuses_an_svg_named_like_its_sidecar(tmp_path, capsys):
+    # the sidecar of p.cls is p.cls itself, so it would overwrite the SVG
+    out = tmp_path / "p.cls"
+    code, stdout, err = run(
+        capsys, "region-plot", "group:A2", "--kind", "Omega",
+        "--range", "-1", "1", "--out", str(out),
+    )
+    assert (code, stdout) == (2, "")
+    assert err == f"error: --out {out} is the sidecar's own path; give the SVG another name\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [("describe",), ("cohomology", "--lambda", "-3", "--format", "text")])
+def test_variety_file_name_with_a_line_break_exits_3(tmp_path, capsys, command):
+    # a name is written raw into the one-line text headers
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"name": "a\nb", "group": [["A", 1]], "pic_basis": [[1]]}))
+    code, out, err = run(capsys, command[0], "--variety-file", str(path), *command[1:])
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: malformed variety descriptor: name must be a printable string, got 'a\\nb'\n"
+    )

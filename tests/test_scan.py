@@ -248,3 +248,22 @@ def test_capped_count_is_the_candidate_list_length(name, data):
     with pytest.raises(oracles.OracleBudgetError) as exc:
         oracles.capped_candidate_count(X, coords, lam, n - 1)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("box", [1, 2])
+@pytest.mark.parametrize("name", NAMES)
+def test_cli_scan_writes_the_library_scan(capsys, name, box):
+    # the CLI only validates and writes: its report is `oracles.scan`'s
+    # results, and the realized degrees it reports are `vanishing_profile`;
+    # a variety with no degree rule runs the two checks that need none
+    X = build_case(name)
+    rule = degrees.rule_for(X)
+    checks = ALL if rule is not None else "serre,h0"
+    result = oracles.scan(X, box, checks.split(","), rule)
+    written = report(X.name, box, *((c, ok, detail) for c, (ok, detail) in result.checks.items()))
+    code, out, err = scan(capsys, name, box, checks)
+    assert (code, out, err) == (0, written, "")
+    if rule is not None:
+        detail = json.loads(out)["checks"]["vanishing"]["detail"]
+        realized = detail.removeprefix("realized degrees ").split(", allowed ")[0]
+        assert json.loads(realized) == sorted(oracles.vanishing_profile(X, box))

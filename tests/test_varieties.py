@@ -15,6 +15,7 @@ from wondercoh import (
     build_root_system,
     flag_variety,
     group_compactification,
+    load_variety,
     validate,
     variety_from_dict,
 )
@@ -271,6 +272,18 @@ def test_descriptor_refuses_a_name_that_is_not_a_string(name):
     doc = {"name": name, "group": [["A", 1]], "pic_basis": [[1]]}
     with pytest.raises(CatalogError, match="malformed variety descriptor: name"):
         variety_from_dict(doc)
+
+
+@pytest.mark.parametrize("name", ["a\nb", "a\rb", "tab\there", "\x1b[31mred"])
+def test_descriptor_refuses_a_name_that_is_not_printable(tmp_path, name):
+    # text output writes the name into one header line
+    doc = {"name": name, "group": [["A", 1]], "pic_basis": [[1]]}
+    with pytest.raises(CatalogError, match="malformed variety descriptor: name"):
+        variety_from_dict(doc)
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CatalogError, match="malformed variety descriptor: name"):
+        load_variety(str(path))
 
 
 def test_describe_refuses_a_name_that_is_not_a_string(tmp_path, capsys):
