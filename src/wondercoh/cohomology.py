@@ -27,6 +27,9 @@ points; `enumerate_candidates` keeps returning that superset.
 The search walks the ball as lines along c_0.  `_ball_lines` peels
 c_{r-1}, ..., c_1 off by branch and bound and gives one line per fixed
 c_1..c_{r-1}: its first point c and its number n of points along c_0.
+Its bounds read the ball's quadric, which `_walk` scales to integers once
+per variety, on the first walk, from the LDL^T of the integer sign Gram
+matrix; a descriptor that is never walked never builds it.
 The descent carries the state of the walk: the sign pairings
 s_i = D (mu + rho, gamma_i) with D = X._gamma_den, the coroot pairings of
 mu + rho and mu are affine in c, so fixing c_i adds c_i times a fixed row
@@ -104,10 +107,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from fractions import Fraction
 from operator import add, eq, itemgetter, mul, sub
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .exactalg import negative_interval, row_products, translate
+from .exactalg import int_inverse, int_scaled, ldl, negative_interval, row_products, translate
 from .roots import InvariantError, RootSystem, Weight
 from .varieties import CatalogError, WonderfulVariety, _PicWeight
 
@@ -187,10 +191,9 @@ def _require_pic(X: WonderfulVariety, lam: Sequence[int]) -> Weight:
     return lam
 
 
-def _gamma_pairings(X: WonderfulVariety, mu: Weight) -> list[int]:
+def _gamma_pairings(X: WonderfulVariety, mu: Weight) -> tuple[int, ...]:
     """D (mu + rho, gamma_i) for each i, D = X._gamma_den: exact, sign-true ints."""
-    shifted = [x + 1 for x in mu]
-    return [sum(map(mul, row, shifted)) for row in X._gamma_sign_rows]
+    return row_products(X._gamma_sign_rows, [x + 1 for x in mu])
 
 
 def omega_signature(X: WonderfulVariety, mu: Sequence[int]) -> tuple[int, ...]:
@@ -206,17 +209,18 @@ def _ball_lines(
     rows: Sequence[Sequence[int]] | None = None,
     decided: Sequence[Sequence[int]] | None = None,
 ) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """The integer points of the ball c^T G c + k c^T b <= 0 of
-    `_ball_coefficients`, as lines along c_0: one (c, n, v) per fixed
-    c_1..c_{r-1} whose line meets the ball, holding exactly the n >= 1
-    points from its first point c on along c_0.  sig is s = D b, the
-    `_gamma_pairings` of lam.  Rank 0 has one line, ((), 1, start).
+    """The integer points of the ball of `_ball_coefficients` for k, as
+    lines along c_0: one (c, n, v) per fixed c_1..c_{r-1} whose line meets
+    the ball, holding exactly the n >= 1 points from its first point c on
+    along c_0.  sig is s = D b, the `_gamma_pairings` of lam.  Rank 0 has
+    one line, ((), 1, start).
 
     v is `start` carried down the descent to the line's first point,
     start + sum_i c_i rows[i]: fixing c_i adds c_i rows[i] at the first c_i
     and rows[i] once more for each later one.  `decided` cuts the sign
     pattern, and then v starts with the sign pairings s and rows[i] with
-    row i of the integer sign Gram matrix G, which is symmetric.
+    row i of the integer sign Gram matrix G, D times the ball's Gram
+    matrix and symmetric.
     decided[i] lists the rows j whose s_j = v_j + c_i G_ji is fixed once
     c_i is (G_jk = 0 for k < i), and with it c_j (j >= i); every row is
     in exactly one list.  At level i, the range of c_i keeps the c_i with
@@ -226,11 +230,11 @@ def _ball_lines(
     subtree cut empty is not returned.  With no rows (the default), v is
     `start` on every line and nothing is cut.
 
-    Completing the square with z = (k/2) G^-1 b and G = L diag(d) L^T
-    turns the quadric into sum_i d_i (c_i + o_i)^2 <= z^T G z with
-    o_i = u_i + sum_{j>i} L_ji c_j and u = L^T z = k M s, where
-    M = L^T G^-1 / (2 D).  Once per variety
-    `X._witness_form` fixes q_i, the least integer clearing row i of M and
+    Times D the ball reads c^T G c + k c^T s <= 0.  Completing the square
+    with z = (k/2) G^-1 s and G = L diag(d) L^T turns it into
+    sum_i d_i (c_i + o_i)^2 <= z^T G z with o_i = u_i + sum_{j>i} L_ji c_j
+    and u = L^T z = k M s, where M = L^T G^-1 / 2.  Once per variety the
+    `form` of `_walk` fixes q_i, the least integer clearing row i of M and
     column i of L, with form_i = q_i M_i, A_ij = q_i L_ji and
     e_i = S d_i / q_i^2 (S clears all d_i / q_i^2).  Per weight,
     base_i = q_i u_i = k form_i . s and t_i = q_i (c_i + o_i) =
@@ -244,7 +248,7 @@ def _ball_lines(
     r = X.rank
     if not r:
         return [((), 1, tuple(start))]
-    form, q, A, e = X._witness_form
+    form, q, A, e = _walk(X).form
     base = [k * sum(map(mul, row, sig)) for row in form]
     none = ((),) * r
     lines: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
@@ -343,19 +347,33 @@ def _chamber(g: RootSystem, mu: Weight, inversions: int) -> tuple[int, tuple[Wei
     return length, tuple(zip(*cols))
 
 
-def _walk(X: WonderfulVariety) -> tuple:
-    """The tables of X's witness walk, (rows, decided, step, moving, fixed,
-    chambers), built in integers on X's first evaluation into `X._walk`.
-    One unit of c_i adds rows[i] = (G_i, <gamma_i, alpha_k^vee>_k, gamma_i)
-    to the state (s, pairings, mu) of `_ball_lines`, G being the symmetric
-    integer sign Gram matrix.  decided[i] lists the sign rows j that c_i
-    moves first (G_jk = 0 for k < i), so c_i fixes s_j and c_j (j >= i, as
-    G_jj > 0); a zero row, which validation rejects, goes to level 0.  step
-    is one step of c_0, (gamma_0, <gamma_0, alpha_k^vee>_k), ((), ()) at
-    rank 0; only the coroots in `moving`, whose pairings it moves, can end
-    a stretch of `_stretches`, and `fixed` holds the rest.  chambers maps
-    an inversion set of mu + rho to (length, matrix of w, w(gamma_0)) for
-    the w making mu + rho dominant; `_stretches` fills it."""
+class Walk(NamedTuple):
+    """The tables of a variety's witness walk; see `_walk`."""
+
+    rows: tuple[tuple[int, ...], ...]
+    decided: tuple[tuple[int, ...], ...]
+    step: tuple[Weight, tuple[int, ...]]
+    moving: tuple[int, ...]
+    fixed: tuple[int, ...]
+    chambers: dict
+    form: Optional[tuple]  # (form, q, A, e) of `_ball_lines`
+
+
+def _walk(X: WonderfulVariety) -> Walk:
+    """The tables of X's witness walk, built in integers on X's first
+    evaluation into `X._walk`.  One unit of c_i adds
+    rows[i] = (G_i, <gamma_i, alpha_k^vee>_k, gamma_i) to the state
+    (s, pairings, mu) of `_ball_lines`, G being the symmetric integer sign
+    Gram matrix.  decided[i] lists the sign rows j that c_i moves first
+    (G_jk = 0 for k < i), so c_i fixes s_j and c_j (j >= i, as G_jj > 0);
+    a zero row, which validation rejects, goes to level 0.  step is one
+    step of c_0, (gamma_0, <gamma_0, alpha_k^vee>_k), ((), ()) at rank 0;
+    only the coroots in `moving`, whose pairings it moves, can end a
+    stretch of `_stretches`, and `fixed` holds the rest.  chambers maps an
+    inversion set of mu + rho to (length, matrix of w, w(gamma_0)) for the
+    w making mu + rho dominant; `_stretches` fills it.  form is the
+    witness ball's quadric (form, q, A, e) of `_ball_lines`, from G, and
+    None when G is singular, which validation rejects."""
     walk = X._walk
     if walk is None:
         sigma = X.spherical_roots
@@ -368,8 +386,35 @@ def _walk(X: WonderfulVariety) -> tuple:
         rows = tuple((*g_row, *pair_row, *gam) for g_row, pair_row, gam in zip(gram, coroot, sigma))
         moving = tuple(k for k, d in enumerate(step[1]) if d)
         fixed = tuple(k for k, d in enumerate(step[1]) if not d)
-        walk = X._walk = (rows, tuple(map(tuple, decided)), step, moving, fixed, {})
+        walk = X._walk = Walk(
+            rows, tuple(map(tuple, decided)), step, moving, fixed, {}, _ball_form(gram)
+        )
     return walk
+
+
+def _ball_form(gram: Sequence[Sequence[int]]) -> Optional[tuple]:
+    """(form, q, A, e) of `_ball_lines` from the integer sign Gram matrix
+    G, or None when G is singular: it is positive semidefinite, so `ldl`
+    raises exactly then.  Only the LDL^T of G runs on Fractions."""
+    try:
+        L, d = ldl([[Fraction(x) for x in row] for row in gram])
+    except ValueError:
+        return None
+    rows, den = int_inverse(gram)
+    form, q, A = [], [], []
+    for col in zip(*L):
+        # row i of M = L^T G^-1 / 2 is N / m, G^-1 = rows / den being
+        # symmetric, with column i of L as C / l
+        (C,), l = int_scaled([col])
+        N = row_products(rows, C)
+        m = 2 * den * l
+        qi = math.lcm(l, m // math.gcd(m, *N))
+        form.append(tuple(qi * x // m for x in N))
+        q.append(qi)
+        A.append(tuple(qi // l * x for x in C))
+    e = [di / (qi * qi) for di, qi in zip(d, q)]
+    S = math.lcm(*(x.denominator for x in e))
+    return tuple(form), tuple(q), tuple(A), tuple(int(S * x) for x in e)
 
 
 def _sign_runs(
@@ -383,9 +428,10 @@ def _sign_runs(
     `_gamma_pairings(lam)`, computed once; each is checked again here
     against every sign row.  Rank 0 has one run, the point c = ()."""
     r, m = X.rank, X.rank + len(base_pair)
-    rows, decided = _walk(X)[:2]
+    walk = _walk(X)
+    rows = walk.rows
     sig = _gamma_pairings(X, lam)
-    for c, n, v in _ball_lines(X, sig, 1, (*sig, *base_pair, *lam), rows, decided):
+    for c, n, v in _ball_lines(X, sig, 1, (*sig, *base_pair, *lam), rows, walk.decided):
         s = list(v[:r])
         # the sign cone fixes J = {i : c_i > 0}; the omega signature must
         # equal it.  A run on one side of c_0 = 0 has one J, and each s_i is
@@ -412,7 +458,9 @@ def _stretches(
     them.  Along the stretch mu moves by gamma_0, the coroot pairings by
     <gamma_0, alpha_k^vee> and mu_plus by w_step = w(gamma_0)."""
     g = X.group
-    _, _, (mu_step, pair_step), moving, fixed, chambers = _walk(X)
+    tables = _walk(X)
+    mu_step, pair_step = tables.step
+    moving, fixed, chambers = tables.moving, tables.fixed, tables.chambers
     for c, n, _, pair, mu in _sign_runs(X, lam, g.shifted_pairings(lam)):
         if 0 in pair and 0 in [pair[k] for k in fixed]:
             continue  # a coroot that does not move pairs to 0 all along the run
@@ -473,7 +521,7 @@ def _witnesses_by_degree(X: WonderfulVariety, lam: Weight) -> dict[int, list[Con
     """The certified pairs (J, mu) of lam, a weight of pic(X), per degree, in
     the order `_stretches` yields them."""
     den = X.group._weyl_den
-    mu_step, pair_step = _walk(X)[2]
+    mu_step, pair_step = _walk(X).step
     by_degree: dict[int, list[Contribution]] = {}
     for J, length, degree, mu, mu_plus, pair, w_step, m in _stretches(X, lam):
         append = by_degree.setdefault(degree, []).append

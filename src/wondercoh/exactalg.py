@@ -6,8 +6,9 @@ over one positive common denominator.  `int_inverse` inverts an integer
 matrix by fraction-free Gauss-Jordan elimination (Bareiss), so descriptor
 build stays in `int` from the Cartan matrix to the integer left inverses
 of the Picard and spherical bases.  No Gram matrix is stored with
-`fractions.Fraction` entries: only the LDL^T of the r x r spherical Gram
-matrix runs on Fractions, once per variety, and the build scales its
+`fractions.Fraction` entries: only the LDL^T of the r x r integer sign
+Gram matrix runs on Fractions, once per variety, when `cohomology._walk`
+builds the witness ball's quadric on the first walk, and it scales its
 result to integers.  `RootSystem.inner_product`, the witness-ball quadric
 of the enumeration, the omega signature and lattice membership run on
 `int` alone, and the inner product builds one Fraction, its value.
@@ -124,7 +125,7 @@ def span_numerators(
     basis rebuilds the zero vector.
     """
     rows, den = left_inverse
-    n = tuple([sum(map(mul, row, v)) for row in rows])
+    n = row_products(rows, v)
     for column, x in zip(zip(*basis) if basis else itertools.repeat(()), v):
         if sum(map(mul, n, column)) != den * x:
             return None

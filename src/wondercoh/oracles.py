@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .cohomology import (
@@ -36,7 +35,7 @@ from .cohomology import (
     serre_partner,
 )
 from .degrees import _check_lengths, check_table_against_rule
-from .exactalg import translate
+from .exactalg import row_products, translate
 from .roots import RootSystem, Weight
 from .varieties import WonderfulVariety, pic_box
 
@@ -101,10 +100,10 @@ def brion_h0(X: WonderfulVariety, lam: Sequence[int]) -> list[Weight]:
     """
     lam = _require_pic(X, lam)
     rows, _ = X.group._cartan_inv_scaled
-    lam_a = [sum(map(mul, row, lam)) for row in rows]
+    lam_a = row_products(rows, lam)
     bounds = []
     for gam in X.spherical_roots:
-        gam_a = [sum(map(mul, row, gam)) for row in rows]
+        gam_a = row_products(rows, gam)
         bounds.append(min(la // ga for la, ga in zip(lam_a, gam_a) if ga > 0))
     found = []
     for minus_d in itertools.product(*(range(0, -b - 1, -1) for b in bounds)):

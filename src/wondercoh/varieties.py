@@ -25,17 +25,13 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 from fractions import Fraction
-from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .exactalg import (
     ScaledMatrix,
     int_inverse,
-    int_scaled,
     lattice_coords,
-    ldl,
     least_scaled,
     row_products,
     span_numerators,
@@ -46,6 +42,10 @@ from .roots import RootSystem, Weight, _integer, build_root_system, parse_type
 
 class CatalogError(ValueError):
     """A variety descriptor failed validation or could not be built."""
+
+
+class _NoLambdaZero(CatalogError):
+    """lambda_0 asked of a descriptor that defines none."""
 
 
 class Check(NamedTuple):
@@ -187,34 +187,14 @@ class WonderfulVariety:
         # spherical pairing rows: (v, gamma_i) = W_i . v / D with one common
         # integer D > 0, so W_i . v is exact and has the sign of (v, gamma_i)
         self._gamma_sign_rows, self._gamma_den = least_scaled(sigma_pairing, fden)
-        # (form, q, A, e) of cohomology._ball_lines, scaled to integers once
-        self._witness_form = None
-        if sigma_inv is not None:
-            rows, den = sigma_inv
-            # G = sigma_gram / fden, so G^-1 = fden * rows / den; only the
-            # LDL^T of G runs on Fractions
-            L, d = ldl([[Fraction(x, fden) for x in row] for row in sigma_gram])
-            form, q, A = [], [], []
-            for col in zip(*L):
-                # row i of M = L^T G^-1 / (2 D) is N / m, G^-1 being
-                # symmetric, with column i of L as C / l
-                (C,), l = int_scaled([col])
-                N = [fden * x for x in row_products(rows, C)]
-                m = 2 * self._gamma_den * den * l
-                qi = math.lcm(l, m // math.gcd(m, *N))
-                form.append(tuple(qi * x // m for x in N))
-                q.append(qi)
-                A.append(tuple(qi // l * x for x in C))
-            e = [di / (qi * qi) for di, qi in zip(d, q)]
-            S = math.lcm(*(x.denominator for x in e))
-            self._witness_form = (tuple(form), tuple(q), tuple(A), tuple(int(S * x) for x in e))
         # integer left inverses of both bases, for lattice membership
         self._sigma_left_inv = _left_inverse(sigma_inv, sigma_pairing)
         self._pic_left_inv = _left_inverse(pic_inv, pic_pairing)
         twist = translate([-x for x in self.two_rho_X], (-1,) * self.rank, sigma)
         coords = lattice_coords(pic, self._pic_left_inv, twist)
         self._serre_twist: Weight = twist if coords is None else _PicWeight(twist, self, coords)
-        # the witness walk's tables, which `cohomology._walk` builds on first use
+        # the witness walk's tables, the ball's quadric among them, which
+        # `cohomology._walk` builds from the sign rows on first use
         self._walk: Optional[tuple] = None
 
     # -- lattice membership ----------------------------------------------
@@ -241,10 +221,10 @@ class WonderfulVariety:
         coeffs = tuple([_integer(c) for c in coords])
         return _PicWeight(translate((0,) * self.group.rank, coeffs, self.pic_basis), self, coeffs)
 
-    def _pic_pairings(self) -> list[list[int]]:
+    def _pic_pairings(self) -> list[tuple[int, ...]]:
         """D (pic_j, gamma_i) in row j, column i, D = self._gamma_den: exact,
         sign-true ints."""
-        return [[sum(map(mul, row, w)) for row in self._gamma_sign_rows] for w in self.pic_basis]
+        return [row_products(self._gamma_sign_rows, w) for w in self.pic_basis]
 
     # -- distinguished weights --------------------------------------------
 
@@ -256,31 +236,46 @@ class WonderfulVariety:
         return translate((0,) * self.group.rank, self.lambda_zero_coords(), self.pic_basis)
 
     def lambda_zero_coords(self) -> tuple[int, ...]:
+        """lambda_0 in pic coordinates.  X defines it at rank 1 or 2, on a
+        pic basis of r weights whose pairings with the spherical roots are
+        diagonal, and elsewhere this raises `_NoLambdaZero`: a unimodular
+        change of such a basis, (p1, p1 + p2) say, spans the same pic(X)
+        but has no lambda_0.  Where X defines it but some (pic_i, gamma_i)
+        is not positive or a coefficient is not an integer, this raises
+        CatalogError."""
         if self.rank not in (1, 2):
-            raise CatalogError(f"{self.name}: lambda_zero needs rank 1 or 2")
+            raise _NoLambdaZero(f"{self.name}: lambda_zero needs rank 1 or 2")
         if len(self.pic_basis) != self.rank:
-            raise CatalogError(f"{self.name}: pic basis rank differs from variety rank")
+            raise _NoLambdaZero(f"{self.name}: pic basis rank differs from variety rank")
         # pairings scaled by D > 0: the same signs and the same ratios
+        pairings = self._pic_pairings()
+        for i, row in enumerate(pairings):
+            if any(row[:i]) or any(row[i + 1:]):
+                raise _NoLambdaZero(f"{self.name}: pic/spherical pairing matrix is not diagonal")
         coeffs = []
-        for i, pairings in enumerate(self._pic_pairings()):
-            for j, pairing in enumerate(pairings):
-                if i != j and pairing != 0:
-                    raise CatalogError(
-                        f"{self.name}: pic/spherical pairing matrix is not diagonal"
-                    )
-                if i == j and pairing <= 0:
-                    raise CatalogError(
-                        f"{self.name}: (pic_i, gamma_i) must be positive"
-                    )
+        for i, row in enumerate(pairings):
+            if row[i] <= 0:
+                raise CatalogError(f"{self.name}: (pic_i, gamma_i) must be positive")
             rho_pairing = sum(self._gamma_sign_rows[i])  # rho = (1, ..., 1)
-            ratio, rem = divmod(rho_pairing, pairings[i])
+            ratio, rem = divmod(rho_pairing, row[i])
             if rem:
                 raise CatalogError(
                     f"{self.name}: lambda_zero coefficient "
-                    f"{Fraction(rho_pairing, pairings[i])} is not integral"
+                    f"{Fraction(rho_pairing, row[i])} is not integral"
                 )
             coeffs.append(-(ratio + 1))
         return tuple(coeffs)
+
+    def _lambda_zero_check(self) -> tuple[Optional[tuple[int, ...]], str]:
+        """What `validate` and `describe_lines` read of lambda_0: (coords, "")
+        where X defines it, (None, why) where X defines it but its
+        coordinates fail, and (None, "") where X defines none."""
+        try:
+            return self.lambda_zero_coords(), ""
+        except _NoLambdaZero:
+            return None, ""
+        except CatalogError as exc:
+            return None, str(exc)
 
     def serre_twist(self) -> Weight:
         """-2 rho_X - sum of spherical roots (the dualising shift on pic).
@@ -302,16 +297,13 @@ class WonderfulVariety:
             "pic basis: " + ", ".join(str(list(x)) for x in self.pic_basis),
             f"2 rho_X = {list(self.two_rho_X)}",
         ]
-        if self.rank in (1, 2) and len(self.pic_basis) == self.rank:
-            try:
-                coords = self.lambda_zero_coords()
-                lines.append(
-                    "lambda_0 = "
-                    + " + ".join(f"{c}*pic[{i + 1}]" for i, c in enumerate(coords))
-                    + f" = {list(self.lambda_zero())}"
-                )
-            except CatalogError:
-                pass
+        coords = self._lambda_zero_check()[0]
+        if coords is not None:
+            lines.append(
+                "lambda_0 = "
+                + " + ".join(f"{c}*pic[{i + 1}]" for i, c in enumerate(coords))
+                + f" = {list(self.lambda_zero())}"
+            )
         return lines
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -400,18 +392,17 @@ def validate(X: WonderfulVariety) -> ValidationReport:
             f"{c}*{restricted}+{X.rank} != {X.dimension_N}",
         )
 
-    if X.rank in (1, 2) and len(X.pic_basis) == X.rank:
-        try:
-            coords = X.lambda_zero_coords()
-            add("lambda_zero has integral coordinates", True)
-            if "lambda0" in X.expected:
-                add(
-                    f"lambda_zero = {list(X.expected['lambda0'])} in pic coordinates",
-                    coords == tuple(X.expected["lambda0"]),
-                    f"computed {list(coords)}",
-                )
-        except CatalogError as exc:
-            add("lambda_zero has integral coordinates", False, str(exc))
+    # only where lambda_0 is defined: a pic basis that is not dual to the
+    # spherical roots spans pic(X) as well
+    coords, failure = X._lambda_zero_check()
+    if coords is not None or failure:
+        add("lambda_zero has integral coordinates", coords is not None, failure)
+    if coords is not None and "lambda0" in X.expected:
+        add(
+            f"lambda_zero = {list(X.expected['lambda0'])} in pic coordinates",
+            coords == tuple(X.expected["lambda0"]),
+            f"computed {list(coords)}",
+        )
 
     if X.sgamma_data is not None:
         _validate_sgamma(X, add)

@@ -405,3 +405,54 @@ def test_variety_file_name_with_a_line_break_exits_3(tmp_path, capsys, command):
     assert err == (
         "error: malformed variety descriptor: name must be a printable string, got 'a\\nb'\n"
     )
+
+
+def rebased_doc(name):
+    """The descriptor file of `name` with its pic basis (p1, p2) changed to
+    (p1, p1 + p2): valid, but with no lambda_0."""
+    X = wondercoh.build_case(name)
+    p1, p2 = X.pic_basis
+    return {
+        "name": f"{name}'",
+        "group": [list(c) for c in X.group.components],
+        "spherical_roots": [list(g) for g in X.spherical_roots],
+        "pic_basis": [list(p1), [a + b for a, b in zip(p1, p2)]],
+        "q_simple_roots": [i + 1 for i in sorted(X.q_simple_roots)],
+        "sgamma": [[list(a), list(b)] for a, b in X.sgamma_data],
+    }
+
+
+@pytest.mark.parametrize("name", ["group:A2", "E6/F4"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("cohomology", "--lambda", "0", "0", "--relative-lambda0"),
+        ("region-plot", "--kind", "Omega", "--range", "-1", "1", "--out", "p.svg"),
+    ],
+)
+def test_lambda_zero_of_a_descriptor_that_defines_none_exits_2(tmp_path, capsys, name, command):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(rebased_doc(name)))
+    args = [str(tmp_path / a) if a == "p.svg" else a for a in command]
+    code, out, err = run(capsys, args[0], "--variety-file", str(path), *args[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: no lambda_0: {name}': pic/spherical pairing matrix is not diagonal\n"
+    assert not (tmp_path / "p.svg").exists()
+
+
+def test_a_descriptor_without_lambda_zero_still_runs(tmp_path, capsys):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(rebased_doc("group:A2")))
+    code, out, _ = run(capsys, "describe", "--variety-file", str(path))
+    assert code == 0 and "FAIL" not in out and "lambda" not in out
+    # (a, b) in the new basis is (a + b, b) in the catalog's
+    code, out, _ = run(capsys, "cohomology", "--variety-file", str(path), "--lambda", "-3", "1",
+                       "--format", "json")
+    _, catalog_out, _ = run(capsys, "cohomology", "group:A2", "--lambda", "-2", "1",
+                            "--format", "json")
+    assert code == 0 and json.loads(out)["groups"] == json.loads(catalog_out)["groups"]
+    svg = tmp_path / "p.svg"
+    for kind, base in (("Omega", ["--base", "-2", "0"]), ("R", [])):
+        code, _, _ = run(capsys, "region-plot", "--variety-file", str(path), "--kind", kind,
+                         "--range", "-1", "1", "--out", str(svg), *base)
+        assert code == 0 and svg.exists()

@@ -247,7 +247,7 @@ def cold_chambers(monkeypatch, X):
     inversion set its evaluations meet is walked afresh; the shared table
     comes back after the test."""
     table: dict = {}
-    monkeypatch.setattr(X, "_walk", (*cohomology._walk(X)[:5], table))
+    monkeypatch.setattr(X, "_walk", cohomology._walk(X)._replace(chambers=table))
     return table
 
 

@@ -23,9 +23,12 @@ from wondercoh.cohomology import (
     _walk,
     cohomology_table,
     enumerate_candidates,
+    omega_signature,
 )
 from wondercoh.exactalg import translate
+from wondercoh.regions import region_plot
 from wondercoh.serialize import table_to_json
+from wondercoh.varieties import validate
 
 from test_helpers import NAMES, count_calls, draw_weight, product_variety
 
@@ -91,28 +94,48 @@ def test_each_sign_row_is_decided_at_one_level(name):
 
 @pytest.mark.parametrize("name", ["flag:A2", "PSO/PSO(2)", "E6/F4", PRODUCT])
 def test_walk_slot_fills_on_the_first_evaluation(name):
-    # a fresh, validated descriptor, not the build_case memo
-    X = product_variety(*name.split(" x ")) if name == PRODUCT else build_case.__wrapped__(name)
+    def fresh():
+        # a fresh, validated descriptor, not the build_case memo
+        if name == PRODUCT:
+            return product_variety(*name.split(" x "))
+        return build_case.__wrapped__(name)
+
+    X = fresh()
+    coords = (-3,) * len(X.pic_basis)
+    # nothing that reads the descriptor alone builds the walk or its quadric
+    validate(X)
+    X.describe_lines()
+    omega_signature(X, X.weight_from_pic_coords(coords))
+    if X.rank in (1, 2):
+        region_plot(X, "Omega", -2, 2)
     assert X._walk is None
-    cohomology_table(X, X.weight_from_pic_coords((-3,) * len(X.pic_basis)))
+    cohomology_table(X, X.weight_from_pic_coords(coords))
     walk = X._walk
     assert walk is not None and _walk(X) is walk
     cohomology_table(X, X.weight_from_pic_coords((1,) * len(X.pic_basis)))
     assert X._walk is walk
+    if X.rank:  # the candidate ball reads the quadric; rank 0 has none to read
+        for count in (
+            enumerate_candidates,
+            lambda Y, lam: oracles.capped_candidate_count(Y, coords, lam),
+        ):
+            Y = fresh()
+            count(Y, Y.weight_from_pic_coords(coords))
+            assert Y._walk is not None and Y._walk.form is not None
 
 
 def test_walk_builds_on_a_gram_that_is_not_positive_definite():
     # drawn and unvalidated: gamma_1 = 2 gamma_0, so G = a [[1, 2], [2, 4]]
     X = WonderfulVariety("drawn", build_root_system([("A", 2)]), [(1, 1), (2, 2)], [(1, 0)])
-    assert not X._sigma_pos_def and X._witness_form is None
-    rows, decided, step, moving, fixed, chambers = _walk(X)
+    assert not X._sigma_pos_def
+    rows, decided, step, moving, fixed, chambers, form = _walk(X)
     a = rows[0][0]
     assert a > 0 and [row[:2] for row in rows] == [(a, 2 * a), (2 * a, 4 * a)]
     # <gamma_i, alpha_k^vee> over alpha_1, alpha_2, alpha_1 + alpha_2, then gamma_i
     assert [row[2:] for row in rows] == [(1, 1, 2, 1, 1), (2, 2, 4, 2, 2)]
     assert decided == ((0, 1), ())
     assert step == ((1, 1), (1, 1, 2)) and moving == (0, 1, 2) and fixed == ()
-    assert chambers == {}
+    assert chambers == {} and form is None
 
 
 #: Picard coordinates drawn per rank: the reference walks the whole witness

@@ -1,6 +1,7 @@
 """Catalog descriptors, validation, and the descriptor file format."""
 
 import copy
+import itertools
 import json
 
 import pytest
@@ -158,6 +159,28 @@ def test_lambda_zero_refuses_non_diagonal_pairing():
     X = rebased("group:A2", [tuple(a + b for a, b in zip(p0, p1)), p1])
     with pytest.raises(CatalogError, match="pairing matrix is not diagonal"):
         X.lambda_zero_coords()
+
+
+#: the rank-2 catalog entries; on each, the unimodular change of pic basis
+#: (p1, p2) -> (p1, p1 + p2) makes the pic/spherical pairing non-diagonal
+RANK_TWO = ("E6/F4", "group:A2", "group:B2", "group:G2", "PGL/PSp(3)")
+
+
+@pytest.mark.parametrize("name", RANK_TWO)
+def test_a_unimodular_change_of_pic_basis_validates(name):
+    # the new basis spans the same pic(X); it only has no lambda_0
+    X = build_case(name)
+    p1, p2 = X.pic_basis
+    Y = WonderfulVariety(f"{name}'", X.group, X.spherical_roots,
+                         [p1, tuple(a + b for a, b in zip(p1, p2))], X.q_simple_roots,
+                         sgamma_data=X.sgamma_data)
+    report = validate(Y)
+    assert report.passed, str(report)
+    assert not any("lambda" in c.name for c in report.checks)
+    assert not any(line.startswith("lambda_0") for line in Y.describe_lines())
+    for coords in itertools.product(range(-4, 2), repeat=2):
+        lam = X.weight_from_pic_coords(coords)
+        assert cohomology_table(Y, tuple(lam)) == cohomology_table(X, lam), coords
 
 
 @pytest.mark.parametrize("name", ["PSO/PSO(2)", "E6/F4"])
