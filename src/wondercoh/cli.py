@@ -4,9 +4,10 @@
 report.  Exit codes: 0 success, 2 usage error (unknown variety,
 malformed coordinates, a scan weight over the candidate cap, an output
 file that cannot be written, a stdout whose reader is gone, a region-plot
-SVG that its sidecar would overwrite, lambda_0 asked of a descriptor that
-defines none), 3 internal validation failure (a descriptor or a
-paper-derived invariant did not hold).
+SVG that its sidecar would overwrite, any other ValueError of the
+library, such as `lambda_zero` on a descriptor that defines none), 3
+internal validation failure (a descriptor or a paper-derived invariant
+did not hold).
 """
 
 from __future__ import annotations
@@ -65,21 +66,8 @@ def _resolve_lambda(X: WonderfulVariety, args) -> tuple[int, ...]:
             f"{X.name} needs {len(X.pic_basis)} pic coordinates, got {len(coords)}"
         )
     if getattr(args, "relative_lambda0", False):
-        if X.rank not in (1, 2):
-            raise CliError("--relative-lambda0 needs a variety of rank 1 or 2")
-        base = _lambda_zero_coords(X)
-        coords = tuple(b + c for b, c in zip(base, coords))
+        coords = tuple(b + c for b, c in zip(X.lambda_zero_coords(), coords))
     return coords
-
-
-def _lambda_zero_coords(X: WonderfulVariety) -> tuple[int, ...]:
-    """lambda_0 of a validated X of rank 1 or 2.  Validation checked it
-    wherever X defines it, so a failure here means that X defines none, as
-    on a pic basis not dual to the spherical roots: a usage error."""
-    try:
-        return X.lambda_zero_coords()
-    except CatalogError as exc:
-        raise CliError(f"no lambda_0: {exc}")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -146,7 +134,7 @@ def cmd_scan(args) -> int:
     needs = [_NO_RULE[c] for c in names if c in _NO_RULE]
     if rule is None and needs:
         raise CliError(f"{X.name} carries no {needs[0]}")
-    checks = oracles.scan(X, args.box, names, rule).checks
+    checks = oracles.scan(X, args.box, names).checks
     report = {"variety": X.name, "box": args.box, "checks": {}}
     for name, (ok, detail) in checks.items():
         report["checks"][name] = {"passed": ok, "detail": detail}
@@ -168,8 +156,6 @@ def cmd_region_plot(args) -> int:
         if len(args.base) != len(X.pic_basis):
             raise CliError("base point has the wrong number of coordinates")
         base = X.weight_from_pic_coords(tuple(args.base))
-    elif args.kind == "Omega":
-        base = X.weight_from_pic_coords(_lambda_zero_coords(X))
     plot = region_plot(X, args.kind, args.range[0], args.range[1], base=base)
     _emit(plot.svg(), out)
     _emit(plot.sidecar(), sidecar)

@@ -34,7 +34,7 @@ from .cohomology import (
     contributions,
     serre_partner,
 )
-from .degrees import _check_lengths, check_table_against_rule
+from . import degrees
 from .exactalg import row_products, translate
 from .roots import RootSystem, Weight
 from .varieties import WonderfulVariety, pic_box
@@ -96,15 +96,13 @@ def brion_h0(X: WonderfulVariety, lam: Sequence[int]) -> list[Weight]:
     d >= 0 needs d_i gamma_ia <= lam_a in each simple-root coordinate a:
     d_i <= lam_a // gamma_ia wherever gamma_ia > 0, with the coordinates
     scaled to integers by one common denominator.  A bound below 0 leaves
-    no mu.
+    no mu.  The gamma_ia are descriptor data, taken once at build.
     """
     lam = _require_pic(X, lam)
-    rows, _ = X.group._cartan_inv_scaled
-    lam_a = row_products(rows, lam)
-    bounds = []
-    for gam in X.spherical_roots:
-        gam_a = row_products(rows, gam)
-        bounds.append(min(la // ga for la, ga in zip(lam_a, gam_a) if ga > 0))
+    lam_a = row_products(X.group._cartan_inv_scaled[0], lam)
+    bounds = [
+        min(la // ga for la, ga in zip(lam_a, gam_a) if ga > 0) for gam_a in X._gamma_simple
+    ]
     found = []
     for minus_d in itertools.product(*(range(0, -b - 1, -1) for b in bounds)):
         mu = translate(lam, minus_d, X.spherical_roots)
@@ -179,18 +177,28 @@ class ScanResult(NamedTuple):
     realized: set[int]  # nonzero degrees over the evaluated weights
 
 
-def scan(X: WonderfulVariety, box: int, checks, rule=None, candidate_cap=200_000) -> ScanResult:
+def scan(X: WonderfulVariety, box: int, checks, *, candidate_cap=200_000) -> ScanResult:
     """Run the named `SCAN_CHECKS` over every pic weight with coordinates
-    in [-box, box], evaluating each weight once.
+    in [-box, box], evaluating each weight once; the degree rule is
+    `degrees.rule_for(X)`.
 
     `vanishing` counts each weight's candidates first and raises
     OracleBudgetError for one over `candidate_cap` before any work on it;
     once the box is done it compares the union of realized degrees with
     `rule.allowed()` (with no rule it only collects them and stays
-    `(True, "")`).  Every other
-    check stops at its first failing weight, and the walk stops once no
-    check is left running; `divisibility` needs `rule`.
+    `(True, "")`).  Every other check stops at its first failing weight,
+    and the walk stops once no check is left running.  An unknown check,
+    `divisibility` on an X with no rule and a box below 0 raise ValueError
+    before any weight is evaluated.
     """
+    rule = degrees.rule_for(X)
+    if box < 0:
+        raise ValueError("box must be >= 0")
+    unknown = [c for c in checks if c not in SCAN_CHECKS]
+    if unknown:
+        raise ValueError(f"unknown checks: {', '.join(unknown)}")
+    if rule is None and "divisibility" in checks:
+        raise ValueError(f"{X.name} carries no divisibility rule")
     results = {c: (True, SCAN_CHECKS[c].format(rule=rule)) for c in checks}
     realized: set[int] = set()
     for coords, lam in pic_box(X, box):
@@ -218,9 +226,10 @@ def _scan_failure(name, X, rule, coords, lam, table) -> Optional[str]:
         res = _serre_check(X, table)
         return None if res else f"lambda={list(coords)}: {res.detail}"
     if name == "divisibility":
-        ok, detail = _check_lengths(lam, table.witnesses(), rule)  # names the weight itself
+        # the length check names the weight itself
+        ok, detail = degrees._check_lengths(lam, table.witnesses(), rule)
         if ok:
-            ok, detail = check_table_against_rule(table, rule)
+            ok, detail = degrees.check_table_against_rule(table, rule)
             detail = f"lambda={list(coords)}: {detail}"
         return None if ok else detail
     got = sorted(c.highest_weight for c in table.constituents(0))

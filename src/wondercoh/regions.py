@@ -9,7 +9,8 @@ The Omega class of grid point n is the set of i with
 (base + sum_j n_j pic_j + rho, gamma_i) < 0.  Scaled by the common
 denominator D of the integer sign rows, these pairings are
 s + sum_j n_j P_j, with s = D (base + rho, gamma_.) and the integer step
-rows P_j = D (pic_j, gamma_.), both taken once per plot.  Along a grid
+rows P_j = D (pic_j, gamma_.): s is taken once per plot, and the P_j
+are the pic sign rows the descriptor takes once at build.  Along a grid
 line only the last coordinate moves, by the fixed row P_{r-1}, so each
 pairing is affine on the line and is negative on a prefix or a suffix of
 it; one `exactalg.negative_interval` call per pairing and line finds
@@ -56,7 +57,7 @@ def _omega_masks(X: WonderfulVariety, base: Weight, axis: range) -> Iterator[int
     """J bitmasks of the grid points base + sum n_j pic_j, n in axis^r, in
     itertools.product order; base must already be in pic(X)."""
     # the pairings move by steps[j] per unit of n_j
-    steps = X._pic_pairings()
+    steps = X._pic_sign_rows
     s = _gamma_pairings(X, base)
     n = len(axis)
     for outer in itertools.product(axis, repeat=X.rank - 1):

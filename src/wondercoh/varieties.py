@@ -14,6 +14,12 @@ derives gamma = alpha + beta, halved for the quadrics.  A constructor
 supplies only the group, the pairs, the pic basis and q (plus the expected
 constants that `validate` compares against).
 
+Each per-variety constant is solved once, when the descriptor is built
+(`WonderfulVariety._init_lattice_caches`): the integer sign rows of the
+spherical roots and of the pic basis, the lattice left inverses, the
+Serre twist, lambda_0 (or the error asking for it raises) and the
+spherical roots' simple-root coordinates.  Readers take them from there.
+
 Sign conventions: all weights live in the fundamental-weight basis of the
 standard positive system of the group, pic basis vectors are oriented so
 that they pair positively with their spherical roots, and the base point
@@ -42,10 +48,6 @@ from .roots import RootSystem, Weight, _integer, build_root_system, parse_type
 
 class CatalogError(ValueError):
     """A variety descriptor failed validation or could not be built."""
-
-
-class _NoLambdaZero(CatalogError):
-    """lambda_0 asked of a descriptor that defines none."""
 
 
 class Check(NamedTuple):
@@ -103,11 +105,11 @@ class _PicWeight(tuple):
     """A weight of pic(X) that carries its variety and its integer pic
     coordinates, so that `WonderfulVariety.pic_contains` of that variety
     reads them instead of solving.  Made only from coordinates the library
-    holds: `weight_from_pic_coords`, the Serre twist when it lies in pic,
-    and `cohomology._serre_dual` on two such weights.  It compares and
-    hashes as the plain tuple of its entries, and anything that builds a
-    new tuple from it (arithmetic, slicing, `check_weight`) is a plain
-    weight, which is solved again."""
+    holds: `weight_from_pic_coords` (lambda_0 among them), the Serre twist
+    when it lies in pic, and `cohomology._serre_dual` on two such weights.
+    It compares and hashes as the plain tuple of its entries, and anything
+    that builds a new tuple from it (arithmetic, slicing, `check_weight`)
+    is a plain weight, which is solved again."""
 
     def __new__(cls, values: Sequence[int], variety: WonderfulVariety, coords: tuple[int, ...]):
         lam = tuple.__new__(cls, values)
@@ -193,6 +195,13 @@ class WonderfulVariety:
         twist = translate([-x for x in self.two_rho_X], (-1,) * self.rank, sigma)
         coords = lattice_coords(pic, self._pic_left_inv, twist)
         self._serre_twist: Weight = twist if coords is None else _PicWeight(twist, self, coords)
+        # pic sign rows: D (pic_j, gamma_i) in row j, column i, exact and
+        # sign-true; the Omega grid steps by them and lambda_0 is solved on them
+        self._pic_sign_rows = tuple(row_products(self._gamma_sign_rows, w) for w in pic)
+        # the spherical roots in simple-root coordinates, scaled by one
+        # common integer > 0: `validate` and `oracles.brion_h0` read them
+        self._gamma_simple = tuple(row_products(g._cartan_inv_scaled[0], gam) for gam in sigma)
+        self._lambda_zero = self._solve_lambda_zero()
         # the witness walk's tables, the ball's quadric among them, which
         # `cohomology._walk` builds from the sign rows on first use
         self._walk: Optional[tuple] = None
@@ -221,61 +230,55 @@ class WonderfulVariety:
         coeffs = tuple([_integer(c) for c in coords])
         return _PicWeight(translate((0,) * self.group.rank, coeffs, self.pic_basis), self, coeffs)
 
-    def _pic_pairings(self) -> list[tuple[int, ...]]:
-        """D (pic_j, gamma_i) in row j, column i, D = self._gamma_den: exact,
-        sign-true ints."""
-        return [row_products(self._gamma_sign_rows, w) for w in self.pic_basis]
-
     # -- distinguished weights --------------------------------------------
 
-    def lambda_zero(self) -> Weight:
-        """Base point of the paper-style region figures (rank 1 and 2 only):
-        integer pic coordinates, so always in pic(X).  A plain weight:
-        `regions.region_plot` never checks its default base, so carrying the
-        coordinates would only cost time."""
-        return translate((0,) * self.group.rank, self.lambda_zero_coords(), self.pic_basis)
-
-    def lambda_zero_coords(self) -> tuple[int, ...]:
-        """lambda_0 in pic coordinates.  X defines it at rank 1 or 2, on a
-        pic basis of r weights whose pairings with the spherical roots are
-        diagonal, and elsewhere this raises `_NoLambdaZero`: a unimodular
+    def _solve_lambda_zero(self) -> Weight | ValueError:
+        """lambda_0 as a weight carrying its pic coordinates, or the error
+        `lambda_zero` raises.  X defines lambda_0 at rank 1 or 2, on a pic
+        basis of r weights whose pairings with the spherical roots are
+        diagonal; elsewhere the error is a plain ValueError, as a unimodular
         change of such a basis, (p1, p1 + p2) say, spans the same pic(X)
         but has no lambda_0.  Where X defines it but some (pic_i, gamma_i)
-        is not positive or a coefficient is not an integer, this raises
-        CatalogError."""
+        is not positive or a coefficient is not an integer, the error is a
+        CatalogError, and `validate` refuses X."""
+        rows = self._pic_sign_rows
         if self.rank not in (1, 2):
-            raise _NoLambdaZero(f"{self.name}: lambda_zero needs rank 1 or 2")
-        if len(self.pic_basis) != self.rank:
-            raise _NoLambdaZero(f"{self.name}: pic basis rank differs from variety rank")
-        # pairings scaled by D > 0: the same signs and the same ratios
-        pairings = self._pic_pairings()
-        for i, row in enumerate(pairings):
-            if any(row[:i]) or any(row[i + 1:]):
-                raise _NoLambdaZero(f"{self.name}: pic/spherical pairing matrix is not diagonal")
-        coeffs = []
-        for i, row in enumerate(pairings):
-            if row[i] <= 0:
-                raise CatalogError(f"{self.name}: (pic_i, gamma_i) must be positive")
-            rho_pairing = sum(self._gamma_sign_rows[i])  # rho = (1, ..., 1)
-            ratio, rem = divmod(rho_pairing, row[i])
-            if rem:
-                raise CatalogError(
-                    f"{self.name}: lambda_zero coefficient "
-                    f"{Fraction(rho_pairing, row[i])} is not integral"
-                )
-            coeffs.append(-(ratio + 1))
-        return tuple(coeffs)
+            why = "lambda_zero needs rank 1 or 2"
+        elif len(rows) != self.rank:
+            why = "pic basis rank differs from variety rank"
+        elif any(x for j, row in enumerate(rows) for i, x in enumerate(row) if i != j):
+            why = "pic/spherical pairing matrix is not diagonal"
+        else:
+            # pairings scaled by D > 0: the same signs and the same ratios
+            coeffs = []
+            for i, row in enumerate(rows):
+                if row[i] <= 0:
+                    return CatalogError(f"{self.name}: (pic_i, gamma_i) must be positive")
+                rho_pairing = sum(self._gamma_sign_rows[i])  # rho = (1, ..., 1)
+                ratio, rem = divmod(rho_pairing, row[i])
+                if rem:
+                    return CatalogError(
+                        f"{self.name}: lambda_zero coefficient "
+                        f"{Fraction(rho_pairing, row[i])} is not integral"
+                    )
+                coeffs.append(-(ratio + 1))
+            return self.weight_from_pic_coords(coeffs)
+        return ValueError(f"no lambda_0: {self.name}: {why}")
 
-    def _lambda_zero_check(self) -> tuple[Optional[tuple[int, ...]], str]:
-        """What `validate` and `describe_lines` read of lambda_0: (coords, "")
-        where X defines it, (None, why) where X defines it but its
-        coordinates fail, and (None, "") where X defines none."""
-        try:
-            return self.lambda_zero_coords(), ""
-        except _NoLambdaZero:
-            return None, ""
-        except CatalogError as exc:
-            return None, str(exc)
+    def lambda_zero(self) -> Weight:
+        """Base point of the paper-style region figures (rank 1 and 2 only),
+        solved once at build: integer pic coordinates, so always in pic(X),
+        and the weight carries them.  Raises ValueError where X defines no
+        lambda_0 and CatalogError where its coordinates fail (see
+        `_solve_lambda_zero`)."""
+        lam = self._lambda_zero
+        if isinstance(lam, ValueError):
+            raise type(lam)(*lam.args)  # a fresh error: the slot keeps no traceback
+        return lam
+
+    def lambda_zero_coords(self) -> tuple[int, ...]:
+        """lambda_0 in pic coordinates; raises as `lambda_zero` does."""
+        return self.lambda_zero().coords
 
     def serre_twist(self) -> Weight:
         """-2 rho_X - sum of spherical roots (the dualising shift on pic).
@@ -297,12 +300,12 @@ class WonderfulVariety:
             "pic basis: " + ", ".join(str(list(x)) for x in self.pic_basis),
             f"2 rho_X = {list(self.two_rho_X)}",
         ]
-        coords = self._lambda_zero_check()[0]
-        if coords is not None:
+        lam0 = self._lambda_zero
+        if isinstance(lam0, _PicWeight):
             lines.append(
                 "lambda_0 = "
-                + " + ".join(f"{c}*pic[{i + 1}]" for i, c in enumerate(coords))
-                + f" = {list(self.lambda_zero())}"
+                + " + ".join(f"{c}*pic[{i + 1}]" for i, c in enumerate(lam0.coords))
+                + f" = {list(lam0)}"
             )
         return lines
 
@@ -354,9 +357,8 @@ def validate(X: WonderfulVariety) -> ValidationReport:
     )
 
     # needed for the degree-zero oracle bound: (mu, gamma) >= 0 for dominant mu
-    inv_rows = g._cartan_inv_scaled[0]
     neg_gamma = [
-        x for x in X.spherical_roots if any(c < 0 for c in row_products(inv_rows, x))
+        x for x, simple in zip(X.spherical_roots, X._gamma_simple) if any(c < 0 for c in simple)
     ]
     add(
         "spherical roots are nonnegative combinations of simple roots",
@@ -394,15 +396,17 @@ def validate(X: WonderfulVariety) -> ValidationReport:
 
     # only where lambda_0 is defined: a pic basis that is not dual to the
     # spherical roots spans pic(X) as well
-    coords, failure = X._lambda_zero_check()
-    if coords is not None or failure:
-        add("lambda_zero has integral coordinates", coords is not None, failure)
-    if coords is not None and "lambda0" in X.expected:
-        add(
-            f"lambda_zero = {list(X.expected['lambda0'])} in pic coordinates",
-            coords == tuple(X.expected["lambda0"]),
-            f"computed {list(coords)}",
-        )
+    lam0 = X._lambda_zero
+    if isinstance(lam0, CatalogError):
+        add("lambda_zero has integral coordinates", False, str(lam0))
+    elif isinstance(lam0, _PicWeight):
+        add("lambda_zero has integral coordinates", True)
+        if "lambda0" in X.expected:
+            add(
+                f"lambda_zero = {list(X.expected['lambda0'])} in pic coordinates",
+                lam0.coords == tuple(X.expected["lambda0"]),
+                f"computed {list(lam0.coords)}",
+            )
 
     if X.sgamma_data is not None:
         _validate_sgamma(X, add)

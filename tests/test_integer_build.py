@@ -120,8 +120,12 @@ def ldl_or_none(m):
 def reference_variety_tables(X, form):
     """The lattice tables of X from the Fraction form (u, v) = u . form v,
     through the Fraction Gram matrices, their inverses and LDL^T: the
-    definiteness flags, sign rows, witness form and left inverses."""
+    definiteness flags, sign rows, witness form and left inverses; and the
+    pic sign rows and the spherical roots' simple-root coordinates through
+    the Fraction pairings and the Fraction inverse of the Cartan matrix."""
     sigma, pic = X.spherical_roots, X.pic_basis
+    cartan_inv = mat_inverse(frac_matrix(X.group.cartan))
+    cartan_inv_den = int_scaled(cartan_inv)[1]
     sigma_gram = frac_matrix([[dot(a, mat_vec(form, b)) for b in sigma] for a in sigma])
     pic_gram = frac_matrix([[dot(a, mat_vec(form, b)) for b in pic] for a in pic])
     sigma_ldl, pic_ldl = ldl_or_none(sigma_gram), ldl_or_none(pic_gram)
@@ -157,6 +161,12 @@ def reference_variety_tables(X, form):
         "_pic_left_inv": left_inverse(pic_gram_inv, [mat_vec(form, w) for w in pic]),
         "_gamma_sign_gram": tuple(
             tuple(int(dot(w, gam)) for gam in sigma) for w in sign_rows
+        ),
+        "_pic_sign_rows": tuple(
+            tuple(D * dot(w, mat_vec(form, gam)) for gam in sigma) for w in pic
+        ),
+        "_gamma_simple": tuple(
+            tuple(cartan_inv_den * x for x in mat_vec(cartan_inv, gam)) for gam in sigma
         ),
     }
 

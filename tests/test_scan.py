@@ -236,6 +236,36 @@ def test_scan_solves_no_lattice_membership(monkeypatch, capsys):
     assert len(solves) / weights == 0
 
 
+@pytest.mark.parametrize(
+    "name, box, checks, message",
+    [
+        ("group:A2", 1, ["bogus"], "unknown checks: bogus"),
+        ("group:A2", 1, ["serre", "bogus", "h0", "nope"], "unknown checks: bogus, nope"),
+        ("flag:A2", 1, ["divisibility"], "flag:A2 carries no divisibility rule"),
+        ("flag:A2", 1, ["vanishing", "divisibility"], "flag:A2 carries no divisibility rule"),
+        ("group:A2", -1, ["serre"], "box must be >= 0"),
+        ("flag:A2", -1, ["bogus", "divisibility"], "box must be >= 0"),
+    ],
+)
+def test_library_scan_refuses_what_it_cannot_run(monkeypatch, name, box, checks, message):
+    # the CLI's texts, raised before any weight is evaluated
+    X = build_case(name)
+    holders = [m for m in (cohomology, oracles) if hasattr(m, "cohomology_table")]
+    tables = count_calls(monkeypatch, holders, "cohomology_table")
+    with pytest.raises(ValueError) as exc:
+        oracles.scan(X, box, checks)
+    assert str(exc.value) == message
+    assert tables == []
+
+
+def test_library_scan_runs_vanishing_without_a_rule():
+    # only collects the realized degrees: vanishing_profile of a flag variety
+    X = build_case("flag:A2")
+    result = oracles.scan(X, 1, ["vanishing", "serre"])
+    assert result.checks["vanishing"] == (True, "")
+    assert result.realized == oracles.vanishing_profile(X, 1)
+
+
 @pytest.mark.parametrize("name", NAMES)
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(data=st.data())
@@ -259,7 +289,7 @@ def test_cli_scan_writes_the_library_scan(capsys, name, box):
     X = build_case(name)
     rule = degrees.rule_for(X)
     checks = ALL if rule is not None else "serre,h0"
-    result = oracles.scan(X, box, checks.split(","), rule)
+    result = oracles.scan(X, box, checks.split(","))
     written = report(X.name, box, *((c, ok, detail) for c, (ok, detail) in result.checks.items()))
     code, out, err = scan(capsys, name, box, checks)
     assert (code, out, err) == (0, written, "")

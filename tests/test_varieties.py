@@ -3,6 +3,7 @@
 import copy
 import itertools
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +21,11 @@ from wondercoh import (
     validate,
     variety_from_dict,
 )
-from wondercoh import varieties
+from wondercoh import exactalg, varieties
 from wondercoh.cli import main
 from wondercoh.cohomology import cohomology_table, serre_dual_weight
+from wondercoh.oracles import brion_h0
+from wondercoh.regions import region_plot
 from wondercoh.serialize import table_to_json
 from wondercoh.varieties import pic_box
 
@@ -157,8 +160,10 @@ def test_lambda_zero_refuses_non_diagonal_pairing():
     p0, p1 = build_case("group:A2").pic_basis
     # (p0 + p1, gamma_1) = (p1, gamma_1) > 0
     X = rebased("group:A2", [tuple(a + b for a, b in zip(p0, p1)), p1])
-    with pytest.raises(CatalogError, match="pairing matrix is not diagonal"):
+    with pytest.raises(ValueError, match="pairing matrix is not diagonal") as exc:
         X.lambda_zero_coords()
+    # the descriptor is valid; it only defines no lambda_0
+    assert not isinstance(exc.value, CatalogError)
 
 
 #: the rank-2 catalog entries; on each, the unimodular change of pic basis
@@ -166,14 +171,19 @@ def test_lambda_zero_refuses_non_diagonal_pairing():
 RANK_TWO = ("E6/F4", "group:A2", "group:B2", "group:G2", "PGL/PSp(3)")
 
 
+def unimodular(name):
+    """`name` with pic basis (p1, p1 + p2), unvalidated."""
+    X = build_case(name)
+    p1, p2 = X.pic_basis
+    return WonderfulVariety(f"{name}'", X.group, X.spherical_roots,
+                            [p1, tuple(a + b for a, b in zip(p1, p2))], X.q_simple_roots,
+                            sgamma_data=X.sgamma_data)
+
+
 @pytest.mark.parametrize("name", RANK_TWO)
 def test_a_unimodular_change_of_pic_basis_validates(name):
     # the new basis spans the same pic(X); it only has no lambda_0
-    X = build_case(name)
-    p1, p2 = X.pic_basis
-    Y = WonderfulVariety(f"{name}'", X.group, X.spherical_roots,
-                         [p1, tuple(a + b for a, b in zip(p1, p2))], X.q_simple_roots,
-                         sgamma_data=X.sgamma_data)
+    X, Y = build_case(name), unimodular(name)
     report = validate(Y)
     assert report.passed, str(report)
     assert not any("lambda" in c.name for c in report.checks)
@@ -181,6 +191,68 @@ def test_a_unimodular_change_of_pic_basis_validates(name):
     for coords in itertools.product(range(-4, 2), repeat=2):
         lam = X.weight_from_pic_coords(coords)
         assert cohomology_table(Y, tuple(lam)) == cohomology_table(X, lam), coords
+
+
+@pytest.mark.parametrize("name", RANK_TWO)
+def test_default_omega_plot_without_lambda_zero_is_a_value_error(name):
+    # a valid descriptor: the error is a usage error, not a CatalogError
+    Y = unimodular(name)
+    with pytest.raises(ValueError) as exc:
+        region_plot(Y, "Omega", -1, 1)
+    assert str(exc.value) == f"no lambda_0: {name}': pic/spherical pairing matrix is not diagonal"
+    assert not isinstance(exc.value, CatalogError)
+    assert len(region_plot(Y, "Omega", -1, 1, Y.weight_from_pic_coords((-2, 0))).points) == 9
+
+
+@pytest.mark.parametrize("name", ["flag:A2", "group:A3", "PGL/PSp(4)"])
+def test_lambda_zero_needs_rank_one_or_two(name):
+    X = build_case(name)
+    errors = []
+    for ask in (X.lambda_zero, X.lambda_zero_coords):
+        with pytest.raises(ValueError) as exc:
+            ask()
+        assert str(exc.value) == f"no lambda_0: {name}: lambda_zero needs rank 1 or 2"
+        assert not isinstance(exc.value, CatalogError)
+        errors.append(exc.value)
+    # each raise is a fresh error, so the descriptor's slot keeps no traceback
+    assert errors[0] is not errors[1] and X._lambda_zero.__traceback__ is None
+
+
+@pytest.mark.parametrize("name", [n for n in CATALOG_NAMES if build_case(n).rank in (1, 2)])
+def test_lambda_zero_is_solved_once_and_carries_its_coordinates(monkeypatch, name):
+    X = build_case(name)
+    solves = count_calls(monkeypatch, [varieties], "lattice_coords")
+    lam = X.lambda_zero()
+    assert lam is X.lambda_zero()
+    assert X.pic_contains(lam) == X.lambda_zero_coords() and solves == []
+    assert lam == X.weight_from_pic_coords(X.lambda_zero_coords())
+
+
+def row_products_calls(monkeypatch):
+    """One counter on `row_products` in every module namespace of the package."""
+    holders = [m for n, m in sorted(sys.modules.items())
+               if n.startswith("wondercoh.") and hasattr(m, "row_products")]
+    assert exactalg in holders and len(holders) > 1
+    return count_calls(monkeypatch, holders, "row_products")
+
+
+@pytest.mark.parametrize("name", ["group:A1", "PSO/PSO(3)", "group:A2", "E6/F4"])
+def test_default_omega_plot_takes_one_row_product(monkeypatch, name):
+    # the base's pairings; lambda_0 and the step rows are taken at build
+    X = build_case(name)
+    calls = row_products_calls(monkeypatch)
+    region_plot(X, "Omega", -8, 8)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["group:A2", "E6/F4", "group:A3", "PGL/PSp(4)"])
+def test_brion_h0_takes_one_row_product(monkeypatch, name):
+    # lam in simple-root coordinates; the spherical roots' are taken at build
+    X = build_case(name)
+    lam = X.weight_from_pic_coords((3,) * len(X.pic_basis))
+    calls = row_products_calls(monkeypatch)
+    assert brion_h0(X, lam)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["PSO/PSO(2)", "E6/F4"])
