@@ -108,12 +108,12 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import add, eq, itemgetter, mul, sub
+from operator import add, eq, itemgetter, mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .exactalg import int_inverse, int_scaled, ldl, negative_interval, row_products, translate
 from .roots import InvariantError, RootSystem, Weight
-from .varieties import CatalogError, WonderfulVariety, _PicWeight
+from .varieties import CatalogError, WonderfulVariety
 
 
 class Contribution(NamedTuple):
@@ -158,10 +158,7 @@ class CohomologyTable(NamedTuple):
         return tuple(g.degree for g in self.groups)
 
     def dimension(self, degree: int) -> int:
-        for g in self.groups:
-            if g.degree == degree:
-                return g.dimension
-        return 0
+        return self.dimensions_by_degree().get(degree, 0)
 
     def constituents(self, degree: int) -> tuple[Constituent, ...]:
         for g in self.groups:
@@ -180,25 +177,9 @@ class CohomologyTable(NamedTuple):
         return out
 
 
-def _require_pic(X: WonderfulVariety, lam: Sequence[int]) -> Weight:
-    """lam as a weight of pic(X), or ValueError.  A weight X made from pic
-    coordinates is returned as it is, carrying them; any other is checked
-    and solved."""
-    if type(lam) is not _PicWeight or lam.variety is not X:
-        lam = X.group.check_weight(lam)
-    if X.pic_contains(lam) is None:
-        raise ValueError(f"{list(lam)} is not in pic({X.name})")
-    return lam
-
-
-def _gamma_pairings(X: WonderfulVariety, mu: Weight) -> tuple[int, ...]:
-    """D (mu + rho, gamma_i) for each i, D = X._gamma_den: exact, sign-true ints."""
-    return row_products(X._gamma_sign_rows, [x + 1 for x in mu])
-
-
 def omega_signature(X: WonderfulVariety, mu: Sequence[int]) -> tuple[int, ...]:
     """Indices i with (mu + rho, gamma_i) < 0; zero pairings stay out."""
-    return tuple(i for i, s in enumerate(_gamma_pairings(X, _require_pic(X, mu))) if s < 0)
+    return tuple(i for i, s in enumerate(X.sign_pairings(X.require_pic(mu))) if s < 0)
 
 
 def _ball_lines(
@@ -212,7 +193,7 @@ def _ball_lines(
     """The integer points of the ball of `_ball_coefficients` for k, as
     lines along c_0: one (c, n, v) per fixed c_1..c_{r-1} whose line meets
     the ball, holding exactly the n >= 1 points from its first point c on
-    along c_0.  sig is s = D b, the `_gamma_pairings` of lam.  Rank 0 has
+    along c_0.  sig is s = D b, `X.sign_pairings(lam)`.  Rank 0 has
     one line, ((), 1, start).
 
     v is `start` carried down the descent to the line's first point,
@@ -248,7 +229,11 @@ def _ball_lines(
     r = X.rank
     if not r:
         return [((), 1, tuple(start))]
-    form, q, A, e = _walk(X).form
+    quadric = _walk(X).form
+    if quadric is None:  # G is singular, which validation rejects
+        check = "spherical root Gram matrix is positive definite"
+        raise CatalogError(f"descriptor {X.name} fails validation: {check}")
+    form, q, A, e = quadric
     base = [k * sum(map(mul, row, sig)) for row in form]
     none = ((),) * r
     lines: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
@@ -315,14 +300,14 @@ def _ball_coefficients(
     """
     if X.rank == 0:
         return [()]
-    lines = _ball_lines(X, _gamma_pairings(X, lam), k)
+    lines = _ball_lines(X, X.sign_pairings(lam), k)
     return sorted((c0, *rest) for (lo, *rest), n, _ in lines for c0 in range(lo, lo + n))
 
 
 def enumerate_candidates(X: WonderfulVariety, lam: Sequence[int]) -> list[Weight]:
     """All mu = lam + sum c_i gamma_i (c integral) with |mu + rho| <= |lam + rho|:
     a finite superset of the contributing weights (see the module docstring)."""
-    lam = _require_pic(X, lam)
+    lam = X.require_pic(lam)
     return [translate(lam, c, X.spherical_roots) for c in _ball_coefficients(X, lam, 2)]
 
 
@@ -425,12 +410,12 @@ def _sign_runs(
     point c, n >= 1 points long, in the order of the unpruned walk.  The
     runs are the lines of `_ball_lines`, cut by the decided rows of `_walk`
     and carrying (sig, pair, mu) from (sig, base_pair, lam), sig being
-    `_gamma_pairings(lam)`, computed once; each is checked again here
+    `X.sign_pairings(lam)`, computed once; each is checked again here
     against every sign row.  Rank 0 has one run, the point c = ()."""
     r, m = X.rank, X.rank + len(base_pair)
     walk = _walk(X)
     rows = walk.rows
-    sig = _gamma_pairings(X, lam)
+    sig = X.sign_pairings(lam)
     for c, n, v in _ball_lines(X, sig, 1, (*sig, *base_pair, *lam), rows, walk.decided):
         s = list(v[:r])
         # the sign cone fixes J = {i : c_i > 0}; the omega signature must
@@ -559,7 +544,7 @@ def _degree_group(degree: int, conts: list[Contribution]) -> DegreeGroup:
 def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]:
     """All certified pairs (J, mu) for lam, in canonical order: by degree,
     then by mu."""
-    by_degree = _witnesses_by_degree(X, _require_pic(X, lam))
+    by_degree = _witnesses_by_degree(X, X.require_pic(lam))
     out: list[Contribution] = []
     for degree in sorted(by_degree):
         out += sorted(by_degree[degree], key=itemgetter(1))
@@ -569,29 +554,15 @@ def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]
 def cohomology_table(X: WonderfulVariety, lam: Sequence[int]) -> CohomologyTable:
     """The cohomology decomposition of L_lam, built in one pass that sorts
     each degree once."""
-    lam = _require_pic(X, lam)
+    lam = X.require_pic(lam)
     by_degree = _witnesses_by_degree(X, lam)
     return CohomologyTable(lam, tuple(_degree_group(d, by_degree[d]) for d in sorted(by_degree)))
 
 
 def serre_dual_weight(X: WonderfulVariety, lam: Sequence[int]) -> Weight:
-    """Weight of the Serre-dual line bundle; an involution on pic(X).
-
-    When lam and the Serre twist both carry pic coordinates of X (lam made
-    by `X.weight_from_pic_coords`), the dual carries their difference and
-    its membership check solves nothing; any other dual is solved."""
-    return _serre_dual(X, _require_pic(X, lam))
-
-
-def _serre_dual(X: WonderfulVariety, lam: Weight) -> Weight:
-    # lam is in pic(X); the dual is checked, since bad catalog data can move it out
-    twist = X.serre_twist()
-    dual = tuple([t - x for x, t in zip(lam, twist)])
-    if type(lam) is type(twist) is _PicWeight and lam.variety is twist.variety is X:
-        dual = _PicWeight(dual, X, tuple(map(sub, twist.coords, lam.coords)))
-    if X.pic_contains(dual) is None:
-        raise CatalogError(f"{X.name}: Serre dual of {list(lam)} left pic; bad catalog data")
-    return dual
+    """Weight of the Serre-dual line bundle, `X.serre_dual` of lam checked
+    to lie in pic(X); an involution on pic(X)."""
+    return X.serre_dual(X.require_pic(lam))
 
 
 def serre_partner(X: WonderfulVariety, t: Contribution) -> tuple[tuple[int, ...], Weight]:

@@ -27,9 +27,6 @@ from .cohomology import (
     Contribution,
     DegreeGroup,
     _ball_lines,
-    _gamma_pairings,
-    _require_pic,
-    _serre_dual,
     cohomology_table,
     contributions,
     serre_partner,
@@ -38,6 +35,10 @@ from . import degrees
 from .exactalg import row_products, translate
 from .roots import RootSystem, Weight
 from .varieties import WonderfulVariety, pic_box
+
+
+#: the most candidates a capped scan lets one weight have before it refuses it
+CANDIDATE_CAP = 200_000
 
 
 class OracleBudgetError(RuntimeError):
@@ -98,7 +99,7 @@ def brion_h0(X: WonderfulVariety, lam: Sequence[int]) -> list[Weight]:
     scaled to integers by one common denominator.  A bound below 0 leaves
     no mu.  The gamma_ia are descriptor data, taken once at build.
     """
-    lam = _require_pic(X, lam)
+    lam = X.require_pic(lam)
     lam_a = row_products(X.group._cartan_inv_scaled[0], lam)
     bounds = [
         min(la // ga for la, ga in zip(lam_a, gam_a) if ga > 0) for gam_a in X._gamma_simple
@@ -111,11 +112,11 @@ def brion_h0(X: WonderfulVariety, lam: Sequence[int]) -> list[Weight]:
     return sorted(found)
 
 
-def capped_candidate_count(X: WonderfulVariety, coords, lam, cap: int = 200_000) -> int:
+def capped_candidate_count(X: WonderfulVariety, coords, lam, cap: int = CANDIDATE_CAP) -> int:
     """How many weights `enumerate_candidates(X, lam)` lists, counted from
     the lines of its ball without listing them; raises OracleBudgetError
     when the count exceeds `cap` (lam has pic coordinates `coords`)."""
-    n = sum(points for _, points, _ in _ball_lines(X, _gamma_pairings(X, lam), 2))
+    n = sum(points for _, points, _ in _ball_lines(X, X.sign_pairings(lam), 2))
     if n > cap:
         raise OracleBudgetError(
             f"{X.name}, lambda={list(coords)}: {n} candidates exceed the cap {cap}"
@@ -139,7 +140,7 @@ def serre_involution_check(X: WonderfulVariety, lam: Sequence[int]) -> SerreChec
 
 def _serre_check(X: WonderfulVariety, table: CohomologyTable) -> SerreCheck:
     left = table.witnesses()
-    right = contributions(X, _serre_dual(X, table.lam))
+    right = contributions(X, X.serre_dual(table.lam))
     n = X.dimension_N
     index = {(t.J, t.mu): t for t in right}
     if len(index) != len(right):
@@ -177,7 +178,7 @@ class ScanResult(NamedTuple):
     realized: set[int]  # nonzero degrees over the evaluated weights
 
 
-def scan(X: WonderfulVariety, box: int, checks, *, candidate_cap=200_000) -> ScanResult:
+def scan(X: WonderfulVariety, box: int, checks, *, candidate_cap=CANDIDATE_CAP) -> ScanResult:
     """Run the named `SCAN_CHECKS` over every pic weight with coordinates
     in [-box, box], evaluating each weight once; the degree rule is
     `degrees.rule_for(X)`.
@@ -242,7 +243,7 @@ def _scan_failure(name, X, rule, coords, lam, table) -> Optional[str]:
         return f"lambda={list(coords)}: dominant weight with higher cohomology"
 
 
-def vanishing_profile(X: WonderfulVariety, box: int, candidate_cap: int = 200_000) -> set[int]:
+def vanishing_profile(X: WonderfulVariety, box: int, candidate_cap=CANDIDATE_CAP) -> set[int]:
     """Union of nonzero cohomology degrees over all pic weights with
     coordinates in [-box, box]: `scan` with only `vanishing` selected, so
     a weight over `candidate_cap` raises before it is evaluated."""

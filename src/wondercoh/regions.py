@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple, Optional
 
-from .cohomology import _gamma_pairings, _require_pic
 from .exactalg import negative_interval, translate
 from .roots import Weight
 from .varieties import WonderfulVariety
@@ -58,7 +57,7 @@ def _omega_masks(X: WonderfulVariety, base: Weight, axis: range) -> Iterator[int
     itertools.product order; base must already be in pic(X)."""
     # the pairings move by steps[j] per unit of n_j
     steps = X._pic_sign_rows
-    s = _gamma_pairings(X, base)
+    s = X.sign_pairings(base)
     n = len(axis)
     for outer in itertools.product(axis, repeat=X.rank - 1):
         masks = [0] * n
@@ -93,7 +92,7 @@ def region_plot(
     grid = itertools.product(axis, repeat=X.rank)
     if kind == "Omega":
         # the grid stays in pic(X) once base is, as lambda_0 is by construction
-        base = X.lambda_zero() if base is None else _require_pic(X, base)
+        base = X.lambda_zero() if base is None else X.require_pic(base)
         points = zip(grid, _omega_masks(X, base, axis))
     else:
         if base is None:

@@ -19,6 +19,9 @@ Each per-variety constant is solved once, when the descriptor is built
 spherical roots and of the pic basis, the lattice left inverses, the
 Serre twist, lambda_0 (or the error asking for it raises) and the
 spherical roots' simple-root coordinates.  Readers take them from there.
+The descriptor owns the Picard lattice: membership (`pic_contains`,
+`require_pic`), the weights that carry their pic coordinates, the Serre
+dual and the sign pairings D (mu + rho, gamma_i) are its methods.
 
 Sign conventions: all weights live in the fundamental-weight basis of the
 standard positive system of the group, pic basis vectors are oriented so
@@ -97,19 +100,13 @@ def _left_inverse(
     return least_scaled([row_products(columns, row) for row in rows], den)
 
 
-def _support(alpha: Sequence[int]) -> frozenset[int]:
-    return frozenset(i for i, c in enumerate(alpha) if c)
-
-
 class _PicWeight(tuple):
     """A weight of pic(X) that carries its variety and its integer pic
-    coordinates, so that `WonderfulVariety.pic_contains` of that variety
-    reads them instead of solving.  Made only from coordinates the library
-    holds: `weight_from_pic_coords` (lambda_0 among them), the Serre twist
-    when it lies in pic, and `cohomology._serre_dual` on two such weights.
-    It compares and hashes as the plain tuple of its entries, and anything
-    that builds a new tuple from it (arithmetic, slicing, `check_weight`)
-    is a plain weight, which is solved again."""
+    coordinates, which that variety reads instead of solving.  Only its
+    `weight_from_pic_coords` (lambda_0 among them), Serre twist and
+    `serre_dual` make one.  It compares and hashes as the plain tuple of
+    its entries, and anything that builds a new tuple from it (arithmetic,
+    slicing, `check_weight`) is a plain weight, which is solved again."""
 
     def __new__(cls, values: Sequence[int], variety: WonderfulVariety, coords: tuple[int, ...]):
         lam = tuple.__new__(cls, values)
@@ -156,14 +153,13 @@ class WonderfulVariety:
 
         self.rank = len(self.spherical_roots)
         q = self.q_simple_roots
-        levi = sum(1 for a in group.positive_roots if _support(a) <= q)
-        self.dimension_N = len(group.positive_roots) - levi + self.rank
-        two_rho = [0] * group.rank
-        for alpha, w in zip(group.positive_roots, group.positive_root_weights()):
-            if not _support(alpha) <= q:
-                for k, x in enumerate(w):
-                    two_rho[k] += x
-        self.two_rho_X: Weight = tuple(two_rho)
+        # N counts the positive roots off the Levi of Q, and 2 rho_X sums them
+        off_levi = [
+            w for alpha, w in zip(group.positive_roots, group.positive_root_weights())
+            if any(c for i, c in enumerate(alpha) if i not in q)
+        ]
+        self.dimension_N = len(off_levi) + self.rank
+        self.two_rho_X: Weight = translate((0,) * group.rank, (1,) * len(off_levi), off_levi)
 
         self._init_lattice_caches()
 
@@ -206,7 +202,11 @@ class WonderfulVariety:
         # `cohomology._walk` builds from the sign rows on first use
         self._walk: Optional[tuple] = None
 
-    # -- lattice membership ----------------------------------------------
+    # -- the Picard lattice ----------------------------------------------
+
+    def _carries(self, lam: Sequence[int]) -> bool:
+        """Whether this variety made lam from pic coordinates, which it trusts."""
+        return type(lam) is _PicWeight and lam.variety is self
 
     def pic_contains(self, lam: Sequence[int]) -> Optional[tuple[int, ...]]:
         """Integer coordinates of lam in the pic basis, or None.
@@ -215,9 +215,35 @@ class WonderfulVariety:
         `weight_from_pic_coords`) gives back the coordinates it carries.
         Every other weight is solved: plain tuples and lists, a weight made
         by another variety, even one built from the same data."""
-        if type(lam) is _PicWeight and lam.variety is self:
+        if self._carries(lam):
             return lam.coords
         return lattice_coords(self.pic_basis, self._pic_left_inv, self.group.check_weight(lam))
+
+    def require_pic(self, lam: Sequence[int]) -> Weight:
+        """lam as a weight of pic(X), or ValueError.  A weight X made from pic
+        coordinates is returned as it is, carrying them; any other is checked
+        and solved."""
+        if not self._carries(lam):
+            lam = self.group.check_weight(lam)
+        if self.pic_contains(lam) is None:
+            raise ValueError(f"{list(lam)} is not in pic({self.name})")
+        return lam
+
+    def sign_pairings(self, mu: Weight) -> tuple[int, ...]:
+        """D (mu + rho, gamma_i) for each i, D = X._gamma_den: exact, sign-true ints."""
+        return row_products(self._gamma_sign_rows, [x + 1 for x in mu])
+
+    def serre_dual(self, lam: Weight) -> Weight:
+        """`serre_twist() - lam` for lam in pic(X), checked, since bad catalog
+        data can move it out of pic; it carries pic coordinates when lam and
+        the twist both do."""
+        twist = self.serre_twist()
+        dual = tuple([t - x for x, t in zip(lam, twist)])
+        if self._carries(lam) and self._carries(twist):
+            dual = _PicWeight(dual, self, tuple([t - c for c, t in zip(lam.coords, twist.coords)]))
+        if self.pic_contains(dual) is None:
+            raise CatalogError(f"{self.name}: Serre dual of {list(lam)} left pic; bad catalog data")
+        return dual
 
     def weight_from_pic_coords(self, coords: Sequence[int]) -> Weight:
         """sum_j coords[j] pic_j.  The weight is a tuple that carries this
@@ -332,22 +358,17 @@ def validate(X: WonderfulVariety) -> ValidationReport:
         len(set(X.spherical_roots)) == X.rank,
     )
 
-    if X._sigma_pos_def and X.spherical_roots:
-        bad = next(
-            (
-                alpha_w
-                for alpha_w in g.positive_root_weights()
-                if span_numerators(X.spherical_roots, X._sigma_left_inv, alpha_w) is not None
-            ),
-            None,
-        )
-        add(
-            "no root lies in the rational span of the spherical roots",
-            bad is None,
-            f"root {list(bad)} is spanned" if bad else "",
-        )
-    else:
-        add("no root lies in the rational span of the spherical roots", not X.spherical_roots)
+    # False where the roots are dependent; no spherical roots span no root
+    spanned = X._sigma_pos_def and next(
+        (w for w in g.positive_root_weights()
+         if span_numerators(X.spherical_roots, X._sigma_left_inv, w) is not None),
+        None,
+    )
+    add(
+        "no root lies in the rational span of the spherical roots",
+        spanned is None,
+        f"root {list(spanned)} is spanned" if spanned else "",
+    )
 
     bad_gamma = [x for x in X.spherical_roots if X.pic_contains(x) is None]
     add(
@@ -366,13 +387,10 @@ def validate(X: WonderfulVariety) -> ValidationReport:
         f"{[list(x) for x in neg_gamma]}" if neg_gamma else "",
     )
 
-    off_q = [
-        (i, w)
-        for w in X.pic_basis
-        for i in sorted(X.q_simple_roots)
-        if w[i] != 0
-    ]
-    add("pic basis weights are characters of Q", not off_q)
+    add(
+        "pic basis weights are characters of Q",
+        not any(w[i] for w in X.pic_basis for i in X.q_simple_roots),
+    )
 
     add(
         "two_rho_X vanishes on the Levi of Q",
@@ -436,12 +454,10 @@ def _validate_sgamma(X: WonderfulVariety, add) -> None:
         )
         pa, pb = g.pair_coroot(rho, alpha), g.pair_coroot(rho, beta)
         add(f"{tag}: <rho, alpha^vee> = <rho, beta^vee>", pa == pb)
-        for w in X.pic_basis:
-            if g.pair_coroot(w, alpha) != g.pair_coroot(w, beta):
-                add(f"{tag}: pic weights pair equally with alpha and beta", False)
-                break
-        else:
-            add(f"{tag}: pic weights pair equally with alpha and beta", True)
+        add(
+            f"{tag}: pic weights pair equally with alpha and beta",
+            all(g.pair_coroot(w, alpha) == g.pair_coroot(w, beta) for w in X.pic_basis),
+        )
         drop = tuple(-pa * a - pb * b for a, b in zip(aw, bw))  # s_a s_b rho - rho
         mult = _exact_multiple(drop, gam)
         add(
@@ -622,9 +638,22 @@ def _pgl_psp(n: int) -> WonderfulVariety:
     )
 
 
-@functools.cache
+def _once_per_name(build):
+    """build, memoised on the name as it strips it; `__wrapped__` is build."""
+    built: dict[str, WonderfulVariety] = {}
+
+    @functools.wraps(build)
+    def cached(name: str) -> WonderfulVariety:
+        key = name.strip()
+        return built[key] if key in built else built.setdefault(key, build(name))
+
+    return cached
+
+
+@_once_per_name
 def build_case(name: str) -> WonderfulVariety:
-    """Build a named catalog case, once per name.
+    """Build a named catalog case, once per name: names that differ only
+    in surrounding blanks share one descriptor.
 
     Descriptors are immutable but for one memo, the witness walk's slot
     `_walk` that `cohomology._walk` fills on the first evaluation.  Its

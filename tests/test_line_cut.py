@@ -23,7 +23,6 @@ from wondercoh.cli import main
 from wondercoh.cohomology import (
     Contribution,
     _ball_coefficients,
-    _gamma_pairings,
     _sign_runs,
     _walk,
     contributions,
@@ -41,7 +40,7 @@ def per_point_contributions(X, lam):
     out = []
     for c in _ball_coefficients(X, lam, 1):
         mu = inline_translate(lam, c, X.spherical_roots)
-        if any((s < 0) != (ci > 0) for s, ci in zip(_gamma_pairings(X, mu), c)):
+        if any((s < 0) != (ci > 0) for s, ci in zip(X.sign_pairings(mu), c)):
             continue
         made = g.make_dominant_shifted(mu)
         if made is None:
@@ -132,7 +131,7 @@ def test_rank_zero_is_one_point_run(name):
         assert list(_sign_runs(X, lam, base_pair)) == [((), 1, [], base_pair, lam)]
         # the walk's one line, of one point, for either ball
         start = (*base_pair, *lam)
-        sig = _gamma_pairings(X, lam)
+        sig = X.sign_pairings(lam)
         for k in (1, 2):
             assert cohomology._ball_lines(X, sig, k, start) == [((), 1, start)]
         assert oracles.capped_candidate_count(X, coords, lam) == 1

@@ -1,10 +1,11 @@
 """Oracle self-tests and small engine/oracle agreements."""
 
+import inspect
 import itertools
 
 import pytest
 
-from wondercoh import build_case, build_root_system
+from wondercoh import build_case, build_root_system, oracles
 from wondercoh.cohomology import cohomology_table
 from wondercoh.oracles import (
     OracleBudgetError,
@@ -155,3 +156,13 @@ def test_vanishing_profile_budget():
     X = build_case("PSO/PSO(2)")
     with pytest.raises(OracleBudgetError):
         vanishing_profile(X, 10, candidate_cap=2)
+
+
+@pytest.mark.parametrize(
+    "function, parameter",
+    [("capped_candidate_count", "cap"), ("scan", "candidate_cap"),
+     ("vanishing_profile", "candidate_cap")],
+)
+def test_every_capped_scan_defaults_to_the_one_candidate_cap(function, parameter):
+    default = inspect.signature(getattr(oracles, function)).parameters[parameter].default
+    assert default == oracles.CANDIDATE_CAP == 200_000

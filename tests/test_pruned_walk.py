@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wondercoh import WonderfulVariety, build_case, build_root_system, cohomology, oracles
+from wondercoh import (
+    CatalogError, WonderfulVariety, build_case, build_root_system, cohomology, oracles,
+)
 from wondercoh.cohomology import (
     _ball_lines,
-    _gamma_pairings,
     _sign_runs,
     _walk,
     cohomology_table,
@@ -54,7 +55,7 @@ def unpruned_sign_runs(X, lam, base_pair):
     rows = _walk(X)[0]
     gram = [row[:X.rank] for row in rows]
     coroot = [row[X.rank:X.rank + len(base_pair)] for row in rows]
-    sig_base = _gamma_pairings(X, lam)
+    sig_base = X.sign_pairings(lam)
     for (lo, *rest), n, _ in _ball_lines(X, sig_base, 1):
         kept = []
         for c0 in range(lo, lo + n):
@@ -136,6 +137,20 @@ def test_walk_builds_on_a_gram_that_is_not_positive_definite():
     assert decided == ((0, 1), ())
     assert step == ((1, 1), (1, 1, 2)) and moving == (0, 1, 2) and fixed == ()
     assert chambers == {} and form is None
+
+
+@pytest.mark.parametrize("evaluate", [cohomology_table, enumerate_candidates])
+def test_an_unvalidated_singular_descriptor_is_a_catalog_error(evaluate):
+    # drawn and unvalidated: gamma_1 = 2 gamma_0, so the ball has no quadric,
+    # and the error names the check that validation fails
+    A2 = build_root_system([("A", 2)])
+    X = WonderfulVariety("singular", A2, [(2, -1), (4, -2)], [(1, 0), (0, 1)])
+    check = "spherical root Gram matrix is positive definite"
+    assert check in [c.name for c in validate(X).failures()]
+    with pytest.raises(CatalogError) as exc:
+        evaluate(X, (0, 0))
+    assert str(exc.value) == f"descriptor singular fails validation: {check}"
+    assert X._walk.form is None
 
 
 #: Picard coordinates drawn per rank: the reference walks the whole witness

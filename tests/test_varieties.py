@@ -1,8 +1,10 @@
 """Catalog descriptors, validation, and the descriptor file format."""
 
+import ast
 import copy
 import itertools
 import json
+import pathlib
 import sys
 
 import pytest
@@ -299,6 +301,18 @@ def test_bad_parameters_rejected():
         build_case("PGL/PSp(1)")
     with pytest.raises(CatalogError):
         build_case("nosuch")
+
+
+def test_build_case_builds_once_per_stripped_name():
+    X = build_case("group:A2")
+    assert build_case(" group:A2") is X and build_case("group:A2\n") is X
+    # the unmemoised builder still builds afresh, from a padded name too
+    fresh = build_case.__wrapped__(" group:A2")
+    assert fresh is not X and fresh.name == X.name
+    assert build_case("group:A2") is X
+    # a refusal still names the variety as it was given
+    with pytest.raises(CatalogError, match="^unknown variety ' nosuch '$"):
+        build_case(" nosuch ")
 
 
 def test_corrupted_gamma_fails_validation():
@@ -598,3 +612,40 @@ def test_coordinates_of_another_variety_are_not_trusted(coords, solved):
                 cohomology_table(X, v)
             errors.append(str(exc.value))
         assert errors == [f"{list(lam)} is not in pic(PSO/PSO(2))"] * 2
+
+
+def _imported_from_cohomology(tree) -> list[str]:
+    """The names a module imports from the package's cohomology module."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[-1] == "cohomology":
+                names += [a.name for a in node.names]
+            elif node.level and not module:  # from . import cohomology
+                names += [a.name for a in node.names if a.name == "cohomology"]
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names if a.name.endswith("cohomology")]
+    return names
+
+
+def test_the_picard_lattice_has_one_owner():
+    # the weight that carries its pic coordinates is named in varieties
+    # alone, in code, imports and docstrings alike; regions asks the
+    # descriptor, and oracles imports no private lattice helper
+    src = pathlib.Path(varieties.__file__).parent
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in src.glob("*.py")}
+    naming = {
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "_PicWeight")
+        or (isinstance(node, ast.Attribute) and node.attr == "_PicWeight")
+        or (isinstance(node, ast.alias) and node.name == "_PicWeight")
+        or (isinstance(node, ast.Constant) and "_PicWeight" in str(node.value))
+    }
+    assert naming == {"varieties.py"}
+    assert _imported_from_cohomology(trees["regions.py"]) == []
+    private = [n for n in _imported_from_cohomology(trees["oracles.py"]) if n.startswith("_")]
+    assert private == ["_ball_lines"]
+
