@@ -560,9 +560,9 @@ def cohomology_table(X: WonderfulVariety, lam: Sequence[int]) -> CohomologyTable
 
 
 def serre_dual_weight(X: WonderfulVariety, lam: Sequence[int]) -> Weight:
-    """Weight of the Serre-dual line bundle, `X.serre_dual` of lam checked
-    to lie in pic(X); an involution on pic(X)."""
-    return X.serre_dual(X.require_pic(lam))
+    """Weight of the Serre-dual line bundle, `X.serre_dual(lam)`; an
+    involution on pic(X)."""
+    return X.serre_dual(lam)
 
 
 def serre_partner(X: WonderfulVariety, t: Contribution) -> tuple[tuple[int, ...], Weight]:

@@ -8,12 +8,11 @@ never go through floating point.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from itertools import repeat
-from math import lcm, prod
+from math import prod
 from operator import add, mul
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exactalg import ScaledMatrix, int_inverse, least_scaled, row_products
 
@@ -83,68 +82,15 @@ def _component_symmetrizer(family: str, rank: int) -> list[int]:
     return [1] * rank
 
 
-class _Component(NamedTuple):
-    """The data of one simple factor (family, rank), in its own coordinates."""
-
-    cartan: tuple[tuple[int, ...], ...]
-    symmetrizer: tuple[int, ...]
-    #: simple-root coordinates, in (height, lexicographic) order
-    positive_roots: tuple[tuple[int, ...], ...]
-    #: row k: integer vector p with <lam, alpha_k^vee> = p . lam
-    coroot_rows: tuple[tuple[int, ...], ...]
-    #: alpha_k in fundamental-weight coordinates, A alpha_k
-    root_weights: tuple[tuple[int, ...], ...]
-    cartan_inv: ScaledMatrix
-
-
-@functools.cache
-def _component(family: str, rank: int) -> _Component:
-    """The cached data of one simple factor; the positive roots come from
-    reflection closure of the simple roots."""
-    a = [[2 * int(i == j) for j in range(rank)] for i in range(rank)]
-    for i, j, aij, aji in _simple_edges(family, rank):
-        a[i][j] = aij
-        a[j][i] = aji
-    cartan = tuple(map(tuple, a))
-    d = tuple(_component_symmetrizer(family, rank))
-    simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    roots = set(simple)
-    frontier = simple
-    while frontier:
-        new = set()
-        for beta in frontier:
-            for i, p in enumerate(row_products(cartan, beta)):
-                img = list(beta)
-                img[i] -= p
-                if img[i] >= 0:
-                    new.add(tuple(img))
-        frontier = new - roots
-        roots |= frontier
-    positive = tuple(sorted(roots, key=lambda r: (sum(r), r)))
-    if len(positive) != _POSITIVE_ROOT_COUNT[family](rank):
-        raise InvariantError("positive root closure has the wrong size")
-    weights = tuple(row_products(cartan, alpha) for alpha in positive)
-    coroot_rows = []
-    for alpha, w in zip(positive, weights):
-        # (alpha, alpha) = sum_i alpha_i d_i (A alpha)_i, and the row is
-        # 2 d_i alpha_i / (alpha, alpha)
-        norm = sum(map(mul, alpha, map(mul, d, w)))
-        row = [2 * x * di for x, di in zip(alpha, d)]
-        if any(x % norm for x in row):
-            raise InvariantError("coroot pairing row is not integral")
-        coroot_rows.append(tuple(x // norm for x in row))
-    return _Component(cartan, d, positive, tuple(coroot_rows), weights, int_inverse(cartan))
-
-
 class RootSystem:
     """Cartan data of a product of simple root systems.
 
     Built once from a list of (family, rank) pairs; immutable afterwards.
-    Each simple factor's Cartan block, positive roots, coroot rows and
-    integer Cartan inverse are computed once per process (`_component`)
-    and placed block-diagonally.  Positive roots are frozen in a
-    deterministic order (height, then lexicographic), so scans over them
-    are reproducible.
+    The Cartan matrix and symmetrizer are block diagonal over the simple
+    factors, and the positive roots, coroot rows and integer Cartan
+    inverse are computed on them in one pass, as for a simple type.
+    Positive roots are frozen in a deterministic order (height, then
+    lexicographic), so scans over them are reproducible.
     """
 
     def __init__(self, components: Sequence[tuple[str, int]]):
@@ -155,38 +101,59 @@ class RootSystem:
             if _POSITIVE_ROOT_COUNT.get(family, lambda n: None)(rank) is None:
                 raise ValueError(f"invalid Dynkin type {family}{rank}")
         self.components = components
-        self.rank = sum(n for _, n in components)
-        blocks = [_component(f, n) for f, n in components]
+        self.rank = n = sum(rank for _, rank in components)
+        a = [[2 * int(i == j) for j in range(n)] for i in range(n)]
+        d: list[int] = []
+        for family, rank in components:
+            offset = len(d)
+            for i, j, aij, aji in _simple_edges(family, rank):
+                a[offset + i][offset + j] = aij
+                a[offset + j][offset + i] = aji
+            d += _component_symmetrizer(family, rank)
+        self.cartan = cartan = tuple(map(tuple, a))
+        self.symmetrizer = tuple(d)
 
-        cartan: list[tuple[int, ...]] = []
-        symmetrizer: list[int] = []
-        found = []  # (root, coroot row, root weight), embedded
-        inv_den = lcm(*(b.cartan_inv[1] for b in blocks))
-        inv_rows: list[tuple[int, ...]] = []
-        offset = 0
-        for b in blocks:
-            n = len(b.cartan)
-            left, right = (0,) * offset, (0,) * (self.rank - offset - n)
-            cartan += [(*left, *row, *right) for row in b.cartan]
-            symmetrizer += b.symmetrizer
-            rows, den = b.cartan_inv
-            inv_rows += [(*left, *(x * (inv_den // den) for x in row), *right) for row in rows]
-            found += [
-                tuple((*left, *v, *right) for v in t)
-                for t in zip(b.positive_roots, b.coroot_rows, b.root_weights)
-            ]
-            offset += n
-        self.cartan = tuple(cartan)
-        self.symmetrizer = tuple(symmetrizer)
-        found.sort(key=lambda t: (sum(t[0]), t[0]))
-        self.positive_roots, self._coroot_rows, self._root_weights = (
-            tuple(x) for x in zip(*found)
-        )
+        # the positive roots: reflection closure of the simple roots, each
+        # with A alpha, its fundamental-weight coordinates
+        weights: dict[Weight, Weight] = {}
+        frontier = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+        while frontier:
+            new = set()
+            for beta in frontier:
+                weights[beta] = w = row_products(cartan, beta)
+                for i, p in enumerate(w):
+                    img = list(beta)
+                    img[i] -= p
+                    if img[i] >= 0:
+                        new.add(tuple(img))
+            frontier = new.difference(weights)
+        # each factor's block meets exactly its own count of roots, and no
+        # root meets two blocks
+        meets, offset = [], 0
+        for _, rank in components:
+            meets.append(sum(1 for r in weights if any(r[offset:offset + rank])))
+            offset += rank
+        expected = [_POSITIVE_ROOT_COUNT[f](rank) for f, rank in components]
+        if meets != expected or len(weights) != sum(expected):
+            raise InvariantError("positive root closure has the wrong size")
+        self.positive_roots = tuple(sorted(weights, key=lambda r: (sum(r), r)))
+        self._root_weights = tuple(map(weights.get, self.positive_roots))
+        coroot_rows = []
+        for alpha, w in zip(self.positive_roots, self._root_weights):
+            # (alpha, alpha) = sum_i alpha_i d_i (A alpha)_i, and the row is
+            # 2 d_i alpha_i / (alpha, alpha)
+            norm = sum(map(mul, alpha, map(mul, d, w)))
+            row = [2 * x * di for x, di in zip(alpha, d)]
+            if any(x % norm for x in row):
+                raise InvariantError("coroot pairing row is not integral")
+            coroot_rows.append(tuple(x // norm for x in row))
+        self._coroot_rows = tuple(coroot_rows)
         # (rows, den): rows . lam is den times the simple-root coordinates of lam
-        self._cartan_inv_scaled: ScaledMatrix = (tuple(inv_rows), inv_den)
+        self._cartan_inv_scaled: ScaledMatrix = int_inverse(cartan)
+        inv_rows, inv_den = self._cartan_inv_scaled
         # (omega_i, omega_j) = d_i * (A^-1)_ij; short roots have length^2 = 2
         self._fw_gram_scaled = least_scaled(
-            [[di * x for x in row] for di, row in zip(self.symmetrizer, inv_rows)], inv_den
+            [[di * x for x in row] for di, row in zip(d, inv_rows)], inv_den
         )
         self._coroot_row_of = dict(zip(self.positive_roots, self._coroot_rows))
         # <rho, alpha_k^vee> per positive root, and column j of the coroot

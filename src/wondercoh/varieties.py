@@ -230,13 +230,20 @@ class WonderfulVariety:
         return lam
 
     def sign_pairings(self, mu: Weight) -> tuple[int, ...]:
-        """D (mu + rho, gamma_i) for each i, D = X._gamma_den: exact, sign-true ints."""
+        """D (mu + rho, gamma_i) for each i, D = X._gamma_den: exact, sign-true
+        ints.  Only the length of mu is checked."""
+        if len(mu) != self.group.rank:
+            raise ValueError(f"weight has length {len(mu)}, expected rank {self.group.rank}")
         return row_products(self._gamma_sign_rows, [x + 1 for x in mu])
 
-    def serre_dual(self, lam: Weight) -> Weight:
-        """`serre_twist() - lam` for lam in pic(X), checked, since bad catalog
-        data can move it out of pic; it carries pic coordinates when lam and
-        the twist both do."""
+    def serre_dual(self, lam: Sequence[int]) -> Weight:
+        """`serre_twist() - lam` for lam in pic(X), or ValueError.  A weight X
+        made from pic coordinates is trusted; any other goes through
+        `require_pic`.  The dual is checked too, since bad catalog data can
+        move it out of pic; it carries pic coordinates when lam and the twist
+        both do."""
+        if not self._carries(lam):
+            lam = self.require_pic(lam)
         twist = self.serre_twist()
         dual = tuple([t - x for x, t in zip(lam, twist)])
         if self._carries(lam) and self._carries(twist):

@@ -229,9 +229,11 @@ def test_tables_equal_the_fraction_build(name):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_tables_of_drawn_descriptors_equal_the_fraction_build(data):
-    # unvalidated descriptors: dependent, repeated and zero vectors included
+    # unvalidated descriptors: dependent, repeated and zero vectors included;
+    # the products' factors have Cartan inverses of different denominators
     g = build_root_system(data.draw(st.sampled_from(
-        [[("A", 3)], [("B", 3)], [("G", 2)], [("C", 2), ("A", 1)], [("F", 4)]]
+        [[("A", 3)], [("B", 3)], [("G", 2)], [("C", 2), ("A", 1)], [("F", 4)],
+         [("A", 2), ("A", 3)], [("B", 3), ("G", 2), ("A", 1)]]
     )))
     weight = st.tuples(*(st.integers(-3, 3) for _ in range(g.rank)))
     sigma = data.draw(st.lists(weight, max_size=3))

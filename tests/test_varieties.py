@@ -614,6 +614,28 @@ def test_coordinates_of_another_variety_are_not_trusted(coords, solved):
         assert errors == [f"{list(lam)} is not in pic(PSO/PSO(2))"] * 2
 
 
+@pytest.mark.parametrize("lam, message", [
+    ((1, 0), "[1, 0] is not in pic(PSO/PSO(2))"),
+    ([3, 1], "[3, 1] is not in pic(PSO/PSO(2))"),
+    ((1, 0, 0), "weight has length 3, expected rank 2"),
+])
+def test_serre_dual_of_a_weight_off_pic_blames_the_weight(lam, message):
+    # a weight off pic(X) is a usage error, not bad catalog data
+    X = build_case("PSO/PSO(2)")
+    for dual in (X.serre_dual, lambda v: serre_dual_weight(X, v)):
+        with pytest.raises(ValueError) as exc:
+            dual(lam)
+        assert type(exc.value) is ValueError and str(exc.value) == message
+
+
+@pytest.mark.parametrize("mu", [(), (0,), (0, 0, 0), (0, 0, 0, 0, 5, 5)])
+def test_sign_pairings_refuses_a_weight_of_the_wrong_length(mu):
+    X = build_case("group:A2")
+    with pytest.raises(ValueError, match=f"^weight has length {len(mu)}, expected rank 4$"):
+        X.sign_pairings(mu)
+    assert len(X.sign_pairings((0, 0, 0, 0))) == X.rank
+
+
 def _imported_from_cohomology(tree) -> list[str]:
     """The names a module imports from the package's cohomology module."""
     names = []
