@@ -45,9 +45,11 @@ only lines off the sign pattern, and its subtree is never walked; level 0
 cuts c_0 by the rows that move with it, so each line keeps one run of
 consecutive c_0 with one J, and off the run no point is visited at all.
 The candidate ball of `enumerate_candidates` takes the same descent with
-nothing carried and nothing cut.  `_sign_runs` yields the runs, each
-certified at its ends.  With no spherical roots the sign cone is the one
-point c = (), and rank zero is the walk's one line, of one point.
+nothing cut, carrying mu alone: each line hands over its first weight
+already translated, and the rest of the line follows by adding gamma_0.
+`_sign_runs` yields the runs, each certified at its ends.  With no
+spherical roots the sign cone is the one point c = (), and rank zero is
+the walk's one line, of one point.
 
 Along a run, mu, the spherical pairings s and the coroot pairings
 pair_k = <mu + rho, alpha_k^vee> move by fixed rows per step of c_0.
@@ -111,7 +113,7 @@ from fractions import Fraction
 from operator import add, eq, itemgetter, mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .exactalg import int_inverse, int_scaled, ldl, negative_interval, row_products, translate
+from .exactalg import int_inverse, int_scaled, ldl, negative_interval, row_products
 from .roots import InvariantError, RootSystem, Weight
 from .varieties import CatalogError, WonderfulVariety
 
@@ -208,8 +210,8 @@ def _ball_lines(
     s_j < 0 iff c_j > 0, one `exactalg.negative_interval` per row; for
     j = i, c_i itself picks the side c_i >= 1 or c_i <= 0.  A line is then
     the run of c_0 that keeps the whole sign pattern, and a line or
-    subtree cut empty is not returned.  With no rows (the default), v is
-    `start` on every line and nothing is cut.
+    subtree cut empty is not returned.  With no `decided`, nothing is cut;
+    with no rows either (the default), v is `start` on every line.
 
     Times D the ball reads c^T G c + k c^T s <= 0.  Completing the square
     with z = (k/2) G^-1 s and G = L diag(d) L^T turns it into
@@ -306,9 +308,25 @@ def _ball_coefficients(
 
 def enumerate_candidates(X: WonderfulVariety, lam: Sequence[int]) -> list[Weight]:
     """All mu = lam + sum c_i gamma_i (c integral) with |mu + rho| <= |lam + rho|:
-    a finite superset of the contributing weights (see the module docstring)."""
+    a finite superset of the contributing weights (see the module docstring),
+    in lexicographic order of c."""
     lam = X.require_pic(lam)
-    return [translate(lam, c, X.spherical_roots) for c in _ball_coefficients(X, lam, 2)]
+    sigma = X.spherical_roots
+    if not sigma:
+        return [tuple(lam)]
+    step = sigma[0]
+    lines = _ball_lines(X, X.sign_pairings(lam), 2, lam, sigma)
+    # lexicographic in c: the lines in order of c_1..c_{r-1}, each dealt
+    # into one column per c_0, stepping mu by gamma_0
+    lines.sort(key=lambda line: line[0][1:])
+    first = min(c[0] for c, _, _ in lines)
+    end = max(c[0] + n for c, n, _ in lines)
+    columns: list[list[Weight]] = [[] for _ in range(first, end)]
+    for (lo, *_), n, mu in lines:
+        for column in columns[lo - first:lo - first + n]:
+            column.append(mu)
+            mu = tuple(map(add, mu, step))
+    return list(itertools.chain.from_iterable(columns))
 
 
 def _chamber(g: RootSystem, mu: Weight, inversions: int) -> tuple[int, tuple[Weight, ...]]:

@@ -3,7 +3,7 @@
 None of these functions reuse the engine's candidate enumeration: the
 flag variety rule is a single chamber walk, the projective space
 dimensions are binomial closed forms, the degree-zero description scans a
-plain coordinate box, and the Weyl group oracle lists group elements
+coordinate box of its own, and the Weyl group oracle lists group elements
 outright.  Agreement between these and the engine is evidence, not a
 tautology.
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
+from operator import sub
 from typing import NamedTuple, Optional, Sequence
 
 from .cohomology import (
@@ -32,7 +33,7 @@ from .cohomology import (
     serre_partner,
 )
 from . import degrees
-from .exactalg import row_products, translate
+from .exactalg import negative_interval, row_products, translate
 from .roots import RootSystem, Weight
 from .varieties import WonderfulVariety, pic_box
 
@@ -90,7 +91,8 @@ def quadric_cohomology(m: int, k: int) -> dict[int, int]:
 
 def brion_h0(X: WonderfulVariety, lam: Sequence[int]) -> list[Weight]:
     """Dominant weights mu with lam - mu a nonnegative integer combination
-    of the spherical roots, found by a plain box scan.
+    of the spherical roots, found by a box scan that dominance cuts along
+    its last coordinate.
 
     A dominant mu has nonnegative simple-root coordinates, and `validate`
     checks that each gamma_i has too.  So mu = lam - sum d_i gamma_i with
@@ -98,16 +100,40 @@ def brion_h0(X: WonderfulVariety, lam: Sequence[int]) -> list[Weight]:
     d_i <= lam_a // gamma_ia wherever gamma_ia > 0, with the coordinates
     scaled to integers by one common denominator.  A bound below 0 leaves
     no mu.  The gamma_ia are descriptor data, taken once at build.
+
+    The box runs over d_0..d_{r-2} with one `translate` per point.  Along
+    the last coordinate each entry of mu - d gamma_{r-1} is affine in d,
+    so the dominant points form one interval of d, cut by one
+    `exactalg.negative_interval` per entry, and are stepped through by
+    subtracting gamma_{r-1}; no point off it is built.  Rank 0 has the one
+    point d = ().  Nothing here reads the witness walk or its tables.
     """
     lam = X.require_pic(lam)
+    sigma = X.spherical_roots
+    if not sigma:
+        return [tuple(lam)] if all(x >= 0 for x in lam) else []
     lam_a = row_products(X.group._cartan_inv_scaled[0], lam)
     bounds = [
         min(la // ga for la, ga in zip(lam_a, gam_a) if ga > 0) for gam_a in X._gamma_simple
     ]
+    if min(bounds) < 0:
+        return []
+    *outer, last = bounds
+    step = sigma[-1]
     found = []
-    for minus_d in itertools.product(*(range(0, -b - 1, -1) for b in bounds)):
-        mu = translate(lam, minus_d, X.spherical_roots)
-        if all(x >= 0 for x in mu):
+    for minus_d in itertools.product(*(range(0, -b - 1, -1) for b in outer)):
+        mu = translate(lam, minus_d, sigma)
+        # mu - d gamma_last >= 0 entry by entry: -mu_k - 1 + d gamma_k < 0
+        lo, hi = 0, last
+        for x, g in zip(mu, step):
+            lo, hi = negative_interval(-x - 1, g, lo, hi)
+        if lo > hi:
+            continue
+        if lo:
+            mu = tuple([x - lo * g for x, g in zip(mu, step)])
+        found.append(mu)
+        for _ in range(lo, hi):
+            mu = tuple(map(sub, mu, step))
             found.append(mu)
     return sorted(found)
 

@@ -296,7 +296,7 @@ def parse_type(text: str) -> tuple[tuple[str, int], ...]:
     for part in parts:
         part = part.strip()
         family, rank = part[:1], part[1:]
-        if not family.isalpha() or not rank.isdecimal():
+        if not family.isalpha() or not (rank.isascii() and rank.isdecimal()):
             raise ValueError(f"cannot parse Dynkin type {text!r}")
         comps.append((family.upper(), int(rank)))
     return tuple(comps)

@@ -671,7 +671,9 @@ def build_case(name: str) -> WonderfulVariety:
     Accepted names: ``PSO/PSO(n)``, ``Q(n)`` (the quadric of dimension
     2n-1, n >= 2), ``SO7/G2``, ``Q7``, ``PGL/PSp(n)`` (n >= 2, meaning
     PGL_{2n}/PSp_{2n}), ``E6/F4``, ``group:<simple type>`` and
-    ``flag:<type>[:q=i,j]``.
+    ``flag:<type>[:q=i,j]``.  Every number in a name (n, a rank, a flag
+    index) is ASCII decimal digits alone: a sign, a blank, an underscore
+    or another script's digit is refused.
     """
     text = name.strip()
     if text in ("SO7/G2", "Q7"):  # P^7 and Q^7 under the 8-dimensional spin action
@@ -694,11 +696,10 @@ def build_case(name: str) -> WonderfulVariety:
                             ("Q(", lambda n: _pso_pso(n, True)),
                             ("PGL/PSp(", _pgl_psp)):
         if text.startswith(prefix) and text.endswith(")"):
-            try:
-                n = int(text[len(prefix):-1])
-            except ValueError:
+            digits = text[len(prefix):-1]
+            if not (digits.isascii() and digits.isdecimal()):
                 raise CatalogError(f"bad parameter in {name!r}")
-            return builder(n)
+            return builder(int(digits))
     if text.startswith("group:"):
         comps = parse_type(text[len("group:"):])
         if len(comps) != 1:
@@ -711,7 +712,9 @@ def build_case(name: str) -> WonderfulVariety:
         q: tuple[int, ...] = ()
         if len(parts) > 1:
             indices = parts[1][2:].split(",")
-            if not parts[1].startswith("q=") or not all(i.isdecimal() for i in indices):
+            if not parts[1].startswith("q=") or not all(
+                i.isascii() and i.isdecimal() for i in indices
+            ):
                 raise CatalogError(f"bad flag specifier {name!r}")
             q = tuple(int(i) - 1 for i in indices)
         return flag_variety(group, q, name=text)

@@ -52,6 +52,13 @@ def test_describe_unknown(capsys):
         ("flag:A2:q=1:q=2", "bad flag specifier 'flag:A2:q=1:q=2'"),
         ("flag:A2:q=1:", "bad flag specifier 'flag:A2:q=1:'"),
         ("group:Ab", "cannot parse Dynkin type 'Ab'"),
+        # int() or str.isdecimal takes each of these, and each named a
+        # second descriptor of a case its plain spelling already builds
+        ("Q(0_3)", "bad parameter in 'Q(0_3)'"),
+        ("PSO/PSO( 3)", "bad parameter in 'PSO/PSO( 3)'"),
+        ("PGL/PSp(+2)", "bad parameter in 'PGL/PSp(+2)'"),
+        ("group:A\u0663", "cannot parse Dynkin type 'A\u0663'"),
+        ("flag:A2:q=\u0661", "bad flag specifier 'flag:A2:q=\u0661'"),
     ],
 )
 def test_describe_malformed_name(capsys, name, message):

@@ -1,30 +1,31 @@
 """Property tests for the candidate enumerator.
 
 Both balls are checked against direct Fraction box scans of their own
-inequality, the contributions against the witness ball, and the
-contributions against the naive box scan of the defining conditions.
+inequality, the candidate list against one `translate` per point of its
+ball, the contributions against the witness ball, and the contributions
+against the naive box scan of the defining conditions.
 """
 
-import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wondercoh import build_case
 from wondercoh.cohomology import _ball_coefficients, contributions, enumerate_candidates
 from test_helpers import (
     NAMES,
+    PRODUCT,
     frac_isqrt_floor,
     gram,
     mat_inverse,
     naive_contribution_scan,
+    reference_candidates,
     sigma_lattice_coords,
+    variety,
 )
 
 PROPERTY = settings(max_examples=5, deadline=None, derandomize=True)
-variety = functools.cache(build_case)
 
 
 def draw_weight(data, X):
@@ -64,6 +65,17 @@ def test_balls_equal_box_scan(name, data):
     lam = draw_weight(data, X)
     for k in (1, 2):
         assert _ball_coefficients(X, lam, k) == quadric_box_scan(X, lam, k)
+
+
+@pytest.mark.parametrize("name", NAMES + ("group:A4", "group:D4", "PGL/PSp(5)", PRODUCT))
+@PROPERTY
+@given(data=st.data())
+def test_candidates_equal_one_translate_per_point(name, data):
+    # the walk carries mu down to each line and steps it along c_0; the
+    # reference translates every point of the ball from lam, order included
+    X = variety(name)
+    lam = draw_weight(data, X)
+    assert enumerate_candidates(X, lam) == reference_candidates(X, lam)
 
 
 @pytest.mark.parametrize("name", NAMES)

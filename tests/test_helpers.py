@@ -2,8 +2,8 @@
 lattice membership, a cold chamber table, product descriptors), the
 Fraction linear algebra, reference evaluation, table grouping and JSON
 document the engine is compared with, test-side references for the sign
-cones R_J, spherical and simple reflections, and the number of
-evaluations each entry point makes."""
+cones R_J, spherical and simple reflections, the candidate list and the
+H^0 box, and the number of evaluations each entry point makes."""
 
 import functools
 import itertools
@@ -20,7 +20,7 @@ from wondercoh import CATALOG_NAMES, CatalogError, WonderfulVariety, build_case
 from wondercoh import cohomology, oracles
 from wondercoh.cohomology import CohomologyTable, Constituent, Contribution, DegreeGroup
 from wondercoh.regions import region_plot
-from wondercoh.exactalg import Matrix, lattice_coords, span_numerators, translate
+from wondercoh.exactalg import Matrix, lattice_coords, row_products, span_numerators, translate
 from wondercoh.roots import RootSystem
 from wondercoh.varieties import pic_box, variety_from_dict
 
@@ -270,6 +270,49 @@ def product_variety(*names):
         doc["sgamma"] += [[pad(a), pad(b)] for a, b in X.sgamma_data or ()]
         offset += X.group.rank
     return variety_from_dict(doc)
+
+
+#: group:A1 x group:A2, spherical roots in that order: gamma_1 is orthogonal
+#: to gamma_0, so c_1 picks its own side (row j = i) and decides s_2 too.
+#: Among the group compactifications only type E has a spherical root
+#: orthogonal to all earlier ones, and group:E6 is too costly for the
+#: unpruned reference of `test_pruned_walk`
+PRODUCT = "group:A1 x group:A2"
+
+
+@functools.cache
+def variety(name):
+    """`build_case(name)`, or for `PRODUCT` its product descriptor, built once."""
+    return product_variety(*name.split(" x ")) if name == PRODUCT else build_case(name)
+
+
+def reference_candidates(X: WonderfulVariety, lam) -> list[tuple[int, ...]]:
+    """`enumerate_candidates` by one `translate` per point of the k = 2
+    ball, in lexicographic order of c: the enumeration before the walk
+    carried mu."""
+    sigma = X.spherical_roots
+    return [translate(lam, c, sigma) for c in cohomology._ball_coefficients(X, lam, 2)]
+
+
+def h0_bounds(X: WonderfulVariety, lam) -> list[int]:
+    """The bound on each d_i of `oracles.brion_h0`, from the simple-root
+    coordinates of lam and of the spherical roots."""
+    lam_a = row_products(X.group._cartan_inv_scaled[0], lam)
+    return [
+        min(la // ga for la, ga in zip(lam_a, gam_a) if ga > 0) for gam_a in X._gamma_simple
+    ]
+
+
+def box_scan_h0(X: WonderfulVariety, lam) -> list[tuple[int, ...]]:
+    """`oracles.brion_h0` as a plain box scan: every d of the box of
+    `h0_bounds`, mu = lam - sum d_i gamma_i by one `translate` each, kept
+    when dominant."""
+    found = []
+    for minus_d in itertools.product(*(range(0, -b - 1, -1) for b in h0_bounds(X, lam))):
+        mu = translate(lam, minus_d, X.spherical_roots)
+        if all(x >= 0 for x in mu):
+            found.append(mu)
+    return sorted(found)
 
 
 def count_calls(monkeypatch, holders, attr):

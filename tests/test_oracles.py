@@ -2,11 +2,13 @@
 
 import inspect
 import itertools
+import math
+import sys
 
 import pytest
 
 from wondercoh import build_case, build_root_system, oracles
-from wondercoh.cohomology import cohomology_table
+from wondercoh.cohomology import cohomology_table, enumerate_candidates
 from wondercoh.oracles import (
     OracleBudgetError,
     brion_h0,
@@ -17,6 +19,9 @@ from wondercoh.oracles import (
     vanishing_profile,
     weyl_group_bruteforce,
 )
+from wondercoh.varieties import pic_box
+
+from test_helpers import NAMES, box_scan_h0, count_calls, h0_bounds
 
 
 def test_bwb_direct_examples():
@@ -120,6 +125,34 @@ def test_brion_h0_flag():
     X = build_case("flag:A1")
     assert brion_h0(X, (4,)) == [(4,)]
     assert brion_h0(X, (-4,)) == []
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_brion_h0_equals_box_scan(name):
+    # the scan cuts its last axis to the dominant interval; the reference
+    # visits every point of the box
+    X = build_case(name)
+    for coords, lam in pic_box(X, 3):
+        assert brion_h0(X, lam) == box_scan_h0(X, lam), coords
+
+
+@pytest.mark.parametrize("name", NAMES + ("group:A4", "PGL/PSp(5)"))
+def test_box_walks_step_by_rows(monkeypatch, name):
+    # the candidate list takes each weight from the ball's walk, and
+    # brion_h0 translates once per point of its box but the last axis,
+    # along which it steps
+    X = build_case(name)
+    n = len(X.pic_basis)
+    weights = [X.weight_from_pic_coords(c) for c in [(3,) * n, (-3,) * n, (2, -1, 1, -2)[:n]]]
+    holders = [m for k, m in sorted(sys.modules.items())
+               if k.startswith("wondercoh.") and hasattr(m, "translate")]
+    calls = count_calls(monkeypatch, holders, "translate")
+    for lam in weights:
+        assert enumerate_candidates(X, lam) and calls == []
+        *outer, _ = h0_bounds(X, lam) or [0]
+        brion_h0(X, lam)
+        assert len(calls) <= math.prod(max(b + 1, 0) for b in outer)
+        calls.clear()
 
 
 def test_weyl_bruteforce_orders():

@@ -31,18 +31,7 @@ from wondercoh.regions import region_plot
 from wondercoh.serialize import table_to_json
 from wondercoh.varieties import validate
 
-from test_helpers import NAMES, count_calls, draw_weight, product_variety
-
-#: group:A1 x group:A2, spherical roots in that order: gamma_1 is orthogonal
-#: to gamma_0, so c_1 picks its own side (row j = i) and decides s_2 too.
-#: Among the group compactifications only type E has a spherical root
-#: orthogonal to all earlier ones, and group:E6 is too costly for the
-#: unpruned reference
-PRODUCT = "group:A1 x group:A2"
-
-
-def variety(name):
-    return product_variety(*name.split(" x ")) if name == PRODUCT else build_case(name)
+from test_helpers import NAMES, PRODUCT, count_calls, draw_weight, product_variety, variety
 
 
 def unpruned_sign_runs(X, lam, base_pair):
