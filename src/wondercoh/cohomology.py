@@ -29,7 +29,8 @@ c_{r-1}, ..., c_1 off by branch and bound and gives one line per fixed
 c_1..c_{r-1}: its first point c and its number n of points along c_0.
 Its bounds read the ball's quadric, which `_walk` scales to integers once
 per variety, on the first walk, from the LDL^T of the integer sign Gram
-matrix; a descriptor that is never walked never builds it.
+matrix and the inverse that the descriptor solved at build; a descriptor
+that is never walked never builds it.
 The descent carries the state of the walk: the sign pairings
 s_i = D (mu + rho, gamma_i) with D = X._gamma_den, the coroot pairings of
 mu + rho and mu are affine in c, so fixing c_i adds c_i times a fixed row
@@ -113,7 +114,7 @@ from fractions import Fraction
 from operator import add, eq, itemgetter, mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .exactalg import int_inverse, int_scaled, ldl, negative_interval, row_products
+from .exactalg import ScaledMatrix, int_scaled, ldl, negative_interval, row_products
 from .roots import InvariantError, RootSystem, Weight
 from .varieties import CatalogError, WonderfulVariety
 
@@ -211,7 +212,9 @@ def _ball_lines(
     j = i, c_i itself picks the side c_i >= 1 or c_i <= 0.  A line is then
     the run of c_0 that keeps the whole sign pattern, and a line or
     subtree cut empty is not returned.  With no `decided`, nothing is cut;
-    with no rows either (the default), v is `start` on every line.
+    with no rows either (the default), v is () on every line at rank 1 and
+    up, as v keeps only as many entries as rows[i] has, and rank 0's one
+    line keeps `start`.
 
     Times D the ball reads c^T G c + k c^T s <= 0.  Completing the square
     with z = (k/2) G^-1 s and G = L diag(d) L^T turns it into
@@ -375,12 +378,11 @@ def _walk(X: WonderfulVariety) -> Walk:
     stretch of `_stretches`, and `fixed` holds the rest.  chambers maps an
     inversion set of mu + rho to (length, matrix of w, w(gamma_0)) for the
     w making mu + rho dominant; `_stretches` fills it.  form is the
-    witness ball's quadric (form, q, A, e) of `_ball_lines`, from G, and
-    None when G is singular, which validation rejects."""
+    witness ball's quadric (form, q, A, e) of `_ball_lines`, from G and its
+    inverse, and None when G is singular, which validation rejects."""
     walk = X._walk
     if walk is None:
-        sigma = X.spherical_roots
-        gram = [row_products(sigma, w) for w in X._gamma_sign_rows]
+        sigma, gram = X.spherical_roots, X._gamma_sign_gram
         coroot = [row_products(X.group._coroot_rows, gam) for gam in sigma]
         decided: list[list[int]] = [[] for _ in sigma]
         for j, g_row in enumerate(gram):
@@ -389,21 +391,17 @@ def _walk(X: WonderfulVariety) -> Walk:
         rows = tuple((*g_row, *pair_row, *gam) for g_row, pair_row, gam in zip(gram, coroot, sigma))
         moving = tuple(k for k, d in enumerate(step[1]) if d)
         fixed = tuple(k for k, d in enumerate(step[1]) if not d)
-        walk = X._walk = Walk(
-            rows, tuple(map(tuple, decided)), step, moving, fixed, {}, _ball_form(gram)
-        )
+        form = _ball_form(gram, X._gamma_sign_gram_inv) if X._sigma_pos_def else None
+        walk = X._walk = Walk(rows, tuple(map(tuple, decided)), step, moving, fixed, {}, form)
     return walk
 
 
-def _ball_form(gram: Sequence[Sequence[int]]) -> Optional[tuple]:
-    """(form, q, A, e) of `_ball_lines` from the integer sign Gram matrix
-    G, or None when G is singular: it is positive semidefinite, so `ldl`
-    raises exactly then.  Only the LDL^T of G runs on Fractions."""
-    try:
-        L, d = ldl([[Fraction(x) for x in row] for row in gram])
-    except ValueError:
-        return None
-    rows, den = int_inverse(gram)
+def _ball_form(gram: Sequence[Sequence[int]], inverse: ScaledMatrix) -> tuple:
+    """(form, q, A, e) of `_ball_lines` from the positive definite integer
+    sign Gram matrix G and its inverse G^-1 = rows / den, both solved at
+    descriptor build.  Only the LDL^T of G runs on Fractions."""
+    L, d = ldl([[Fraction(x) for x in row] for row in gram])
+    rows, den = inverse
     form, q, A = [], [], []
     for col in zip(*L):
         # row i of M = L^T G^-1 / 2 is N / m, G^-1 = rows / den being

@@ -16,9 +16,10 @@ constants that `validate` compares against).
 
 Each per-variety constant is solved once, when the descriptor is built
 (`WonderfulVariety._init_lattice_caches`): the integer sign rows of the
-spherical roots and of the pic basis, the lattice left inverses, the
-Serre twist, lambda_0 (or the error asking for it raises) and the
-spherical roots' simple-root coordinates.  Readers take them from there.
+spherical roots and of the pic basis, the sign Gram matrix of the
+spherical roots and its inverse, the lattice left inverses, the Serre
+twist, lambda_0 (or the error asking for it raises) and the spherical
+roots' simple-root coordinates.  Readers take them from there.
 The descriptor owns the Picard lattice: membership (`pic_contains`,
 `require_pic`), the weights that carry their pic coordinates, the Serre
 dual and the sign pairings D (mu + rho, gamma_i) are its methods.
@@ -174,19 +175,20 @@ class WonderfulVariety:
         F, fden = g._fw_gram_scaled
         sigma_pairing = [row_products(F, gam) for gam in sigma]
         pic_pairing = [row_products(F, w) for w in pic]
-        sigma_gram = [row_products(sigma_pairing, gam) for gam in sigma]
-        pic_gram = [row_products(pic_pairing, w) for w in pic]
-        # both Gram matrices (scaled by fden) are of a positive definite
-        # form, so each is positive definite exactly when it is invertible
-        sigma_inv = _inverse_or_none(sigma_gram)
-        pic_inv = _inverse_or_none(pic_gram)
-        self._sigma_pos_def = sigma_inv is not None
-        self._pic_independent = pic_inv is not None
         # spherical pairing rows: (v, gamma_i) = W_i . v / D with one common
         # integer D > 0, so W_i . v is exact and has the sign of (v, gamma_i)
         self._gamma_sign_rows, self._gamma_den = least_scaled(sigma_pairing, fden)
+        # the sign Gram matrix G_ij = W_i . gamma_j = D (gamma_i, gamma_j) and
+        # its inverse, which `cohomology._walk` reads.  G and the pic Gram
+        # matrix (scaled by fden) are of a positive definite form, so each
+        # is positive definite exactly when it is invertible
+        self._gamma_sign_gram = tuple(row_products(sigma, w) for w in self._gamma_sign_rows)
+        self._gamma_sign_gram_inv = _inverse_or_none(self._gamma_sign_gram)
+        pic_inv = _inverse_or_none([row_products(pic_pairing, w) for w in pic])
+        self._sigma_pos_def = self._gamma_sign_gram_inv is not None
+        self._pic_independent = pic_inv is not None
         # integer left inverses of both bases, for lattice membership
-        self._sigma_left_inv = _left_inverse(sigma_inv, sigma_pairing)
+        self._sigma_left_inv = _left_inverse(self._gamma_sign_gram_inv, self._gamma_sign_rows)
         self._pic_left_inv = _left_inverse(pic_inv, pic_pairing)
         twist = translate([-x for x in self.two_rho_X], (-1,) * self.rank, sigma)
         coords = lattice_coords(pic, self._pic_left_inv, twist)
@@ -199,7 +201,7 @@ class WonderfulVariety:
         self._gamma_simple = tuple(row_products(g._cartan_inv_scaled[0], gam) for gam in sigma)
         self._lambda_zero = self._solve_lambda_zero()
         # the witness walk's tables, the ball's quadric among them, which
-        # `cohomology._walk` builds from the sign rows on first use
+        # `cohomology._walk` builds from the sign rows and G on first use
         self._walk: Optional[tuple] = None
 
     # -- the Picard lattice ----------------------------------------------

@@ -254,6 +254,17 @@ def test_region_plot_files(tmp_path, capsys):
         assert int(mask) == sum(1 << i for i, n in enumerate(coords) if n <= 0)
 
 
+def test_region_plot_over_the_cap_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "omega.svg"
+    code, printed, err = run(
+        capsys, "region-plot", "group:A2", "--kind", "Omega",
+        "--range", "-100000", "100000", "--out", str(out),
+    )
+    assert (code, printed) == (2, "")
+    assert err == "error: a grid of 40000400001 points exceeds the region plot limit of 250000\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_variety_file(tmp_path, capsys):
     doc = {
         "name": "myP3",

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wondercoh import (
-    CatalogError, WonderfulVariety, build_case, build_root_system, cohomology, oracles,
+    CatalogError, WonderfulVariety, build_case, build_root_system, cohomology, exactalg, oracles,
+    roots, varieties,
 )
 from wondercoh.cohomology import (
     _ball_lines,
@@ -140,6 +141,28 @@ def test_an_unvalidated_singular_descriptor_is_a_catalog_error(evaluate):
         evaluate(X, (0, 0))
     assert str(exc.value) == f"descriptor singular fails validation: {check}"
     assert X._walk.form is None
+
+
+@pytest.mark.parametrize("name", ["flag:A2", "PSO/PSO(3)", "group:A2", "E6/F4", "group:A3"])
+def test_the_first_walk_inverts_nothing(monkeypatch, name):
+    # the descriptor solved the sign Gram matrix's inverse at build
+    X = build_case.__wrapped__(name)
+    holders = [m for m in (exactalg, roots, varieties, cohomology) if hasattr(m, "int_inverse")]
+    calls = count_calls(monkeypatch, holders, "int_inverse")
+    assert _walk(X).form is not None
+    assert calls == []
+
+
+@pytest.mark.parametrize("evaluate", [cohomology_table, enumerate_candidates])
+def test_a_singular_descriptor_never_factors_its_gram_matrix(monkeypatch, evaluate):
+    # the descriptor of the test above: the walk knows G is singular from
+    # the build and never runs LDL^T on it
+    A2 = build_root_system([("A", 2)])
+    X = WonderfulVariety("singular", A2, [(2, -1), (4, -2)], [(1, 0), (0, 1)])
+    calls = count_calls(monkeypatch, [cohomology], "ldl")
+    with pytest.raises(CatalogError):
+        evaluate(X, (0, 0))
+    assert calls == []
 
 
 #: Picard coordinates drawn per rank: the reference walks the whole witness

@@ -3,13 +3,16 @@
 import functools
 import itertools
 import os
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wondercoh import WonderfulVariety, build_case
-from wondercoh.regions import region_plot
+from wondercoh.cohomology import omega_signature
+from wondercoh.regions import MAX_POINTS, region_plot
+from wondercoh.varieties import variety_from_dict
 
 from test_exact_forms import count_fractions
 from test_helpers import NAMES, draw_weight, in_translated_R, inline_translate
@@ -186,3 +189,55 @@ def test_default_omega_plot_builds_no_fraction(monkeypatch, name):
     plot.svg()
     plot.sidecar()
     assert made == []
+
+
+#: PSO/PSO(3) with a pic basis of two weights for its one spherical root,
+#: which `validate` accepts; the grid steps along pic_0 alone
+LONG_PIC = {
+    "name": "PSO/PSO(3), Q = B",
+    "group": [["D", 3]],
+    "spherical_roots": [[2, 0, 0]],
+    "q_simple_roots": [],
+    "sgamma": [[[1, 1, 0], [1, 0, 1]]],
+}
+
+
+@pytest.mark.parametrize(
+    "pic, n_range", [([[1, 1, 1], [0, 1, 1]], (-3, 3)), ([[1, 0, 0], [1, 1, 1]], (-6, 6))]
+)
+def test_omega_plot_of_a_longer_pic_basis_equals_the_signature(pic, n_range):
+    X = variety_from_dict({**LONG_PIC, "pic_basis": pic})
+    for coords in ((0, 0), (1, -2), (-3, 2)):
+        base = X.weight_from_pic_coords(coords)
+        plot = region_plot(X, "Omega", *n_range, base)
+        for (n,), mask in plot.points:
+            mu = inline_translate(base, (n,), X.pic_basis)
+            assert mask == sum(1 << i for i in omega_signature(X, mu)), (coords, n)
+
+
+def test_r_plot_checks_its_base():
+    X = build_case("group:A2")
+    for base, message in (
+        ((1, 2, 3), "weight has length 3"),
+        (("a", None), "invalid literal"),
+        ((1, 2, 3, 4), r"\[1, 2, 3, 4\] is not in pic\(group:A2\)"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            region_plot(X, "R", 0, 1, base=base)
+    # a base in pic(X) is drawn as given, and the default stays 0
+    assert region_plot(X, "R", 0, 1, base=[1, 0, 0, 1]).base == (1, 0, 0, 1)
+    assert region_plot(X, "R", 0, 1).base == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("name, n_range, points", [
+    ("group:A2", (-10**5, 10**5), 40000400001),
+    ("PSO/PSO(3)", (0, MAX_POINTS), MAX_POINTS + 1),
+])
+@pytest.mark.parametrize("kind", ["Omega", "R"])
+def test_an_oversized_grid_is_refused_before_any_work(name, n_range, points, kind):
+    X = build_case(name)
+    message = f"a grid of {points} points exceeds the region plot limit of {MAX_POINTS}"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        region_plot(X, kind, *n_range)
+    assert time.perf_counter() - start < 0.5
