@@ -10,19 +10,20 @@ templates, calling `json.dumps` only for the variety name: the bytes of
 `json.dumps(table_to_dict(...), indent=2, separators=(",", ": "))` plus a
 newline, with the test reference `tests/test_helpers.table_to_dict`.
 Witness and constituent objects have one `%` template per shape, that is
-per array length (|J| and the length of mu, or the length of the highest
-weight), built once and cached; JSON braces are literal in them.  Each
-object is one `%` on one tuple of its fields, which `%s` writes as
-`str(x)`.  Both operators read their template again on every call, but
+per length of mu or of the highest weight, built once and cached; JSON
+braces are literal in them.  Each object is one `%` on one tuple of its
+fields, which `%s` writes as `str(x)`; a witness's J array goes in as one
+field, its JSON text, made once per J and cached, so one template serves
+every |J|.  Both operators read their template again on every call, but
 `str.format` parses each `{}` as a field (name, conversion, spec), which
 makes it nearly twice as slow as `%` on the same one-witness template.  A
 constituent with exactly one witness, the usual case at depth, is one `%`
 in all: its template is the constituent template with the witness
 template spliced in as its one-element array.  The weights of a degree
-group share one length, so each group looks up the templates it needs
-once (one per |J| for one-witness constituents) instead of per
-constituent.  With an indent, `json.dumps` runs CPython's pure-Python
-encoder, about four times slower than the templates on deep weights.
+group share one length, so each group looks its templates up once
+instead of per constituent.  With an indent, `json.dumps` runs CPython's
+pure-Python encoder, about four times slower than the templates on deep
+weights.
 """
 
 from __future__ import annotations
@@ -63,13 +64,26 @@ def _ints(values: Sequence[int], indent: str) -> str:
     return _items([f"{inner}{x}" for x in values], indent)
 
 
+class _JText(dict):
+    """J -> the JSON text of a witness's J array, at the witness
+    indentation, made on first use.  The writer reads it once per witness,
+    and a subscript costs about half a `functools.cache` call."""
+
+    def __missing__(self, J: tuple[int, ...]) -> str:
+        text = self[J] = _ints(J, _WITNESS)
+        return text
+
+
+_j_json = _JText()
+
+
 @functools.cache
-def _witness_template(nj: int, nmu: int) -> str:
-    """`%` template of a witness object with nj entries in J and nmu in mu;
-    its fields are J, then mu, then the length."""
+def _witness_template(nmu: int) -> str:
+    """`%` template of a witness object with nmu entries in mu; its fields
+    are the JSON text of J (`_j_json`), then mu, then the length."""
     return (
         "            {\n"
-        f'              "J": {_ints(["%s"] * nj, _WITNESS)},\n'
+        '              "J": %s,\n'
         f'              "mu": {_ints(["%s"] * nmu, _WITNESS)},\n'
         '              "length": %s\n'
         "            }"
@@ -91,35 +105,33 @@ def _constituent_template(nhw: int) -> str:
 
 
 @functools.cache
-def _single_witness_template(nhw: int, nj: int, nmu: int) -> str:
+def _single_witness_template(nhw: int) -> str:
     """`%` template of a constituent object with exactly one witness: the
     constituent template with that witness's template as its array; its
-    fields are the weight, the multiplicity, J, mu and the length."""
+    fields are the weight, the multiplicity, the JSON text of J, mu and the
+    length."""
     head, tail = _constituent_template(nhw).rsplit("%s", 1)
-    return head + _items([_witness_template(nj, nmu)], _CONSTITUENT) + tail
+    return head + _items([_witness_template(nhw)], _CONSTITUENT) + tail
 
 
 def _constituents_json(constituents: Sequence[Constituent], with_witnesses: bool) -> list[str]:
     """The constituent objects of one degree group, each one `%` of its
-    template on one tuple of its fields; the group looks each template up
-    once (one-witness templates once per |J|; see the module docstring)."""
+    template on one tuple of its fields; the group looks its templates up
+    once (see the module docstring)."""
     if not constituents:
         return []
     n = len(constituents[0].highest_weight)
     plain = _constituent_template(n)
     if not with_witnesses:
         return [plain % (*hw, multiplicity, "[]") for hw, multiplicity, _, _ in constituents]
-    single: dict[int, str] = {}  # |J| -> one-witness constituent template
+    single, witness = _single_witness_template(n), _witness_template(n)
     out = []
     for hw, multiplicity, _, wits in constituents:
         if len(wits) == 1:
             (t,) = wits
-            fmt = single.get(len(t.J))
-            if fmt is None:
-                fmt = single[len(t.J)] = _single_witness_template(n, len(t.J), n)
-            out.append(fmt % (*hw, multiplicity, *t.J, *t.mu, t.length))
+            out.append(single % (*hw, multiplicity, _j_json[t.J], *t.mu, t.length))
         else:
-            witnesses = [_witness_template(len(t.J), n) % (*t.J, *t.mu, t.length) for t in wits]
+            witnesses = [witness % (_j_json[t.J], *t.mu, t.length) for t in wits]
             out.append(plain % (*hw, multiplicity, _items(witnesses, _CONSTITUENT)))
     return out
 

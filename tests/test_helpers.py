@@ -2,8 +2,9 @@
 lattice membership, a cold chamber table, product descriptors), the
 Fraction linear algebra, reference evaluation, table grouping and JSON
 document the engine is compared with, test-side references for the sign
-cones R_J, spherical and simple reflections, the candidate list and the
-H^0 box, and the number of evaluations each entry point makes."""
+cones R_J, spherical and simple reflections, the candidate list, the
+H^0 box and the witnesses of each chamber stretch, and the number of
+evaluations each entry point makes."""
 
 import functools
 import itertools
@@ -249,6 +250,25 @@ def cold_chambers(monkeypatch, X):
     table: dict = {}
     monkeypatch.setattr(X, "_walk", cohomology._walk(X)._replace(chambers=table))
     return table
+
+
+def expand_stretches(X: WonderfulVariety, lam) -> dict[int, list[Contribution]]:
+    """The witnesses of lam per degree, expanded from `_stretches` one
+    witness at a time, each field stepped t times from the stretch's first
+    witness and the dimension from the Weyl dimension formula: the
+    reference for both expansion paths of `_witnesses_by_degree`.  At rank
+    0, gamma_0 is () and every stretch one witness long."""
+    mu_step = cohomology._walk(X).step[0]
+    by_degree: dict[int, list[Contribution]] = {}
+    for J, length, degree, mu, mu_plus, _, w_step, m in cohomology._stretches(X, lam):
+        for t in range(m):
+            mu_t = tuple(x + t * y for x, y in zip(mu, mu_step)) if t else mu
+            plus_t = tuple(x + t * y for x, y in zip(mu_plus, w_step))
+            dimension = X.group.weyl_dimension(plus_t)
+            by_degree.setdefault(degree, []).append(
+                Contribution(J, mu_t, length, plus_t, degree, dimension)
+            )
+    return by_degree
 
 
 def product_variety(*names):

@@ -12,15 +12,22 @@ writers are pinned on five weights.
 
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wondercoh
 from wondercoh import CATALOG_NAMES, build_case, cohomology
 from wondercoh.cli import main
 from wondercoh.cohomology import (
+    CohomologyTable,
+    Constituent,
     Contribution,
+    DegreeGroup,
     cohomology_table,
     contributions,
     enumerate_candidates,
@@ -34,6 +41,7 @@ from test_helpers import (
     NAMES,
     cold_chambers,
     draw_weight,
+    expand_stretches,
     naive_contribution_scan,
     reference_json,
     sigma_lattice_coords,
@@ -183,6 +191,27 @@ def test_json_writer_on_origin_and_empty_table(name):
             )
 
 
+def test_json_writer_on_one_group_of_every_J_size():
+    # one template with J as JSON text serves every |J|: a degree group of
+    # one-witness constituents with |J| = 0, 1 and 2 and a shared one with
+    # two sizes, built by hand, as no catalog weight searched has one
+    X = build_case("group:A2")
+    none = Contribution((), (-1, 3, -2, 0), 4, (0, 0, 1, 1), 4, 9)
+    one = Contribution((1,), (2, -7, 0, 4), 3, (0, 1, 0, 2), 4, 15)
+    two = Contribution((0, 1), (-8, 1, 3, -6), 2, (1, 1, 0, 0), 4, 8)
+    left = Contribution((0,), (5, -9, -3, 1), 3, (2, 0, 0, 1), 4, 18)
+    right = Contribution((0, 1), (-7, 2, 4, -8), 2, (2, 0, 0, 1), 4, 18)
+    constituents = tuple(
+        Constituent(wits[0].mu_plus, len(wits), wits[0].dimension, wits)
+        for wits in ((none,), (one,), (two,), (left, right))
+    )
+    table = CohomologyTable((-6, 4, 0, 0), (DegreeGroup(4, constituents, 9 + 15 + 8 + 36),))
+    for with_witnesses in (True, False):
+        assert table_to_json(X, table, (-6, 4), with_witnesses) == reference_json(
+            X, table, (-6, 4), with_witnesses
+        )
+
+
 def test_short_word_breaks_dominance(capsys, monkeypatch):
     # right length, wrong Weyl element: caught per witness, not by an assert
     walk = RootSystem.make_dominant_shifted
@@ -213,6 +242,83 @@ def test_indivisible_pair_product_raises_in_table(monkeypatch):
     monkeypatch.setattr(X.group, "_weyl_den", 2**61 - 1)
     with pytest.raises(InvariantError, match="Weyl dimension numerator"):
         cohomology_table(X, X.weight_from_pic_coords((-4, 2)))
+
+
+def _stretch_lengths(monkeypatch):
+    """The length m of every stretch `_stretches` yields, as they are read."""
+    lengths = []
+    stretches = cohomology._stretches
+
+    def counted(X, lam):
+        for stretch in stretches(X, lam):
+            lengths.append(stretch[-1])
+            yield stretch
+
+    monkeypatch.setattr(cohomology, "_stretches", counted)
+    return lengths
+
+
+def test_indivisible_pair_product_raises_on_the_c_path(monkeypatch):
+    # the first stretch of group:A2 at (-30, -30) reaches the crossover, and
+    # its batch check raises before a second stretch is read
+    X = build_case("group:A2")
+    monkeypatch.setattr(X.group, "_weyl_den", 2**61 - 1)
+    lengths = _stretch_lengths(monkeypatch)
+    with pytest.raises(InvariantError, match="Weyl dimension numerator"):
+        cohomology_table(X, X.weight_from_pic_coords((-30, -30)))
+    assert len(lengths) == 1 and lengths[0] >= cohomology._C_STRETCH
+
+
+def test_indivisible_pair_product_raises_on_the_c_path_under_optimize():
+    # `assert` statements vanish under -O; the batch check must not
+    # (the counter is inlined: importing this module there takes 1 s)
+    script = "\n".join([
+        "import sys",
+        "from wondercoh import build_case, cohomology",
+        "from wondercoh.roots import InvariantError",
+        "X = build_case('group:A2')",
+        "X.group._weyl_den = 2**61 - 1",
+        "lengths, stretches = [], cohomology._stretches",
+        "def counted(X, lam):",
+        "    for stretch in stretches(X, lam):",
+        "        lengths.append(stretch[-1])",
+        "        yield stretch",
+        "cohomology._stretches = counted",
+        "try:",
+        "    cohomology.cohomology_table(X, X.weight_from_pic_coords((-30, -30)))",
+        "except InvariantError as e:",
+        "    print(sys.flags.optimize, len(lengths), lengths[0] >= cohomology._C_STRETCH, e)",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wondercoh.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 1 True pairing product is not a Weyl dimension numerator\n"
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_both_expansions_equal_the_per_step_reference(name, data):
+    X = build_case(name)
+    _, lam = deep_weight(data, X)
+    for weight in (lam, serre_dual_weight(X, lam)):
+        assert cohomology._witnesses_by_degree(X, weight) == expand_stretches(X, weight)
+
+
+def test_long_stretches_equal_the_per_step_reference(monkeypatch):
+    # stretches on both sides of the crossover, up to m = 21; in records and
+    # in order, per degree
+    lengths = _stretch_lengths(monkeypatch)
+    for name in ("E6/F4", "group:A2"):
+        X = build_case(name)
+        lam = X.weight_from_pic_coords((-30, -30))
+        expected = expand_stretches(X, lam)
+        del lengths[:]
+        assert cohomology._witnesses_by_degree(X, lam) == expected
+        assert min(lengths) < cohomology._C_STRETCH <= max(lengths)
 
 
 def test_tabulate_orders_shared_witnesses_and_empty_J():
