@@ -218,8 +218,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code
     except BrokenPipeError as exc:
         # the interpreter flushes stdout again at exit; let that write go nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        try:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        except BrokenPipeError:  # stderr is the same closed pipe
+            os.dup2(devnull, sys.stderr.fileno())
         return USAGE_ERROR
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,10 +32,10 @@ per variety, on the first walk, from the LDL^T of the integer sign Gram
 matrix and the inverse that the descriptor solved at build; a descriptor
 that is never walked never builds it.
 The descent carries the state of the walk: the sign pairings
-s_i = D (mu + rho, gamma_i) with D = X._gamma_den, the coroot pairings of
-mu + rho and mu are affine in c, so fixing c_i adds c_i times a fixed row
-of `_walk`, built once per variety, and each later c_i adds the row once
-more; no point is rebuilt from lam.  The sign conditions are cut in the
+s_i = D (mu + rho, gamma_i) with D = X._gamma_den, the class pairings of
+mu + rho (below) and mu are affine in c, so fixing c_i adds c_i times a
+fixed row of `_walk`, built once per variety, and each later c_i adds the
+row once more; no point is rebuilt from lam.  The sign conditions are cut in the
 same descent, each at one level: when G_jk = 0 for every k < i, with G
 the integer sign Gram matrix, c_i fixes both s_j and c_j, and s_j < 0 iff
 c_j > 0 cuts the range of c_i to an interval, one call of
@@ -52,37 +52,48 @@ already translated, and the rest of the line follows by adding gamma_0.
 spherical roots the sign cone is the one point c = (), and rank zero is
 the walk's one line, of one point.
 
-Along a run, mu, the spherical pairings s and the coroot pairings
-pair_k = <mu + rho, alpha_k^vee> move by fixed rows per step of c_0.
-The sign vector of the coroot pairings, the key, is the inversion set of
-mu + rho, and it fixes the Weyl element w with w(mu + rho) dominant.  So
+The walk carries one coroot pairing per class.  For mu in
+pic(X) + Z Sigma, <mu + rho, alpha^vee> is fixed by the coroot's pairings
+with each gamma_i and each pic_j and by its height <rho, alpha^vee>.
+`_walk` groups the positive coroots by these three, once per variety, and
+carries each class as its first coroot, with its size m_c, the classes
+ordered by size.  A class whose
+gamma and pic pairings are all 0 is inert: it pairs to its height > 0 at
+every mu, so it never inverts and never makes mu + rho singular, and it
+leaves the walk.  A group compactification carries one class for each
+pair alpha x 1, 1 x alpha*, half its coroots; E6/F4 carries 21 of 36.
+
+Along a run, mu, the spherical pairings s and the class pairings
+p_c = <mu + rho, alpha_c^vee> move by fixed rows per step of c_0.
+The sign vector of the class pairings, the key, fixes the inversion set of
+mu + rho, and with it the Weyl element w with w(mu + rho) dominant.  So
 the chamber walk runs once per distinct key and variety in a process; its
 word, replayed on the identity, gives the integer matrix of w, kept with
-l(mu) = the number of negative pairings and the vector w(gamma_0) in the
-chamber table of the variety's walk.  An entry joins the table only
+l(mu) = the sum of m_c over the negative classes and the vector w(gamma_0)
+in the chamber table of the variety's walk.  An entry joins the table only
 after the first stretch that used it passed the checks below, and later
 evaluations of that variety reuse it.  Along a run the key holds over
 stretches of consecutive witnesses, and `_stretches` yields one record
-per stretch.  Each pairing is affine along the run,
-pair_k + t <gamma_0, alpha_k^vee>, so the stretch ends in closed form:
+per stretch.  Each class pairing is affine along the run,
+p_c + t <gamma_0, alpha_c^vee>, so the stretch ends in closed form:
 where the first pairing that moves toward 0 would reach or cross it, one
-floor division per such pairing.  Only the coroots with
-<gamma_0, alpha_k^vee> != 0 move, and one moves toward 0 when its pairing
+floor division per such pairing.  Only the classes with
+<gamma_0, alpha_c^vee> != 0 move, and one moves toward 0 when its pairing
 and its step have opposite signs.  A point where some pairing is 0 is
 singular and is skipped; the next regular point starts a new stretch, and
 so does a point where a pairing stepped across 0 without touching it.  A
-coroot that does not move keeps its pairing over the whole run, so when
+class that does not move keeps its pairing over the whole run, so when
 such a pairing is 0 every point of the run is singular, and the run is
 dropped at once instead of being stepped through.  As
-w permutes the positive coroots up to sign, |prod_k pair_k| is the Weyl
-dimension numerator of mu^+, so
-dim L(mu^+) = |prod_k pair_k| / prod_k <rho, alpha_k^vee> needs no second
+w permutes the positive coroots up to sign, the product of the inert
+heights times |prod_c p_c^{m_c}| is the Weyl dimension numerator of mu^+,
+and dim L(mu^+) is that over prod_k <rho, alpha_k^vee>, with no second
 pass over the roots.
 
 The checks are made per run and per stretch.  An affine form is
 nonnegative (or negative) on a segment exactly when it is so at the
 segment's two ends, and everything checked here is affine along a
-run: the spherical pairings s_i, the coroot pairings and, within a
+run: the spherical pairings s_i, the class pairings and, within a
 stretch where w is fixed, mu^+ = w(mu + rho) - rho.  So `_sign_runs`
 checks the sign pattern at the two ends of each run; the key is fixed by
 construction over a stretch; min(mu^+) >= 0 is checked at its two ends.
@@ -99,7 +110,7 @@ of each constituent are the local terms that sum to it.  One pass expands
 the stretches into witnesses, kept in one list per degree, and each degree
 is sorted once by mu^+, so the witnesses of a constituent are adjacent.
 Along a stretch every field of a witness steps by a fixed row, so a
-stretch of at least `_C_STRETCH` (6) witnesses is expanded by C-level
+stretch of at least `_C_STRETCH` (7) witnesses is expanded by C-level
 iterators, one `count` per entry and one `map` for its records; a shorter
 one takes one Python step per witness, which is faster below that length.
 Both check every pairing product for divisibility before its dimension.
@@ -112,6 +123,7 @@ then by mu, the order in which the checks name a failing witness.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -369,27 +381,59 @@ class Walk(NamedTuple):
     fixed: tuple[int, ...]
     chambers: dict
     form: Optional[tuple]  # (form, q, A, e) of `_ball_lines`
+    classes: tuple[tuple[int, ...], ...]  # positive coroot indices per carried class
+    tails: tuple[int, ...]  # tails[j - 2]: the first class of size >= j
+    inert: int  # the product of the inert coroots' heights
+    heights: tuple[int, ...]  # <rho, alpha_c^vee> per carried class
+    columns: tuple[tuple[int, ...], ...]  # column i: <omega_i, alpha_c^vee> per class
 
 
 def _walk(X: WonderfulVariety) -> Walk:
     """The tables of X's witness walk, built in integers on X's first
-    evaluation into `X._walk`.  One unit of c_i adds
-    rows[i] = (G_i, <gamma_i, alpha_k^vee>_k, gamma_i) to the state
-    (s, pairings, mu) of `_ball_lines`, G being the symmetric integer sign
-    Gram matrix.  decided[i] lists the sign rows j that c_i moves first
-    (G_jk = 0 for k < i), so c_i fixes s_j and c_j (j >= i, as G_jj > 0);
-    a zero row, which validation rejects, goes to level 0.  step is one
-    step of c_0, (gamma_0, <gamma_0, alpha_k^vee>_k), ((), ()) at rank 0;
-    only the coroots in `moving`, whose pairings it moves, can end a
-    stretch of `_stretches`, and `fixed` holds the rest.  chambers maps an
-    inversion set of mu + rho to (length, matrix of w, w(gamma_0)) for the
-    w making mu + rho dominant; `_stretches` fills it.  form is the
-    witness ball's quadric (form, q, A, e) of `_ball_lines`, from G and its
-    inverse, and None when G is singular, which validation rejects."""
+    evaluation into `X._walk`.
+
+    classes lists, by index in the frozen order of the roots, the positive
+    coroots of each class the walk carries: those that agree in their
+    pairings with every gamma_i and pic_j and in their height, and so pair
+    alike with every mu + rho, mu in pic(X) + Z Sigma (see the module
+    docstring).  The classes are ordered by size, then by first coroot, so
+    the classes of size at least j are the entries from tails[j - 2] on,
+    j = 2 up to the largest size; inert is the product of the heights of
+    the inert coroots, which leave the walk.  heights and columns hold the
+    height and the coroot row of each class's first coroot, the rows as
+    columns, which `_class_pairings` reads.
+
+    One unit of c_i adds rows[i] = (G_i, <gamma_i, alpha_c^vee>_c, gamma_i)
+    to the state (s, class pairings, mu) of `_ball_lines`, G being the
+    symmetric integer sign Gram matrix.  decided[i] lists the sign rows j
+    that c_i moves first (G_jk = 0 for k < i), so c_i fixes s_j and c_j
+    (j >= i, as G_jj > 0); a zero row, which validation rejects, goes to
+    level 0.  step is one step of c_0, (gamma_0, <gamma_0, alpha_c^vee>_c),
+    ((), ()) at rank 0; only the classes in `moving`, whose pairings it
+    moves, can end a stretch of `_stretches`, and `fixed` holds the rest.
+    chambers maps an inversion set of the class pairings of mu + rho to
+    (length, matrix of w, w(gamma_0)) for the w making mu + rho dominant;
+    `_stretches` fills it.  form is the witness ball's quadric
+    (form, q, A, e) of `_ball_lines`, from G and its inverse, and None when
+    G is singular, which validation rejects."""
     walk = X._walk
     if walk is None:
-        sigma, gram = X.spherical_roots, X._gamma_sign_gram
-        coroot = [row_products(X.group._coroot_rows, gam) for gam in sigma]
+        g, sigma, gram = X.group, X.spherical_roots, X._gamma_sign_gram
+        by_key: dict[tuple, list[int]] = {}
+        for k, (a, height) in enumerate(zip(g._coroot_rows, g._rho_pairings)):
+            key = (row_products(sigma, a), row_products(X.pic_basis, a), height)
+            by_key.setdefault(key, []).append(k)
+        classes, inert = [], 1
+        for (on_sigma, on_pic, height), ks in by_key.items():
+            if any(on_sigma) or any(on_pic):
+                classes.append(tuple(ks))
+            else:
+                inert *= height ** len(ks)
+        classes.sort(key=len)
+        sizes = list(map(len, classes))
+        tails = tuple(bisect.bisect_left(sizes, j) for j in range(2, max(sizes, default=1) + 1))
+        coroots = [g._coroot_rows[ks[0]] for ks in classes]
+        coroot = [row_products(coroots, gam) for gam in sigma]
         decided: list[list[int]] = [[] for _ in sigma]
         for j, g_row in enumerate(gram):
             decided[next((k for k, x in enumerate(g_row) if x), 0)].append(j)
@@ -398,8 +442,25 @@ def _walk(X: WonderfulVariety) -> Walk:
         moving = tuple(k for k, d in enumerate(step[1]) if d)
         fixed = tuple(k for k, d in enumerate(step[1]) if not d)
         form = _ball_form(gram, X._gamma_sign_gram_inv) if X._sigma_pos_def else None
-        walk = X._walk = Walk(rows, tuple(map(tuple, decided)), step, moving, fixed, {}, form)
+        walk = X._walk = Walk(
+            rows, tuple(map(tuple, decided)), step, moving, fixed, {}, form,
+            tuple(classes), tails, inert,
+            tuple(g._rho_pairings[ks[0]] for ks in classes), tuple(zip(*coroots)),
+        )
     return walk
+
+
+def _class_pairings(X: WonderfulVariety, lam: Weight) -> tuple[int, ...]:
+    """<lam + rho, alpha^vee> for the first coroot of each class of X's
+    walk, which every coroot of the class shares for lam in pic(X).  As in
+    `RootSystem.shifted_pairings`, the heights plus lam_j times column j for
+    each nonzero lam_j, one lazy `map` per column."""
+    walk = _walk(X)
+    out = walk.heights
+    for x, column in zip(lam, walk.columns):
+        if x:
+            out = map(add, out, map(mul, column, repeat(x)))
+    return tuple(out)
 
 
 def _ball_form(gram: Sequence[Sequence[int]], inverse: ScaledMatrix) -> tuple:
@@ -432,8 +493,9 @@ def _sign_runs(
     point c, n >= 1 points long, in the order of the unpruned walk.  The
     runs are the lines of `_ball_lines`, cut by the decided rows of `_walk`
     and carrying (sig, pair, mu) from (sig, base_pair, lam), sig being
-    `X.sign_pairings(lam)`, computed once; each is checked again here
-    against every sign row.  Rank 0 has one run, the point c = ()."""
+    `X.sign_pairings(lam)`, computed once, and base_pair the class pairings
+    `_class_pairings(X, lam)`; each run is checked again here against every
+    sign row.  Rank 0 has one run, the point c = ()."""
     r, m = X.rank, X.rank + len(base_pair)
     walk = _walk(X)
     rows = walk.rows
@@ -462,15 +524,16 @@ def _stretches(
     """The witnesses of lam as chamber stretches, checked at their ends:
     (J, length, degree, mu, mu_plus, pair, w_step, m) for m >= 1
     consecutive witnesses along c_0 with one inversion key, at the first of
-    them.  Along the stretch mu moves by gamma_0, the coroot pairings by
-    <gamma_0, alpha_k^vee> and mu_plus by w_step = w(gamma_0)."""
+    them.  pair holds the class pairings of `_walk`.  Along the stretch mu
+    moves by gamma_0, the class pairings by <gamma_0, alpha_c^vee> and
+    mu_plus by w_step = w(gamma_0)."""
     g = X.group
     tables = _walk(X)
     mu_step, pair_step = tables.step
-    moving, fixed, chambers = tables.moving, tables.fixed, tables.chambers
-    for c, n, _, pair, mu in _sign_runs(X, lam, g.shifted_pairings(lam)):
+    moving, fixed, chambers, classes = tables.moving, tables.fixed, tables.chambers, tables.classes
+    for c, n, _, pair, mu in _sign_runs(X, lam, _class_pairings(X, lam)):
         if 0 in pair and 0 in [pair[k] for k in fixed]:
-            continue  # a coroot that does not move pairs to 0 all along the run
+            continue  # a class that does not move pairs to 0 all along the run
         J = tuple([i for i, ci in enumerate(c) if ci > 0])
         t = 0  # offset of the point at mu and pair from the run's start
         while True:
@@ -492,7 +555,8 @@ def _stretches(
                 walk = chambers.get(key)
                 fresh = walk is None
                 if fresh:
-                    length, w = _chamber(g, mu, sum(key))
+                    # l(mu) counts every coroot of each negative class
+                    length, w = _chamber(g, mu, sum(map(len, itertools.compress(classes, key))))
                     walk = (length, w, tuple(sum(map(mul, row, mu_step)) for row in w))
                 length, w, w_step = walk
                 degree = length + len(J)
@@ -526,10 +590,11 @@ def _stretches(
 
 # the least stretch length m that `_witnesses_by_degree` expands by C
 # iterators.  Its time per witness over the per-step loop's, timed in
-# process on one stretch at 3 to 36 coroot pairings (CPython 3.11, Xeon):
-# 2.2-2.4 at m = 2, 1.0-1.1 at m = 5, 0.90-0.99 at m = 6, 0.60-0.72 at
-# m = 14 and 0.53-0.70 at m = 22
-_C_STRETCH = 6
+# process on one stretch at 3 to 21 class pairings (CPython 3.11, Xeon):
+# 2.0-2.5 at m = 2, 0.89-1.22 at m = 5, 0.77-1.08 at m = 6, 0.71-1.03 at
+# m = 7, 0.66-0.93 at m = 8, 0.59-0.80 at m = 14 and 0.49-0.72 at m = 22,
+# E6/F4, the widest, at the top of each range from m = 5 on
+_C_STRETCH = 7
 
 
 def _witnesses_by_degree(X: WonderfulVariety, lam: Weight) -> dict[int, list[Contribution]]:
@@ -537,19 +602,29 @@ def _witnesses_by_degree(X: WonderfulVariety, lam: Weight) -> dict[int, list[Con
     the order `_stretches` yields them.
 
     Every field of a stretch's records steps along an arithmetic
-    progression.  A stretch of at least `_C_STRETCH` witnesses is expanded
-    by C iterators: one `count` per entry of the pairings, mu and mu^+, the
-    pairing products by `math.prod` and the records by one `map`, and all
-    its products are checked for divisibility before any is divided.  A
+    progression.  A witness's Weyl numerator is the product of the inert
+    heights times prod_c p_c^{m_c} over its class pairings p_c, m_c being
+    the class sizes of `_walk`: the product of all p_c, times that of the
+    p_c from each of `_walk`'s tails on.  A stretch of at least
+    `_C_STRETCH` witnesses is expanded by C iterators: one `count` per entry
+    of mu and mu^+ and per class pairing and tail that holds it, the
+    numerators by `math.prod` and the records by one `map`, and all its
+    numerators are checked for divisibility before any is divided.  A
     shorter stretch takes one Python step per witness, which is faster
     there (the measurement is at `_C_STRETCH`)."""
     den = X.group._weyl_den
-    mu_step, pair_step = _walk(X).step
+    tables = _walk(X)
+    mu_step, pair_step = tables.step
+    tails, inert = tables.tails, tables.inert
     by_degree: dict[int, list[Contribution]] = {}
     for J, length, degree, mu, mu_plus, pair, w_step, m in _stretches(X, lam):
         witnesses = by_degree.setdefault(degree, [])
         if m >= _C_STRETCH:
-            prods = list(map(abs, map(math.prod, islice(zip(*map(count, pair, pair_step)), m))))
+            # one column per class, and one more per tail that holds it
+            columns = list(map(count, pair, pair_step))
+            for s in tails:
+                columns += map(count, pair[s:], pair_step[s:])
+            prods = list(map(abs, map(math.prod, islice(zip(repeat(inert), *columns), m))))
             if any(map(den.__rmod__, prods)):
                 raise InvariantError("pairing product is not a Weyl dimension numerator")
             # mu and mu^+ step without end: the m dimensions end the records
@@ -565,7 +640,10 @@ def _witnesses_by_degree(X: WonderfulVariety, lam: Weight) -> dict[int, list[Con
                 mu = tuple(map(add, mu, mu_step))
                 mu_plus = tuple(map(add, mu_plus, w_step))
                 pair = list(map(add, pair, pair_step))
-            dimension, rem = divmod(abs(math.prod(pair)), den)
+            numerator = inert * math.prod(pair)
+            for s in tails:
+                numerator *= math.prod(pair[s:])
+            dimension, rem = divmod(abs(numerator), den)
             if rem:
                 raise InvariantError("pairing product is not a Weyl dimension numerator")
             append(_new_contribution((J, mu, length, mu_plus, degree, dimension)))

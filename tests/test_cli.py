@@ -401,6 +401,26 @@ def test_closed_stdout_is_one_error_line(argv, unbuffered):
     assert proc.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [("describe", "group:A9"), ("list",)])
+def test_closed_pipe_shared_with_stderr_exits_2(argv, unbuffered):
+    # `wondercoh describe group:A9 2>&1 | head -1`: stderr is the same
+    # closed pipe, so the error line cannot be written either, and the exit
+    # code is still the usage error's
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wondercoh.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wondercoh.cli", *argv],
+            stdout=write_end, stderr=write_end, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+
+
 def test_region_plot_refuses_an_svg_named_like_its_sidecar(tmp_path, capsys):
     # the sidecar of p.cls is p.cls itself, so it would overwrite the SVG
     out = tmp_path / "p.cls"

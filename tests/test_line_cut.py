@@ -23,6 +23,7 @@ from wondercoh.cli import main
 from wondercoh.cohomology import (
     Contribution,
     _ball_coefficients,
+    _class_pairings,
     _sign_runs,
     _walk,
     contributions,
@@ -127,7 +128,7 @@ def test_rank_zero_is_one_point_run(name):
     X = build_case(name)
     for coords in [(0,) * len(X.pic_basis), (-3,) * len(X.pic_basis)]:
         lam = X.weight_from_pic_coords(coords)
-        base_pair = X.group.shifted_pairings(lam)
+        base_pair = _class_pairings(X, lam)
         assert list(_sign_runs(X, lam, base_pair)) == [((), 1, [], base_pair, lam)]
         # the walk's one line, of one point, for either ball
         start = (*base_pair, *lam)
@@ -142,7 +143,7 @@ def zero_endpoints(X, lam):
     that is an exact division."""
     found = []
     row = _walk(X)[0][0][:X.rank]
-    for c, n, sig, _, _ in _sign_runs(X, lam, X.group.shifted_pairings(lam)):
+    for c, n, sig, _, _ in _sign_runs(X, lam, _class_pairings(X, lam)):
         J = tuple(i for i, ci in enumerate(c) if ci > 0)
         for end in {0, n - 1}:
             s = [x + end * y for x, y in zip(sig, row)]
@@ -177,7 +178,7 @@ def keys_along_runs(X, lam):
     singular."""
     row = _walk(X)[2][1]
     runs = []
-    for _, n, _, pair, _ in _sign_runs(X, lam, X.group.shifted_pairings(lam)):
+    for _, n, _, pair, _ in _sign_runs(X, lam, _class_pairings(X, lam)):
         points = ([p + step * y for p, y in zip(pair, row)] for step in range(n))
         runs.append([None if 0 in p else tuple(x < 0 for x in p) for p in points])
     return runs

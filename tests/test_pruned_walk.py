@@ -21,6 +21,7 @@ from wondercoh import (
 )
 from wondercoh.cohomology import (
     _ball_lines,
+    _class_pairings,
     _sign_runs,
     _walk,
     cohomology_table,
@@ -119,14 +120,17 @@ def test_walk_builds_on_a_gram_that_is_not_positive_definite():
     # drawn and unvalidated: gamma_1 = 2 gamma_0, so G = a [[1, 2], [2, 4]]
     X = WonderfulVariety("drawn", build_root_system([("A", 2)]), [(1, 1), (2, 2)], [(1, 0)])
     assert not X._sigma_pos_def
-    rows, decided, step, moving, fixed, chambers, form = _walk(X)
-    a = rows[0][0]
-    assert a > 0 and [row[:2] for row in rows] == [(a, 2 * a), (2 * a, 4 * a)]
-    # <gamma_i, alpha_k^vee> over alpha_1, alpha_2, alpha_1 + alpha_2, then gamma_i
-    assert [row[2:] for row in rows] == [(1, 1, 2, 1, 1), (2, 2, 4, 2, 2)]
-    assert decided == ((0, 1), ())
-    assert step == ((1, 1), (1, 1, 2)) and moving == (0, 1, 2) and fixed == ()
-    assert chambers == {} and form is None
+    walk = _walk(X)
+    a = walk.rows[0][0]
+    assert a > 0 and [row[:2] for row in walk.rows] == [(a, 2 * a), (2 * a, 4 * a)]
+    # the pic weight (1, 0) parts alpha_1 from alpha_2, so each coroot is a
+    # class: <gamma_i, alpha^vee> over alpha_1, alpha_2, alpha_1 + alpha_2,
+    # then gamma_i
+    assert walk.classes == ((0,), (1,), (2,)) and walk.inert == 1
+    assert [row[2:] for row in walk.rows] == [(1, 1, 2, 1, 1), (2, 2, 4, 2, 2)]
+    assert walk.decided == ((0, 1), ())
+    assert walk.step == ((1, 1), (1, 1, 2)) and walk.moving == (0, 1, 2) and walk.fixed == ()
+    assert walk.chambers == {} and walk.form is None
 
 
 @pytest.mark.parametrize("evaluate", [cohomology_table, enumerate_candidates])
@@ -176,7 +180,7 @@ RANGE = {0: (-8, 4), 1: (-40, 8), 2: (-30, 8), 3: (-12, 6), 4: (-4, 2)}
 def test_pruned_walk_equals_unpruned_reference(name, data):
     X = variety(name)
     _, lam = draw_weight(data, X, *RANGE[X.rank])
-    base_pair = X.group.shifted_pairings(lam)
+    base_pair = _class_pairings(X, lam)
     assert list(_sign_runs(X, lam, base_pair)) == list(unpruned_sign_runs(X, lam, base_pair))
 
 

@@ -142,7 +142,7 @@ def test_failed_walk_leaves_no_entry(monkeypatch):
         contributions(X, lam)
     assert len(calls) == 2
     (key,) = table
-    assert key == inversion_set(X, calls[0])
+    assert key == tuple(p < 0 for p in cohomology._class_pairings(X, calls[0]))
     kept = table[key]
     monkeypatch.setattr(RootSystem, "make_dominant_shifted", walk)
     assert len(contributions(X, lam)) == 4
@@ -371,11 +371,13 @@ def test_contributions_are_the_sorted_naive_scan(name):
 
 def test_table_groups_stretches_that_share_a_highest_weight(monkeypatch):
     # two stretches of H^4 end in the same mu_plus; the second one yielded
-    # has the smaller J bitmask, so it is the first witness
+    # has the smaller J bitmask, so it is the first witness.  The pairings
+    # are group:A2's three classes, two coroots each, at mu_plus + rho
     X = build_case("group:A2")
     lam = X.weight_from_pic_coords((-6, 4))
-    hw, other = (1, 0, 0, 1), (0, 2, 0, 0)
-    pair, other_pair = (2, 1, 1, 2, 3, 3), (1, 1, 3, 1, 2, 4)  # dims 36/4, 24/4
+    assert [len(ks) for ks in cohomology._walk(X).classes] == [2, 2, 2]
+    hw, other = (1, 0, 0, 1), (0, 2, 2, 0)
+    pair, other_pair = (2, 1, 3), (1, 3, 4)  # dims 6^2/4, 12^2/4
     step = (0, 0, 0, 0)
     stretches = [
         ((1,), 3, 4, (-7, 2, 4, -8), hw, list(pair), step, 1),
@@ -385,12 +387,12 @@ def test_table_groups_stretches_that_share_a_highest_weight(monkeypatch):
     monkeypatch.setattr(cohomology, "_stretches", lambda X, lam: iter(stretches))
     first = Contribution((0,), (5, -9, -3, 1), 3, hw, 4, 9)
     second = Contribution((1,), (-7, 2, 4, -8), 3, hw, 4, 9)
-    empty = Contribution((), (0, 2, -4, 0), 4, other, 4, 6)
+    empty = Contribution((), (0, 2, -4, 0), 4, other, 4, 36)
     assert contributions(X, lam) == [second, empty, first]  # by mu
     table = cohomology_table(X, lam)
     assert table == tabulate(X, lam, contributions(X, lam))
     (group,) = table.groups
-    assert group.degree == 4 and group.dimension == 2 * 9 + 6
+    assert group.degree == 4 and group.dimension == 2 * 9 + 36
     single, shared = group.constituents
     assert (single.highest_weight, single.multiplicity, single.witnesses) == (other, 1, (empty,))
     assert (shared.highest_weight, shared.multiplicity, shared.dimension) == (hw, 2, 9)
