@@ -31,20 +31,22 @@ Its bounds read the ball's quadric, which `_walk` scales to integers once
 per variety, on the first walk, from the LDL^T of the integer sign Gram
 matrix and the inverse that the descriptor solved at build; a descriptor
 that is never walked never builds it.
-The descent carries the state of the walk: the sign pairings
-s_i = D (mu + rho, gamma_i) with D = X._gamma_den, the class pairings of
-mu + rho (below) and mu are affine in c, so fixing c_i adds c_i times a
-fixed row of `_walk`, built once per variety, and each later c_i adds the
-row once more; no point is rebuilt from lam.  The sign conditions are cut in the
-same descent, each at one level: when G_jk = 0 for every k < i, with G
-the integer sign Gram matrix, c_i fixes both s_j and c_j, and s_j < 0 iff
-c_j > 0 cuts the range of c_i to an interval, one call of
-`exactalg.negative_interval` per row decided at level i.  As G_ii > 0,
-the condition on c_i itself can hold on c_i >= 1 only if s_i < 0 at
-c_i = 1, and else only on c_i <= 0.  A c_i cut off above the line heads
-only lines off the sign pattern, and its subtree is never walked; level 0
-cuts c_0 by the rows that move with it, so each line keeps one run of
-consecutive c_0 with one J, and off the run no point is visited at all.
+The descent carries the state of the walk, which `_sign_runs` alone
+builds and slices: the sign pairings s_i = D (mu + rho, gamma_i) with
+D = X._gamma_den, the class pairings of mu + rho (below; at lam,
+`exactalg.translate` in column form) and mu are affine in c, so fixing
+c_i adds c_i times a fixed row of `_walk`, built once per variety, and
+each later c_i adds the row once more; no point is rebuilt from lam.
+The sign conditions are cut in the same descent, each at one level: when
+G_jk = 0 for every k < i, with G the integer sign Gram matrix, c_i fixes
+both s_j and c_j, and s_j < 0 iff c_j > 0 cuts the range of c_i to an
+interval, one call of `exactalg.negative_interval` per row decided at
+level i.  As G_ii > 0, the condition on c_i itself can hold on c_i >= 1
+only if s_i < 0 at c_i = 1, and else only on c_i <= 0.  A c_i cut off above
+the line heads only lines off the sign pattern, and its subtree is never
+walked; level 0 cuts c_0 by the rows that move with it, so each line keeps
+one run of consecutive c_0 with one J, and off the run no point is visited
+at all.
 The candidate ball of `enumerate_candidates` takes the same descent with
 nothing cut, carrying mu alone: each line hands over its first weight
 already translated, and the rest of the line follows by adding gamma_0.
@@ -132,7 +134,7 @@ from itertools import count, islice, repeat
 from operator import add, eq, itemgetter, mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .exactalg import ScaledMatrix, int_scaled, ldl, negative_interval, row_products
+from .exactalg import ScaledMatrix, int_scaled, ldl, negative_interval, row_products, translate
 from .roots import InvariantError, RootSystem, Weight
 from .varieties import CatalogError, WonderfulVariety
 
@@ -360,14 +362,10 @@ def _chamber(g: RootSystem, mu: Weight, inversions: int) -> tuple[int, tuple[Wei
     _, length, word = made
     if length != inversions:
         raise InvariantError("length mismatch between pairing rows and walk")
-    r, cartan = g.rank, g.cartan
-    cols = [[int(i == j) for i in range(r)] for j in range(r)]
-    for i in word:  # s_i v = v - v_i alpha_i, alpha_i = column i of the Cartan matrix
-        for v in cols:
-            c = v[i]
-            if c:
-                for j in range(r):
-                    v[j] -= c * cartan[j][i]
+    simple = tuple(zip(*g.cartan))  # alpha_i: column i of the Cartan matrix
+    cols = [tuple(int(i == j) for i in range(g.rank)) for j in range(g.rank)]
+    for i in word:  # s_i v = v - v_i alpha_i
+        cols = [translate(v, (-v[i],), (simple[i],)) for v in cols]
     return length, tuple(zip(*cols))
 
 
@@ -452,15 +450,11 @@ def _walk(X: WonderfulVariety) -> Walk:
 
 def _class_pairings(X: WonderfulVariety, lam: Weight) -> tuple[int, ...]:
     """<lam + rho, alpha^vee> for the first coroot of each class of X's
-    walk, which every coroot of the class shares for lam in pic(X).  As in
-    `RootSystem.shifted_pairings`, the heights plus lam_j times column j for
-    each nonzero lam_j, one lazy `map` per column."""
+    walk, which every coroot of the class shares for lam in pic(X):
+    `exactalg.translate` in column form, from the class heights by the
+    class columns."""
     walk = _walk(X)
-    out = walk.heights
-    for x, column in zip(lam, walk.columns):
-        if x:
-            out = map(add, out, map(mul, column, repeat(x)))
-    return tuple(out)
+    return translate(walk.heights, lam, walk.columns)
 
 
 def _ball_form(gram: Sequence[Sequence[int]], inverse: ScaledMatrix) -> tuple:
@@ -486,20 +480,21 @@ def _ball_form(gram: Sequence[Sequence[int]], inverse: ScaledMatrix) -> tuple:
 
 
 def _sign_runs(
-    X: WonderfulVariety, lam: Weight, base_pair: tuple[int, ...]
+    X: WonderfulVariety, lam: Weight
 ) -> Iterator[tuple[tuple[int, ...], int, list[int], tuple[int, ...], Weight]]:
     """Per line of the witness ball, its run of c_0 that keeps the sign
     pattern, certified at its ends: (c, n, sig, pair, mu) at the run's first
     point c, n >= 1 points long, in the order of the unpruned walk.  The
-    runs are the lines of `_ball_lines`, cut by the decided rows of `_walk`
-    and carrying (sig, pair, mu) from (sig, base_pair, lam), sig being
-    `X.sign_pairings(lam)`, computed once, and base_pair the class pairings
-    `_class_pairings(X, lam)`; each run is checked again here against every
-    sign row.  Rank 0 has one run, the point c = ()."""
-    r, m = X.rank, X.rank + len(base_pair)
+    runs are the lines of `_ball_lines`, cut by the decided rows of `_walk`.
+    The state (sig, pair, mu) they carry is built and sliced here alone:
+    at lam it is `X.sign_pairings(lam)`, the class pairings of
+    `_class_pairings` and lam.  Each run is checked again here against
+    every sign row.  Rank 0 has one run, the point c = ()."""
     walk = _walk(X)
     rows = walk.rows
     sig = X.sign_pairings(lam)
+    base_pair = _class_pairings(X, lam)
+    r, m = X.rank, X.rank + len(base_pair)
     for c, n, v in _ball_lines(X, sig, 1, (*sig, *base_pair, *lam), rows, walk.decided):
         s = list(v[:r])
         # the sign cone fixes J = {i : c_i > 0}; the omega signature must
@@ -531,7 +526,7 @@ def _stretches(
     tables = _walk(X)
     mu_step, pair_step = tables.step
     moving, fixed, chambers, classes = tables.moving, tables.fixed, tables.chambers, tables.classes
-    for c, n, _, pair, mu in _sign_runs(X, lam, _class_pairings(X, lam)):
+    for c, n, _, pair, mu in _sign_runs(X, lam):
         if 0 in pair and 0 in [pair[k] for k in fixed]:
             continue  # a class that does not move pairs to 0 all along the run
         J = tuple([i for i, ci in enumerate(c) if ci > 0])

