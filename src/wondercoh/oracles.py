@@ -12,7 +12,11 @@ coordinates, for the CLI's `scan` and for `vanishing_profile`: it
 evaluates each weight of the box once and feeds that evaluation to every
 selected check; with the vanishing check, a weight is first refused if
 its candidates, counted from the ball's lines and not listed, exceed the
-cap.
+cap.  The public checks called one by one on a weight share one walk
+too: `cohomology_table` keeps the last table it built, and
+`serre_involution_check` and `degrees.check_lengths` read it (see the
+`cohomology` module docstring), so only the weight and its Serre dual
+are walked.
 """
 
 from __future__ import annotations
