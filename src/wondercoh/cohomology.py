@@ -138,7 +138,9 @@ alternating 15 s pairs, CPython 3.11 on a shared 2-CPU host): the old
 table's records stay live while the new ones are allocated, which the
 cyclic collector and the allocator pay for.  A concurrent caller reads
 the slot once and finds either a complete table or none, so sharing can
-only make it miss.
+only make it miss.  The slot keeps its variety and table alive until the
+next miss or `clear_last_table()`; after one very wide weight that is
+every record of its table.
 """
 
 from __future__ import annotations
@@ -695,6 +697,13 @@ def _last_table(X: WonderfulVariety, lam: Weight) -> Optional[CohomologyTable]:
     return None
 
 
+def clear_last_table() -> None:
+    """Empty the slot, so the next `cohomology_table` walks and the last
+    table and its variety are no longer kept alive by this module."""
+    global _last
+    _last = None
+
+
 def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]:
     """All certified pairs (J, mu) for lam, in canonical order: by degree,
     then by mu.  Read from the last `cohomology_table` when it is X's at
@@ -714,7 +723,8 @@ def cohomology_table(X: WonderfulVariety, lam: Sequence[int]) -> CohomologyTable
     """The cohomology decomposition of L_lam, built in one pass that sorts
     each degree once.  The last table built is kept, and a call for the
     same X and lam returns that same object; a miss empties the slot before
-    it walks and fills it only with a complete table."""
+    it walks and fills it only with a complete table.  The kept table and X
+    stay alive until the next miss or `clear_last_table()`."""
     global _last
     lam = X.require_pic(lam)
     table = _last_table(X, lam)

@@ -9,4 +9,4 @@ from wondercoh import cohomology
 def empty_last_table():
     # the tests share build_case's varieties and patch engine internals, so
     # no test may be handed a table that an earlier one evaluated
-    cohomology._last = None
+    cohomology.clear_last_table()

@@ -49,10 +49,22 @@ def test_hit_is_the_same_table_with_the_same_bytes():
     table = cohomology_table(X, lam)
     assert cohomology_table(X, lam) is table
     assert cohomology_table(X, list(lam)) is table
-    cohomology._last = None
+    cohomology.clear_last_table()
     fresh = cohomology_table(X, lam)
     assert fresh is not table
     assert table_to_json(X, table, coords) == table_to_json(X, fresh, coords)
+
+
+def test_clearing_the_slot_lets_go_of_the_table(monkeypatch):
+    X = build_case("group:A2")
+    lam = X.weight_from_pic_coords((-6, -4))
+    table = cohomology_table(X, lam)
+    assert cohomology._last == (X, table)
+    cohomology.clear_last_table()
+    assert cohomology._last is None
+    calls = walks(monkeypatch)
+    assert cohomology_table(X, lam) == table
+    assert len(calls) == 1
 
 
 def test_a_walk_that_raises_leaves_the_slot_empty(monkeypatch):
@@ -120,7 +132,7 @@ def test_contributions_from_the_slot_equal_a_fresh_walk(name, data):
     r = 6 if X.rank < 3 else 3
     _, lam = draw_weight(data, X, -r, r)
     for weight in (lam, X.serre_dual(lam)):
-        cohomology._last = None
+        cohomology.clear_last_table()
         fresh = contributions(X, weight)
         table = cohomology_table(X, weight)
         assert cohomology._last == (X, table)
