@@ -119,26 +119,30 @@ Both check every pairing product for divisibility before its dimension.
 Where every mu^+ of a degree is distinct, the usual case, its one-witness
 constituents are built by one `map`; otherwise the witnesses that share a
 mu^+ make one constituent, ordered by (J bitmask, mu).  `contributions`
-and `CohomologyTable.witnesses` list the same witnesses sorted by degree,
-then by mu, the order in which the checks name a failing witness.
+and `CohomologyTable.witnesses` list the same witnesses in one order, by
+degree, then by mu, the order in which the checks name a failing witness;
+`_canonical_order` is that order for both.
 
 The checks of one weight share its table.  The module keeps one slot, the
 table the last `cohomology_table` built with its variety, and a call for
 the same variety (the same object) and the same lam returns that table
 without walking; tables are tuples all the way down, so sharing one is
-safe, and every check of the walk certified it.  Only `cohomology_table`
+safe, and every check of the walk certified it.  Its readers are the
+public checks, `oracles.serre_involution_check` and
+`degrees.check_lengths`, and `oracles.scan`, which builds each box
+weight's table and then runs those checks on it.  Only `cohomology_table`
 writes the slot: `contributions` reads it, so the Serre check's walk of
 the dual weight does not evict the weight whose checks are still running,
-and a scan of a box evaluates each weight as before.  A miss empties the
-slot before it walks and stores the table once it is complete, so an
-evaluation that raises leaves the slot empty.  Keeping the old table
-alive through the next walk instead made perfbench's deep-cohomology,
-one wide table per operation, 6% slower (544 against 577 ops/s, 6
-alternating 15 s pairs, CPython 3.11 on a shared 2-CPU host): the old
-table's records stay live while the new ones are allocated, which the
-cyclic collector and the allocator pay for.  A concurrent caller reads
-the slot once and finds either a complete table or none, so sharing can
-only make it miss.  The slot keeps its variety and table alive until the
+and a scan walks each box weight once, plus once for its Serre dual.  A
+miss empties the slot before it walks and stores the table once it is
+complete, so an evaluation that raises leaves the slot empty.  Keeping the
+old table alive through the next walk instead made perfbench's
+deep-cohomology, one wide table per operation, 6% slower (544 against 577
+ops/s, 6 alternating 15 s pairs, CPython 3.11 on a shared 2-CPU host): the
+old table's records stay live while the new ones are allocated, which the
+cyclic collector and the allocator pay for.  A concurrent caller reads the
+slot once and finds either a complete table or none, so sharing can only
+make it miss.  The slot keeps its variety and table alive until the
 next miss or `clear_last_table()`; after one very wide weight that is
 every record of its table.
 """
@@ -152,7 +156,7 @@ import math
 from fractions import Fraction
 from itertools import count, islice, repeat
 from operator import add, eq, itemgetter, mul
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .exactalg import ScaledMatrix, int_scaled, ldl, negative_interval, row_products, translate
 from .roots import InvariantError, RootSystem, Weight
@@ -214,10 +218,19 @@ class CohomologyTable(NamedTuple):
 
     def witnesses(self) -> list[Contribution]:
         """Every witness, in the order of `contributions`: by degree, then by mu."""
-        out: list[Contribution] = []
-        for g in self.groups:
-            out += sorted((t for c in g.constituents for t in c.witnesses), key=itemgetter(1))
-        return out
+        return _canonical_order(
+            (t for c in g.constituents for t in c.witnesses) for g in self.groups
+        )
+
+
+def _canonical_order(per_degree: Iterable[Iterable[Contribution]]) -> list[Contribution]:
+    """The witnesses of each degree, the degrees in increasing order, each
+    degree sorted by mu: the order in which the checks name a failing
+    witness."""
+    out: list[Contribution] = []
+    for witnesses in per_degree:
+        out += sorted(witnesses, key=itemgetter(1))
+    return out
 
 
 def omega_signature(X: WonderfulVariety, mu: Sequence[int]) -> tuple[int, ...]:
@@ -233,11 +246,14 @@ def _ball_lines(
     rows: Sequence[Sequence[int]] | None = None,
     decided: Sequence[Sequence[int]] | None = None,
 ) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """The integer points of the ball of `_ball_coefficients` for k, as
-    lines along c_0: one (c, n, v) per fixed c_1..c_{r-1} whose line meets
-    the ball, holding exactly the n >= 1 points from its first point c on
-    along c_0.  sig is s = D b, `X.sign_pairings(lam)`.  Rank 0 has
-    one line, ((), 1, start).
+    """The integer c with c^T G c + k c^T b <= 0, where G is the spherical
+    Gram matrix and b_i = (lam + rho, gamma_i), as lines along c_0: one
+    (c, n, v) per fixed c_1..c_{r-1} whose line meets the ball, holding
+    exactly the n >= 1 points from its first point c on along c_0.  k = 1
+    is the witness ball that holds every contributing pair, and k = 2 the
+    candidate ball |mu + rho| <= |lam + rho| (see the module docstring);
+    c = 0 is on the boundary of both, so neither is empty.  sig is s = D b,
+    `X.sign_pairings(lam)`.  Rank 0 has one line, ((), 1, start).
 
     v is `start` carried down the descent to the line's first point,
     start + sum_i c_i rows[i]: fixing c_i adds c_i rows[i] at the first c_i
@@ -329,24 +345,6 @@ def _descend(walk: tuple, i: int, remaining: int, v: tuple[int, ...]) -> None:
         c[i] = ci
         t = qi * ci + p
         _descend(walk, i - 1, remaining - ei * t * t, v)
-
-
-def _ball_coefficients(
-    X: WonderfulVariety, lam: Weight, k: int
-) -> list[tuple[int, ...]]:
-    """All integer c with c^T G c + k c^T b <= 0, where G is the spherical
-    Gram matrix and b_i = (lam + rho, gamma_i), in lexicographic order: the
-    points of `_ball_lines`, expanded and sorted.
-
-    k = 1 is the witness ball (mu + rho, mu - lam) <= 0 that holds every
-    contributing pair; k = 2 is the ball |mu + rho| <= |lam + rho| that
-    `enumerate_candidates` returns (see the module docstring).  c = 0 is on
-    the boundary of both, so the result is never empty.
-    """
-    if X.rank == 0:
-        return [()]
-    lines = _ball_lines(X, X.sign_pairings(lam), k)
-    return sorted((c0, *rest) for (lo, *rest), n, _ in lines for c0 in range(lo, lo + n))
 
 
 def enumerate_candidates(X: WonderfulVariety, lam: Sequence[int]) -> list[Weight]:
@@ -713,10 +711,7 @@ def contributions(X: WonderfulVariety, lam: Sequence[int]) -> list[Contribution]
     if table is not None:
         return table.witnesses()
     by_degree = _witnesses_by_degree(X, lam)
-    out: list[Contribution] = []
-    for degree in sorted(by_degree):
-        out += sorted(by_degree[degree], key=itemgetter(1))
-    return out
+    return _canonical_order(by_degree[d] for d in sorted(by_degree))
 
 
 def cohomology_table(X: WonderfulVariety, lam: Sequence[int]) -> CohomologyTable:

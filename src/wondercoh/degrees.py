@@ -69,12 +69,10 @@ def check_table_against_rule(
 
 
 def check_lengths(X: WonderfulVariety, lam, rule: DivisibilityRule) -> tuple[bool, str]:
-    """Every witness length must be divisible by the family modulus."""
-    return _check_lengths(lam, contributions(X, lam), rule)
-
-
-def _check_lengths(lam, conts, rule: DivisibilityRule) -> tuple[bool, str]:
-    for t in conts:
+    """Every witness length must be divisible by the family modulus; a
+    failure names the first offending witness in the order of
+    `contributions`."""
+    for t in contributions(X, lam):
         if t.length % rule.modulus:
             return False, (
                 f"lambda={list(lam)}: witness mu={list(t.mu)} has length "

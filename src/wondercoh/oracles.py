@@ -8,15 +8,16 @@ outright.  Agreement between these and the engine is evidence, not a
 tautology.
 
 `scan` runs these oracles against the engine over a box of Picard
-coordinates, for the CLI's `scan` and for `vanishing_profile`: it
-evaluates each weight of the box once and feeds that evaluation to every
-selected check; with the vanishing check, a weight is first refused if
-its candidates, counted from the ball's lines and not listed, exceed the
-cap.  The public checks called one by one on a weight share one walk
-too: `cohomology_table` keeps the last table it built, and
-`serre_involution_check` and `degrees.check_lengths` read it (see the
-`cohomology` module docstring), so only the weight and its Serre dual
-are walked.
+coordinates, for the CLI's `scan` and for `vanishing_profile`; with the
+vanishing check, a weight is first refused if its candidates, counted
+from the ball's lines and not listed, exceed the cap.  It builds each
+box weight's table and then runs the public checks on that weight,
+`serre_involution_check` and `degrees.check_lengths`, the same functions
+a caller runs one by one.  They share the one walk through the last-table
+slot: `cohomology_table` keeps the last table it built, and the checks
+read it (see the `cohomology` module docstring), so only the weight and
+its Serre dual are walked.  The H^0 and degree-rule checks have no
+public function of their own and read the scan's table directly.
 """
 
 from __future__ import annotations
@@ -165,10 +166,7 @@ class SerreCheck(NamedTuple):
 def serre_involution_check(X: WonderfulVariety, lam: Sequence[int]) -> SerreCheck:
     """Verify the witness bijection (J, mu) -> (J*, mu*) between lam and its
     Serre dual, including degree complementarity and dimension equality."""
-    return _serre_check(X, cohomology_table(X, lam))
-
-
-def _serre_check(X: WonderfulVariety, table: CohomologyTable) -> SerreCheck:
+    table = cohomology_table(X, lam)
     left = table.witnesses()
     right = contributions(X, X.serre_dual(table.lam))
     n = X.dimension_N
@@ -254,11 +252,11 @@ def scan(X: WonderfulVariety, box: int, checks, *, candidate_cap=CANDIDATE_CAP) 
 def _scan_failure(name, X, rule, coords, lam, table) -> Optional[str]:
     """The failure detail of check `name` at one box weight, or None."""
     if name == "serre":
-        res = _serre_check(X, table)
+        res = serre_involution_check(X, lam)
         return None if res else f"lambda={list(coords)}: {res.detail}"
     if name == "divisibility":
         # the length check names the weight itself
-        ok, detail = degrees._check_lengths(lam, table.witnesses(), rule)
+        ok, detail = degrees.check_lengths(X, lam, rule)
         if ok:
             ok, detail = degrees.check_table_against_rule(table, rule)
             detail = f"lambda={list(coords)}: {detail}"

@@ -6,14 +6,13 @@ import pytest
 
 from wondercoh import build_case
 from wondercoh.cohomology import (
-    _ball_coefficients,
     cohomology_table,
     contributions,
     enumerate_candidates,
     omega_signature,
     serre_dual_weight,
 )
-from test_helpers import naive_contribution_scan, sigma_lattice_coords
+from test_helpers import ball_points, naive_contribution_scan, sigma_lattice_coords
 from wondercoh.serialize import table_to_json
 from wondercoh.varieties import pic_box
 
@@ -187,7 +186,7 @@ def test_anchor_counts(name, coords, ball, witness_ball, witnesses):
     X = build_case(name)
     lam = pic(X, *coords)
     assert len(enumerate_candidates(X, lam)) == ball
-    assert len(_ball_coefficients(X, lam, 1)) == witness_ball
+    assert len(ball_points(X, lam, 1)) == witness_ball
     assert len(contributions(X, lam)) == witnesses
 
 

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wondercoh.cohomology import _ball_coefficients, contributions, enumerate_candidates
+from wondercoh.cohomology import contributions, enumerate_candidates
 from test_helpers import (
     NAMES,
     PRODUCT,
+    ball_points,
     frac_isqrt_floor,
     gram,
     mat_inverse,
@@ -64,7 +65,7 @@ def test_balls_equal_box_scan(name, data):
     X = variety(name)
     lam = draw_weight(data, X)
     for k in (1, 2):
-        assert _ball_coefficients(X, lam, k) == quadric_box_scan(X, lam, k)
+        assert ball_points(X, lam, k) == quadric_box_scan(X, lam, k)
 
 
 @pytest.mark.parametrize("name", NAMES + ("group:A4", "group:D4", "PGL/PSp(5)", PRODUCT))
@@ -85,7 +86,7 @@ def test_contributions_in_witness_ball(name, data):
     X = variety(name)
     g = X.group
     lam = draw_weight(data, X)
-    ball = set(_ball_coefficients(X, lam, 1))
+    ball = set(ball_points(X, lam, 1))
     for t in contributions(X, lam):
         diff = tuple(a - b for a, b in zip(t.mu, lam))
         c = sigma_lattice_coords(X, diff)

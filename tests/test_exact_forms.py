@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from wondercoh import build_case
 from wondercoh import cohomology
 
-from test_helpers import NAMES, dot, frac_matrix, mat_inverse, mat_vec
+from test_helpers import NAMES, ball_points, dot, frac_matrix, mat_inverse, mat_vec
 
 
 def reference_inner_product(g, lam, mu):
@@ -68,7 +68,7 @@ def test_no_fraction_work_per_weight(monkeypatch, name):
     made = count_fractions(monkeypatch)
     for lam in weights:
         for k in (1, 2):
-            assert cohomology._ball_coefficients(X, lam, k)
+            assert ball_points(X, lam, k)
         cohomology.contributions(X, lam)
         assert cohomology.enumerate_candidates(X, lam)
     assert made == []

@@ -3,8 +3,8 @@ lattice membership, a cold chamber table, product descriptors), the
 Fraction linear algebra, reference evaluation, table grouping and JSON
 document the engine is compared with, test-side references for the sign
 cones R_J, spherical and simple reflections, the candidate list, the
-H^0 box and the witnesses of each chamber stretch, and the number of
-evaluations each entry point makes."""
+H^0 box and the witnesses of each chamber stretch, the points of a ball,
+and the number of evaluations each entry point makes."""
 
 import functools
 import itertools
@@ -366,7 +366,18 @@ def reference_candidates(X: WonderfulVariety, lam) -> list[tuple[int, ...]]:
     ball, in lexicographic order of c: the enumeration before the walk
     carried mu."""
     sigma = X.spherical_roots
-    return [translate(lam, c, sigma) for c in cohomology._ball_coefficients(X, lam, 2)]
+    return [translate(lam, c, sigma) for c in ball_points(X, lam, 2)]
+
+
+def ball_points(X: WonderfulVariety, lam, k: int) -> list[tuple[int, ...]]:
+    """All integer c with c^T G c + k c^T b <= 0, with G the spherical Gram
+    matrix and b_i = (lam + rho, gamma_i), in lexicographic order: the lines
+    of `cohomology._ball_lines`, expanded and sorted.  k = 1 is the witness
+    ball and k = 2 the candidate ball; c = 0 is on both."""
+    if X.rank == 0:
+        return [()]
+    lines = cohomology._ball_lines(X, X.sign_pairings(lam), k)
+    return sorted((c0, *rest) for (lo, *rest), n, _ in lines for c0 in range(lo, lo + n))
 
 
 def h0_bounds(X: WonderfulVariety, lam) -> list[int]:

@@ -128,12 +128,29 @@ def test_the_same_weight_on_another_variety_misses(monkeypatch):
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_contributions_from_the_slot_equal_a_fresh_walk(name, data):
+    # and so do the public checks that read the slot: each is run once on a
+    # slot hit and once on a walk of its own after the slot is emptied
     X = build_case(name)
+    rule = degrees.rule_for(X)
     r = 6 if X.rank < 3 else 3
     _, lam = draw_weight(data, X, -r, r)
+
+    def checks(weight, clear):
+        if clear:
+            cohomology.clear_last_table()
+        found = [oracles.serre_involution_check(X, weight)]
+        if rule is not None:
+            if clear:
+                cohomology.clear_last_table()
+            found.append(degrees.check_lengths(X, weight, rule))
+        return found
+
     for weight in (lam, X.serre_dual(lam)):
         cohomology.clear_last_table()
         fresh = contributions(X, weight)
         table = cohomology_table(X, weight)
         assert cohomology._last == (X, table)
         assert contributions(X, weight) == fresh
+        from_slot = checks(weight, clear=False)
+        assert cohomology._last[1] is table
+        assert checks(weight, clear=True) == from_slot

@@ -22,7 +22,6 @@ from wondercoh import cohomology, oracles
 from wondercoh.cli import main
 from wondercoh.cohomology import (
     Contribution,
-    _ball_coefficients,
     _class_pairings,
     _sign_runs,
     _walk,
@@ -31,7 +30,7 @@ from wondercoh.cohomology import (
 from wondercoh.exactalg import negative_interval
 from wondercoh.roots import InvariantError
 
-from test_helpers import NAMES, draw_weight, inline_translate
+from test_helpers import NAMES, ball_points, draw_weight, inline_translate
 
 
 def per_point_contributions(X, lam):
@@ -39,7 +38,7 @@ def per_point_contributions(X, lam):
     singular skip and its own chamber walk, in canonical order."""
     g = X.group
     out = []
-    for c in _ball_coefficients(X, lam, 1):
+    for c in ball_points(X, lam, 1):
         mu = inline_translate(lam, c, X.spherical_roots)
         if any((s < 0) != (ci > 0) for s, ci in zip(X.sign_pairings(mu), c)):
             continue

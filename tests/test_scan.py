@@ -190,38 +190,49 @@ def test_failing_serre_report_bytes(capsys, monkeypatch, broken, detail):
 
 
 @pytest.mark.parametrize(
-    "checks, per_weight, capped",
-    [(ALL, 2, 1), ("vanishing,h0,divisibility", 1, 1), ("serre,h0", 2, 0)],
+    "name, checks, walks, tables, capped",
+    [
+        # group:A2 and flag:B2 have 25 box weights, Q7 has 5; a group:A2 id
+        # reads checks-walks per weight-capped counts per weight
+        pytest.param("group:A2", ALL, 50, 50, 25, id=f"{ALL}-2-1"),
+        pytest.param("group:A2", "vanishing,h0,divisibility", 25, 25, 25,
+                     id="vanishing,h0,divisibility-1-1"),
+        pytest.param("group:A2", "serre,h0", 50, 50, 0, id="serre,h0-2-0"),
+        # flag:B2's weight at pic coordinates (-1, -1) is its own Serre dual,
+        # and the dual's evaluation reads the weight's table from the slot
+        pytest.param("flag:B2", "serre,h0", 49, 50, 0, id="flag:B2-serre,h0"),
+        pytest.param("Q7", ALL, 10, 10, 5, id=f"Q7-{ALL}"),
+    ],
 )
-def test_scan_evaluates_each_weight_once(monkeypatch, capsys, checks, per_weight, capped):
+def test_scan_evaluates_each_weight_once(monkeypatch, capsys, name, checks, walks, tables, capped):
     # every evaluation, the table's and the Serre dual's, walks the witnesses
     # by _witnesses_by_degree, so every module holding it shares one counter;
-    # serre evaluates the Serre dual weight on top of the box weight
+    # serre evaluates the Serre dual weight on top of the box weight.  The
+    # scan builds each box weight's table, and the Serre check asks for it
+    # again and reads it from the last-table slot
     holders = [m for m in (cohomology, oracles, degrees, cli) if hasattr(m, "_witnesses_by_degree")]
     calls = count_calls(monkeypatch, holders, "_witnesses_by_degree")
     holders = [m for m in (cohomology, oracles, degrees, cli) if hasattr(m, "cohomology_table")]
-    tables = count_calls(monkeypatch, holders, "cohomology_table")
-    listed = count_calls(monkeypatch, [cohomology], "_ball_coefficients")
+    built = count_calls(monkeypatch, holders, "cohomology_table")
+    listed = count_calls(monkeypatch, [cohomology], "enumerate_candidates")
     counted = count_calls(monkeypatch, [oracles], "capped_candidate_count")
-    X = build_case("group:A2")
-    weights = len(list(pic_box(X, 2)))
-    assert scan(capsys, "group:A2", 2, checks)[0] == 0
-    assert len(calls) == per_weight * weights
-    assert len(tables) == weights
-    assert len(counted) == capped * weights
+    X = build_case(name)
+    assert scan(capsys, name, 2, checks)[0] == 0
+    assert (len(calls), len(built), len(counted)) == (walks, tables, capped)
     oracles.vanishing_profile(X, 2)
     assert listed == []
 
 
-def test_scan_checks_membership_four_times_per_weight(monkeypatch, capsys):
-    # the table and the H^0 scan check lam, the Serre dual weight is checked
-    # once for the catalog and once by its evaluation; the variety is built
-    # before counting
+def test_scan_checks_membership_six_times_per_weight(monkeypatch, capsys):
+    # the scan's table, the Serre check's table, the length check's
+    # contributions and the H^0 scan check lam; the Serre dual weight is
+    # checked once for the catalog and once by its evaluation; the variety
+    # is built before counting
     X = build_case("group:A3")
     weights = len(list(pic_box(X, 2)))
     calls = count_calls(monkeypatch, [WonderfulVariety], "pic_contains")
     assert scan(capsys, "group:A3", 2, ALL)[0] == 0
-    assert len(calls) == 4 * weights
+    assert len(calls) == 6 * weights
 
 
 def test_scan_solves_no_lattice_membership(monkeypatch, capsys):
@@ -232,7 +243,7 @@ def test_scan_solves_no_lattice_membership(monkeypatch, capsys):
     checked = count_calls(monkeypatch, [WonderfulVariety], "pic_contains")
     solves = count_calls(monkeypatch, [varieties], "lattice_coords")
     assert scan(capsys, "group:A2", 2, ALL)[0] == 0
-    assert len(checked) == 4 * weights
+    assert len(checked) == 6 * weights
     assert len(solves) / weights == 0
 
 
