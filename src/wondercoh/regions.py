@@ -14,16 +14,19 @@ are the pic sign rows the descriptor takes once at build.  Along a grid
 line only the last coordinate moves, by the fixed row P_{r-1}, so each
 pairing is affine on the line and is negative on a prefix or a suffix of
 it; one `exactalg.negative_interval` call per pairing and line finds
-that interval, and no weight or pairing is computed per point.  The
-sidecar is one str.format template per rank, repeated once per point, and
-each SVG marker shape is one f-string applied to the pixel centres of its
-group.
+that interval, and one slice assignment ORs the pairing's bit into it.
+In rank 2 each line starts where the previous one started, moved by the
+row P_0, so no weight or pairing is computed per point.  The sidecar is
+one `%` over a flat tuple of every point's fields, and each SVG marker
+shape is one f-string applied to the pixel centres of its group.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, NamedTuple, Optional
+from collections import defaultdict
+from operator import add, or_
+from typing import NamedTuple, Optional
 
 from .exactalg import negative_interval, translate
 from .roots import Weight
@@ -36,8 +39,9 @@ _MARKERS_RANK2 = {0b11: "dot", 0b00: "circle", 0b01: "plus", 0b10: "tick"}
 _MARKERS_RANK1 = {0b1: "dot", 0b0: "circle"}
 
 #: the most grid points `region_plot` draws.  Time and memory grow linearly
-#: with the point count: through the CLI, 251,001 points took 0.5-0.8 s and
-#: about 140 MiB at peak in rank 1 and 2 (Python 3.11.7, 2-vCPU host)
+#: with the point count: through the CLI, an Omega plot of 250,000 points
+#: took 0.56-0.97 s and 137-139 MiB at peak in rank 1 and 2 (Python 3.11.7,
+#: shared 2-vCPU host)
 MAX_POINTS = 250_000
 
 
@@ -49,30 +53,37 @@ class RegionPlot(NamedTuple):
     points: tuple[tuple[tuple[int, ...], int], ...]  # (grid coords, J bitmask)
 
     def sidecar(self) -> str:
-        line = " ".join(["{}"] * (len(self.points[0][0]) + 1)) + "\n"
-        fields = itertools.chain.from_iterable([(*c, mask) for c, mask in self.points])
-        return (line * len(self.points)).format(*fields)
+        # %s prints each field as str(), and the (mask,) rows of zip
+        # append each mask to its coordinates
+        line = " ".join(["%s"] * (len(self.points[0][0]) + 1)) + "\n"
+        coords, masks = zip(*self.points)
+        fields = tuple(itertools.chain.from_iterable(map(add, coords, zip(masks))))
+        return (line * len(self.points)) % fields
 
     def svg(self) -> str:
         return _render_svg(self)
 
 
-def _omega_masks(X: WonderfulVariety, base: Weight, axis: range) -> Iterator[int]:
+def _omega_masks(X: WonderfulVariety, base: Weight, axis: range) -> list[int]:
     """J bitmasks of the grid points base + sum n_j pic_j, n in axis^r, in
     itertools.product order; base must already be in pic(X)."""
     # the pairings move by steps[j] per unit of n_j; the grid has X.rank
     # axes, and of a longer pic basis only the first X.rank vectors step it
     steps = X._pic_sign_rows[:X.rank]
-    s = X.sign_pairings(base)
     n = len(axis)
-    for outer in itertools.product(axis, repeat=X.rank - 1):
-        masks = [0] * n
-        start = translate(s, (*outer, axis[0]), steps)
+    masks = [0] * n ** X.rank
+    # the pairings at the first point of the current line; in rank 2 the
+    # next line starts one step of n_0 further on
+    start = translate(X.sign_pairings(base), (axis[0],) * X.rank, steps)
+    for first in range(0, len(masks), n):
         for i, (x, d) in enumerate(zip(start, steps[-1])):
             lo, hi = negative_interval(x, d, 0, n - 1)
-            for t in range(lo, hi + 1):
-                masks[t] |= 1 << i
-        yield from masks
+            # an empty interval may end below -1, which a slice reads from the end
+            if lo <= hi:
+                cut = slice(first + lo, first + hi + 1)
+                masks[cut] = map(or_, masks[cut], itertools.repeat(1 << i))
+        start = tuple(map(add, start, steps[0]))
+    return masks
 
 
 def region_plot(
@@ -146,9 +157,9 @@ def _render_svg(plot: RegionPlot) -> str:
     # in rank 2 or y = pad in rank 1
     x0 = pad - n_min * cell
     y0, dy = (pad + n_max * cell, cell) if rank == 2 else (pad, 0)
-    by_mask: dict[int, list] = {}
+    by_mask: defaultdict[int, list] = defaultdict(list)
     for coords, mask in plot.points:
-        by_mask.setdefault(mask, []).append((x0 + coords[0] * cell, y0 - coords[-1] * dy))
+        by_mask[mask].append((x0 + coords[0] * cell, y0 - coords[-1] * dy))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {height}">',

@@ -26,7 +26,10 @@ class InvariantError(RuntimeError):
 
 
 def _integer(x) -> int:
-    """x as an int; a number that int() would truncate, or a string, is refused."""
+    """x as an int; a number that int() would truncate, a string or a bool
+    (JSON true and false) is refused."""
+    if isinstance(x, bool):
+        raise ValueError(f"{x!r} is not an integer")
     n = int(x)
     if n != x:
         raise ValueError(f"{x!r} is not an integer")

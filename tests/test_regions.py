@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wondercoh import WonderfulVariety, build_case
 from wondercoh.cohomology import omega_signature
-from wondercoh.regions import MAX_POINTS, region_plot
+from wondercoh.regions import _MARKERS_RANK1, _MARKERS_RANK2, MAX_POINTS, _markers, region_plot
 from wondercoh.varieties import variety_from_dict
 
 from test_exact_forms import count_fractions
@@ -122,8 +122,46 @@ def reference_omega_mask(X, mu):
     )
 
 
+def reference_sidecar(plot):
+    """The sidecar written point by point, one str.format field per value."""
+    line = " ".join(["{}"] * (len(plot.points[0][0]) + 1)) + "\n"
+    fields = itertools.chain.from_iterable([(*c, mask) for c, mask in plot.points])
+    return (line * len(plot.points)).format(*fields)
+
+
+def reference_svg(plot):
+    """The SVG with its marker centres grouped point by point; the marker
+    shapes are the library's own `_markers`."""
+    n_min, n_max = plot.n_range
+    span = n_max - n_min
+    cell = 24
+    pad = 30
+    size = span * cell + 2 * pad
+    rank = len(plot.points[0][0])
+    height = size if rank == 2 else 2 * pad
+    markers = _MARKERS_RANK2 if rank == 2 else _MARKERS_RANK1
+    x0 = pad - n_min * cell
+    y0, dy = (pad + n_max * cell, cell) if rank == 2 else (pad, 0)
+    by_mask = {}
+    for coords, mask in plot.points:
+        by_mask.setdefault(mask, []).append((x0 + coords[0] * cell, y0 - coords[-1] * dy))
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {height}">',
+        f"<!-- {plot.kind} regions for {plot.variety}, "
+        f"grid [{n_min}, {n_max}], base {list(plot.base)} -->",
+    ]
+    for mask in sorted(by_mask):
+        shape = markers.get(mask, "dot")
+        parts.append(f'<g id="J-{mask}" class="{shape}">')
+        parts += _markers(shape, by_mask[mask])
+        parts.append("</g>")
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
 def check_grid(X, n_min, n_max, base):
-    """Both kinds of plot on [n_min, n_max]^r against their rules."""
+    """Both kinds of plot on [n_min, n_max]^r against their rules, and
+    their figures against the point-by-point writers."""
     grid = list(itertools.product(range(n_min, n_max + 1), repeat=X.rank))
     omega = region_plot(X, "Omega", n_min, n_max, base)
     start = X.lambda_zero() if base is None else base
@@ -137,6 +175,8 @@ def check_grid(X, n_min, n_max, base):
         lines = text.splitlines()
         assert len(lines) == len(grid)
         assert lines == [" ".join(map(str, (*c, mask))) for c, mask in plot.points]
+        assert text == reference_sidecar(plot)
+        assert plot.svg() == reference_svg(plot)
 
 
 @functools.cache

@@ -490,6 +490,14 @@ def test_malformed_descriptor_raises_only_catalog_error(data):
         {"group": [["D", 2]], "spherical_roots": [[2, 2]], "pic_basis": [[1, 1]],
          "sgamma": [[[1.5, 0], [0, 1]]]},
         {"group": [["D", 2]], "spherical_roots": [[2, 2]], "pic_basis": [["1", 1]]},
+        # JSON true and false are not integers, though int() takes them
+        {"group": [["A", True]], "pic_basis": [[1]]},
+        {"group": [["A", 1]], "pic_basis": [[True]]},
+        {"group": [["A", 3]], "spherical_roots": [], "pic_basis": [[0, 1, 0]],
+         "q_simple_roots": [True, 3]},
+        {"group": [["A", 2]], "pic_basis": [[1, False]], "q_simple_roots": [2]},
+        {"group": [["D", 2]], "spherical_roots": [[2, 2]], "pic_basis": [[1, 1]],
+         "sgamma": [[[True, 0], [0, 1]]]},
     ],
 )
 def test_descriptor_refuses_non_integers(doc):
@@ -504,7 +512,8 @@ def test_descriptor_accepts_integral_floats():
 
 
 @pytest.mark.parametrize(
-    "v, coords", [((1.9, 1.2), (1.9,)), ((2, 2.5), (2.5,)), (("2", 2), ("2",))]
+    "v, coords",
+    [((1.9, 1.2), (1.9,)), ((2, 2.5), (2.5,)), (("2", 2), ("2",)), ((True, 2), (True,))],
 )
 def test_weights_refuse_non_integers(v, coords):
     X = build_case("PSO/PSO(2)")
@@ -520,7 +529,7 @@ def test_weights_accept_integral_floats():
     assert X.weight_from_pic_coords((3.0,)) == X.weight_from_pic_coords((3,))
 
 
-@pytest.mark.parametrize("rank", [2.5, "2"])
+@pytest.mark.parametrize("rank", [2.5, "2", True])
 def test_root_system_refuses_non_integer_rank(rank):
     with pytest.raises(ValueError):
         build_root_system([("A", rank)])
