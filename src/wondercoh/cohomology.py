@@ -22,7 +22,8 @@ with G the spherical Gram matrix and b_i = (lam + rho, gamma_i);
 `contributions` searches its integer points.
 Adding |mu - lam|^2 >= 0 gives the weaker |mu + rho| <= |lam + rho|, i.e.
 c^T G c + 2 c^T b <= 0, a ball of twice the radius and about 2^r times the
-points; `enumerate_candidates` keeps returning that superset.
+points; `enumerate_candidates` keeps returning that superset, and
+`oracles.capped_candidate_count` bounds its size without listing it.
 
 The search walks the ball as lines along c_0.  `_ball_lines` peels
 c_{r-1}, ..., c_1 off by branch and bound and gives one line per fixed
@@ -48,8 +49,16 @@ walked; level 0 cuts c_0 by the rows that move with it, so each line keeps
 one run of consecutive c_0 with one J, and off the run no point is visited
 at all.
 The candidate ball of `enumerate_candidates` takes the same descent with
-nothing cut, carrying mu alone: each line hands over its first weight
-already translated, and the rest of the line follows by adding gamma_0.
+nothing cut, carrying mu alone, on a second quadric that `_walk` builds
+beside the first: the same ball with the coordinates in reverse order, so
+c_0 is peeled first and the lines, along c_{r-1}, come in lexicographic
+order of c.  Each line hands over its first weight already translated,
+and the rest of the line is expanded by C iterators, one `count` per
+entry stepping by gamma_{r-1}; no line is sorted and no point takes a
+Python step.  `_ball_bound` reads the first quadric without a walk: each
+level's range of c_i is bounded at the level's widest, and the product of
+those bounds the ball, so the scan's guard walks only the balls whose
+bound is over its cap.
 `_sign_runs` yields the runs, each certified at its ends.  With no
 spherical roots the sign cone is the one point c = (), and rank zero is
 the walk's one line, of one point.
@@ -245,6 +254,7 @@ def _ball_lines(
     start: Sequence[int] = (),
     rows: Sequence[Sequence[int]] | None = None,
     decided: Sequence[Sequence[int]] | None = None,
+    reverse: bool = False,
 ) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
     """The integer c with c^T G c + k c^T b <= 0, where G is the spherical
     Gram matrix and b_i = (lam + rho, gamma_i), as lines along c_0: one
@@ -270,7 +280,10 @@ def _ball_lines(
     subtree cut empty is not returned.  With no `decided`, nothing is cut;
     with no rows either (the default), v is () on every line at rank 1 and
     up, as v keeps only as many entries as rows[i] has, and rank 0's one
-    line keeps `start`.
+    line keeps `start`.  With reverse, the walk reads the `reverse_form` of
+    `_walk`, the same quadric in the coordinates c_{r-1}, ..., c_0: sig and
+    rows are given in that order, and each line's c too, so the lines run
+    along c_{r-1} and come in lexicographic order of c.
 
     Times D the ball reads c^T G c + k c^T s <= 0.  Completing the square
     with z = (k/2) G^-1 s and G = L diag(d) L^T turns it into
@@ -290,17 +303,39 @@ def _ball_lines(
     r = X.rank
     if not r:
         return [((), 1, tuple(start))]
-    quadric = _walk(X).form
+    q, A, e, base, remaining = _ball_quadric(X, sig, k, reverse)
+    none = ((),) * r
+    lines: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
+    walk = (lines, [0] * r, base, q, A, e, rows or none, decided or none)
+    _descend(walk, r - 1, remaining, tuple(start))
+    return lines
+
+
+def _ball_quadric(X: WonderfulVariety, sig: Sequence[int], k: int, reverse: bool = False) -> tuple:
+    """(q, A, e, base, sum_i e_i base_i^2) of the quadric of `_ball_lines`
+    at sig, read from `_walk`'s `form`, or its `reverse_form` with reverse;
+    rank 1 and up."""
+    walk = _walk(X)
+    quadric = walk.reverse_form if reverse else walk.form
     if quadric is None:  # G is singular, which validation rejects
         check = "spherical root Gram matrix is positive definite"
         raise CatalogError(f"descriptor {X.name} fails validation: {check}")
     form, q, A, e = quadric
     base = [k * sum(map(mul, row, sig)) for row in form]
-    none = ((),) * r
-    lines: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
-    walk = (lines, [0] * r, base, q, A, e, rows or none, decided or none)
-    _descend(walk, r - 1, sum(ei * bi * bi for ei, bi in zip(e, base)), tuple(start))
-    return lines
+    return q, A, e, base, sum(ei * bi * bi for ei, bi in zip(e, base))
+
+
+def _ball_bound(X: WonderfulVariety, sig: Sequence[int], k: int) -> int:
+    """An upper bound on the number of points of `_ball_lines`' ball, read
+    off its quadric without a walk.  Every level i of the branch and bound
+    keeps e_i t_i^2 <= B = sum_j e_j base_j^2, so |q_i c_i + p| <=
+    isqrt(B // e_i) for some integer p, which at most
+    2 isqrt(B // e_i) // q_i + 2 values of c_i meet; the product over the
+    levels bounds the ball.  Rank 0 has its one point."""
+    if not X.rank:
+        return 1
+    q, _, e, _, B = _ball_quadric(X, sig, k)
+    return math.prod(2 * math.isqrt(B // ei) // qi + 2 for qi, ei in zip(q, e))
 
 
 def _descend(walk: tuple, i: int, remaining: int, v: tuple[int, ...]) -> None:
@@ -355,19 +390,13 @@ def enumerate_candidates(X: WonderfulVariety, lam: Sequence[int]) -> list[Weight
     sigma = X.spherical_roots
     if not sigma:
         return [tuple(lam)]
-    step = sigma[0]
-    lines = _ball_lines(X, X.sign_pairings(lam), 2, lam, sigma)
-    # lexicographic in c: the lines in order of c_1..c_{r-1}, each dealt
-    # into one column per c_0, stepping mu by gamma_0
-    lines.sort(key=lambda line: line[0][1:])
-    first = min(c[0] for c, _, _ in lines)
-    end = max(c[0] + n for c, n, _ in lines)
-    columns: list[list[Weight]] = [[] for _ in range(first, end)]
-    for (lo, *_), n, mu in lines:
-        for column in columns[lo - first:lo - first + n]:
-            column.append(mu)
-            mu = tuple(map(add, mu, step))
-    return list(itertools.chain.from_iterable(columns))
+    # the reversed walk peels c_0 first, so its lines come in lexicographic
+    # order of c, each along c_{r-1} from its first weight
+    step = sigma[-1]
+    lines = _ball_lines(X, X.sign_pairings(lam)[::-1], 2, lam, sigma[::-1], reverse=True)
+    return list(itertools.chain.from_iterable(
+        islice(zip(*map(count, mu, step)), n) for _, n, mu in lines
+    ))
 
 
 def _chamber(g: RootSystem, mu: Weight, inversions: int) -> tuple[int, tuple[Weight, ...]]:
@@ -397,6 +426,7 @@ class Walk(NamedTuple):
     fixed: tuple[int, ...]
     chambers: dict
     form: Optional[tuple]  # (form, q, A, e) of `_ball_lines`
+    reverse_form: Optional[tuple]  # the same of G with its rows and columns reversed
     classes: tuple[tuple[int, ...], ...]  # positive coroot indices per carried class
     tails: tuple[int, ...]  # tails[j - 2]: the first class of size >= j
     inert: int  # the product of the inert coroots' heights
@@ -431,7 +461,9 @@ def _walk(X: WonderfulVariety) -> Walk:
     (length, matrix of w, w(gamma_0)) for the w making mu + rho dominant;
     `_stretches` fills it.  form is the witness ball's quadric
     (form, q, A, e) of `_ball_lines`, from G and its inverse, and None when
-    G is singular, which validation rejects."""
+    G is singular, which validation rejects; reverse_form is the same
+    quadric with the coordinates c in reverse order, from G and G^-1 with
+    their rows and columns reversed, which `enumerate_candidates` descends."""
     walk = X._walk
     if walk is None:
         g, sigma, gram = X.group, X.spherical_roots, X._gamma_sign_gram
@@ -457,13 +489,22 @@ def _walk(X: WonderfulVariety) -> Walk:
         rows = tuple((*g_row, *pair_row, *gam) for g_row, pair_row, gam in zip(gram, coroot, sigma))
         moving = tuple(k for k, d in enumerate(step[1]) if d)
         fixed = tuple(k for k, d in enumerate(step[1]) if not d)
-        form = _ball_form(gram, X._gamma_sign_gram_inv) if X._sigma_pos_def else None
+        form = reverse_form = None
+        if X._sigma_pos_def:
+            inverse, den = X._gamma_sign_gram_inv
+            form = _ball_form(gram, (inverse, den))
+            reverse_form = _ball_form(_reversed(gram), (_reversed(inverse), den))
         walk = X._walk = Walk(
-            rows, tuple(map(tuple, decided)), step, moving, fixed, {}, form,
+            rows, tuple(map(tuple, decided)), step, moving, fixed, {}, form, reverse_form,
             tuple(classes), tails, inert,
             tuple(g._rho_pairings[ks[0]] for ks in classes), tuple(zip(*coroots)),
         )
     return walk
+
+
+def _reversed(m: Sequence[Sequence[int]]) -> list[Sequence[int]]:
+    """m with its rows and its columns in reverse order."""
+    return [row[::-1] for row in reversed(m)]
 
 
 def _class_pairings(X: WonderfulVariety, lam: Weight) -> tuple[int, ...]:

@@ -9,8 +9,11 @@ tautology.
 
 `scan` runs these oracles against the engine over a box of Picard
 coordinates, for the CLI's `scan` and for `vanishing_profile`; with the
-vanishing check, a weight is first refused if its candidates, counted
-from the ball's lines and not listed, exceed the cap.  It builds each
+vanishing check, a weight is first refused if its candidates exceed the
+cap.  They are never listed: a weight whose candidate ball the product
+bound of `cohomology._ball_bound` holds to the cap is accepted at once,
+and only a weight above it has the ball's lines counted, so the refused
+weights and their message are those of the exact count.  It builds each
 box weight's table and then runs the public checks on that weight,
 `serre_involution_check` and `degrees.check_lengths`, the same functions
 a caller runs one by one.  They share the one walk through the last-table
@@ -32,6 +35,7 @@ from .cohomology import (
     Constituent,
     Contribution,
     DegreeGroup,
+    _ball_bound,
     _ball_lines,
     cohomology_table,
     contributions,
@@ -144,14 +148,19 @@ def brion_h0(X: WonderfulVariety, lam: Sequence[int]) -> list[Weight]:
 
 
 def capped_candidate_count(X: WonderfulVariety, coords, lam, cap: int = CANDIDATE_CAP) -> int:
-    """How many weights `enumerate_candidates(X, lam)` lists, counted from
-    the lines of its ball without listing them; raises OracleBudgetError
-    when the count exceeds `cap` (lam has pic coordinates `coords`)."""
-    n = sum(points for _, points, _ in _ball_lines(X, X.sign_pairings(lam), 2))
+    """An upper bound, no larger than `cap`, on how many weights
+    `enumerate_candidates(X, lam)` lists, found without listing them: the
+    product bound on the ball's points when it is at most `cap`, and else
+    the exact count from the lines of the ball.  Raises OracleBudgetError
+    when that count exceeds `cap` (lam has pic coordinates `coords`)."""
+    sig = X.sign_pairings(lam)
+    n = _ball_bound(X, sig, 2)
     if n > cap:
-        raise OracleBudgetError(
-            f"{X.name}, lambda={list(coords)}: {n} candidates exceed the cap {cap}"
-        )
+        n = sum(points for _, points, _ in _ball_lines(X, sig, 2))
+        if n > cap:
+            raise OracleBudgetError(
+                f"{X.name}, lambda={list(coords)}: {n} candidates exceed the cap {cap}"
+            )
     return n
 
 
@@ -211,8 +220,9 @@ def scan(X: WonderfulVariety, box: int, checks, *, candidate_cap=CANDIDATE_CAP) 
     in [-box, box], evaluating each weight once; the degree rule is
     `degrees.rule_for(X)`.
 
-    `vanishing` counts each weight's candidates first and raises
-    OracleBudgetError for one over `candidate_cap` before any work on it;
+    `vanishing` bounds each weight's candidates first, counts them exactly
+    only when the bound is over `candidate_cap`, and raises
+    OracleBudgetError for a count over it before any work on the weight;
     once the box is done it compares the union of realized degrees with
     `rule.allowed()` (with no rule it only collects them and stays
     `(True, "")`).  Every other check stops at its first failing weight,

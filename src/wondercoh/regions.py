@@ -16,9 +16,12 @@ pairing is affine on the line and is negative on a prefix or a suffix of
 it; one `exactalg.negative_interval` call per pairing and line finds
 that interval, and one slice assignment ORs the pairing's bit into it.
 In rank 2 each line starts where the previous one started, moved by the
-row P_0, so no weight or pairing is computed per point.  The sidecar is
-one `%` over a flat tuple of every point's fields, and each SVG marker
-shape is one f-string applied to the pixel centres of its group.
+row P_0, so no weight or pairing is computed per point.  The R class of
+n is {i : n_i >= 1}, the negative set of the pairings -n_i, so the same
+fill draws it, from -n_min in every coordinate by the steps -e_j.  The
+sidecar is one `%` over a flat tuple of every point's fields, and each
+SVG marker shape is one f-string applied to the pixel centres of its
+group.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from operator import add, or_
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .exactalg import negative_interval, translate
 from .roots import Weight
@@ -64,17 +67,14 @@ class RegionPlot(NamedTuple):
         return _render_svg(self)
 
 
-def _omega_masks(X: WonderfulVariety, base: Weight, axis: range) -> list[int]:
-    """J bitmasks of the grid points base + sum n_j pic_j, n in axis^r, in
-    itertools.product order; base must already be in pic(X)."""
-    # the pairings move by steps[j] per unit of n_j; the grid has X.rank
-    # axes, and of a longer pic basis only the first X.rank vectors step it
-    steps = X._pic_sign_rows[:X.rank]
-    n = len(axis)
-    masks = [0] * n ** X.rank
-    # the pairings at the first point of the current line; in rank 2 the
-    # next line starts one step of n_0 further on
-    start = translate(X.sign_pairings(base), (axis[0],) * X.rank, steps)
+def _sign_masks(start: Sequence[int], steps: Sequence[Sequence[int]], n: int) -> list[int]:
+    """J bitmasks of an n^r grid, r = len(steps), in itertools.product
+    order: bit i is set where pairing i is negative, the pairings being
+    `start` at the grid's first point and moving by steps[j] per unit of
+    grid coordinate j."""
+    masks = [0] * n ** len(steps)
+    # start holds the pairings at the first point of the current line; in
+    # rank 2 the next line starts one step of the first coordinate further on
     for first in range(0, len(masks), n):
         for i, (x, d) in enumerate(zip(start, steps[-1])):
             lo, hi = negative_interval(x, d, 0, n - 1)
@@ -116,13 +116,19 @@ def region_plot(
         base = X.lambda_zero()
     else:
         base = (0,) * X.group.rank
-    grid = itertools.product(axis, repeat=X.rank)
+    r = X.rank
     if kind == "Omega":
-        # the grid stays in pic(X) once base is, as lambda_0 is by construction
-        points = zip(grid, _omega_masks(X, base, axis))
+        # the grid stays in pic(X) once base is, as lambda_0 is by
+        # construction; of a longer pic basis only the first r vectors step it
+        steps = X._pic_sign_rows[:r]
+        start = translate(X.sign_pairings(base), (n_min,) * r, steps)
     else:
-        # J is read off the coefficient sign pattern: strictly positive on J
-        points = ((c, sum(1 << i for i, n in enumerate(c) if n >= 1)) for c in grid)
+        # J is read off the coefficient sign pattern, strictly positive on J:
+        # the pairing of coordinate i is -n_i, negative exactly when n_i >= 1
+        steps = [[-int(i == j) for i in range(r)] for j in range(r)]
+        start = (-n_min,) * r
+    grid = itertools.product(axis, repeat=r)
+    points = zip(grid, _sign_masks(start, steps, len(axis)))
     return RegionPlot(X.name, kind, tuple(base), (n_min, n_max), tuple(points))
 
 

@@ -79,6 +79,15 @@ def test_candidates_equal_one_translate_per_point(name, data):
     assert enumerate_candidates(X, lam) == reference_candidates(X, lam)
 
 
+@pytest.mark.parametrize("name", ["group:A2", "E6/F4"])
+def test_deep_candidates_equal_one_translate_per_point(name):
+    # a deep-cohomology centre: the ball's lines are long there, and each is
+    # expanded from its first weight by C iterators, not translated per point
+    X = variety(name)
+    lam = X.weight_from_pic_coords((-30, -30))
+    assert enumerate_candidates(X, lam) == reference_candidates(X, lam)
+
+
 @pytest.mark.parametrize("name", NAMES)
 @PROPERTY
 @given(data=st.data())

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from wondercoh import WonderfulVariety, build_case, cli, cohomology, degrees, oracles, varieties
 from wondercoh.varieties import pic_box
-from test_helpers import NAMES, count_calls, draw_weight
+from test_helpers import NAMES, PRODUCT, count_calls, draw_weight, variety
 
 ALL = "vanishing,serre,h0,divisibility"
 SERRE = ("serre", True, "witness bijection and dimension pairing hold on the box")
@@ -289,6 +289,30 @@ def test_capped_count_is_the_candidate_list_length(name, data):
     with pytest.raises(oracles.OracleBudgetError) as exc:
         oracles.capped_candidate_count(X, coords, lam, n - 1)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", NAMES + ("group:A4", "group:D4", "PGL/PSp(5)", PRODUCT))
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_capped_count_lies_between_the_count_and_the_cap(name, data):
+    # the guard accepts a weight by the ball's product bound and counts the
+    # ball's lines only above the cap, so whatever the cap it returns a value
+    # from the exact count up to the cap, and refuses exactly the weights
+    # whose count is over the cap, with the exact count in the message
+    X = variety(name)
+    coords, lam = draw_weight(data, X, -4, 4)
+    sig = X.sign_pairings(lam)
+    n = sum(points for _, points, _ in cohomology._ball_lines(X, sig, 2))
+    bound = cohomology._ball_bound(X, sig, 2)
+    assert bound >= n
+    for cap in (n - 1, n, data.draw(st.integers(0, bound + 1)), bound):
+        if n > cap:
+            with pytest.raises(oracles.OracleBudgetError) as exc:
+                oracles.capped_candidate_count(X, coords, lam, cap)
+            message = f"{X.name}, lambda={list(coords)}: {n} candidates exceed the cap {cap}"
+            assert str(exc.value) == message
+        else:
+            assert n <= oracles.capped_candidate_count(X, coords, lam, cap) <= cap
 
 
 @pytest.mark.parametrize("box", [1, 2])

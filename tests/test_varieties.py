@@ -678,5 +678,5 @@ def test_the_picard_lattice_has_one_owner():
     assert naming == {"varieties.py"}
     assert _imported_from_cohomology(trees["regions.py"]) == []
     private = [n for n in _imported_from_cohomology(trees["oracles.py"]) if n.startswith("_")]
-    assert private == ["_ball_lines"]
+    assert private == ["_ball_bound", "_ball_lines"]
 
